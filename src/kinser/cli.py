@@ -116,14 +116,15 @@ def _check(args) -> int:
     if args.dual:
         M = transforms.dual(M)
     cfg = SearchConfig(space=("all_subsets" if args.space == "all" else "flats"),
-                       determinism=args.mode,
                        symmetry_pruning=not args.no_prune,
                        parallel_width=args.parallel)
     t0 = time.perf_counter()
     verdict = membership(M, args.n, cfg)
     elapsed = time.perf_counter() - t0
+    pairs = ("" if verdict.pairs is None
+             else f" pairs={verdict.pairs}/{verdict.space_size ** 2}")
     print(f"search statistics: tuples={verdict.tuples_examined} "
-          f"rank_queries={verdict.rank_queries} seconds={elapsed:.2f}",
+          f"rank_queries={verdict.rank_queries}{pairs} seconds={elapsed:.2f}",
           file=sys.stderr)
     if verdict.in_class:
         print(f"in-class n={args.n} matroid={M.label or '?'}")
@@ -226,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-i", "--input", required=True)
     c.add_argument("--dual", action="store_true", help="check the dual matroid")
     c.add_argument("--space", choices=("flats", "all"), default="flats")
-    c.add_argument("--mode", choices=("lex_first", "any"), default="lex_first")
-    c.add_argument("--no-prune", action="store_true")
+    c.add_argument("--no-prune", action="store_true",
+                   help="scan every tuple: disable both the symmetry rule and "
+                        "the n=4 common-information rule")
     c.add_argument("--parallel", type=int, default=1)
     c.add_argument("-o", "--output", default=None, help="certificate file")
     c.set_defaults(func=_check)

@@ -10,15 +10,35 @@ Inequality n (n >= 4) compares, for subsets X_1..X_n,
 with 2n-3 terms per side; n = 4 is the Ingleton inequality.  The search
 for violating families runs over the flats of the matroid (replacing each
 set by its closure changes no term rank, so this loses nothing), in
-lexicographic tuple order, with optional symmetry pruning:
+lexicographic tuple order, with optional pruning by two rules.
+
+Symmetry:
 
 * for every n the inequality is invariant under reversing (X3, ..., Xn);
 * at n = 4 it is additionally invariant under swapping X1 with X2 and
   under swapping X3 with X4 independently.
 
 A tuple is enumerated only if it is the lexicographically least member of
-its orbit; the least violating tuple overall is always canonical, so
-pruning cannot change either the verdict or the lex-first certificate.
+its orbit; the least violating tuple overall is always canonical.
+
+Common information (n = 4 only):  the Ingleton margin is
+
+    I(X3;X4) - I(X3;X4|X1) - I(X3;X4|X2) - I(X1;X2)
+
+with I(A;B) = r(A) + r(B) - r(A u B) and I(A;B|C) the same with C joined to
+every set.  If some Z lies in cl X3 and in cl X4 with r(Z) = I(X3;X4), no
+(X1, X2) can make the margin positive (Hammer, Romashchenko, Shen and
+Vereshchagin, JCSS 2000).  Sketch, by submodularity alone, with A = X3
+and B = X4: r(A u C) + r(B u C) >= r(A u B u C) + r(Z u C) gives
+r(Z u C) - r(C) <= I(A;B|C) for C = X1 and for C = X2, and
+r(Z u X1) + r(Z u X2) >= r(X1 u X2) + r(Z) adds up to
+I(X3;X4) = r(Z) <= I(X3;X4|X1) + I(X3;X4|X2) + I(X1;X2).  For closed sets
+Z = cl X3 n cl X4 qualifies exactly when (cl X3, cl X4) is a modular pair,
+r(cl X3) + r(cl X4) = r(X3 u X4) + r(cl X3 n cl X4), so only non-modular
+(X3, X4) pairs are scanned.
+
+A pruned tuple either cannot violate or is not the least of its orbit, so
+pruning changes neither the verdict nor the lex-first certificate.
 """
 
 from __future__ import annotations
@@ -33,6 +53,7 @@ from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 TENSOR_BYTES_LIMIT = 1 << 29  # fall back to row gathers above ~512 MiB
+SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan block
 
 
 @dataclass(frozen=True)
@@ -89,18 +110,30 @@ class BadFamilyCertificate:
 @dataclass(frozen=True)
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
-    determinism: str = "lex_first"  # "lex_first" | "any"
-    symmetry_pruning: bool = True
+    symmetry_pruning: bool = True   # both rules: symmetry and common information
     parallel_width: int = 1
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of one search.
+
+    ``tuples_examined`` counts the candidate tuples (those the pruning rules
+    keep) in lex order up to and including the lex-first violator, or all of
+    them when there is none; it does not depend on the parallel width.
+    ``rank_queries`` counts rank-table lookups summed over all workers.
+    ``space_size`` is F, the number of sets in the search space, and
+    ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
+    n >= 5).
+    """
+
     in_class: bool
     n: int
     tuples_examined: int
     rank_queries: int
     certificate: BadFamilyCertificate | None = None
+    space_size: int = 0
+    pairs: int | None = None
 
 
 def term_members(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -240,55 +273,90 @@ def _space_masks(M: Matroid, cfg: SearchConfig) -> np.ndarray:
     raise MatroidError(f"unknown search space {cfg.space!r}")
 
 
+def _closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """cl X for every mask X, read off the rank table (2^m entries)."""
+    rank = table[masks]
+    out = masks.copy()
+    for e in range(table.size.bit_length() - 1):
+        bit = np.int64(1 << e)
+        out[table[masks | bit] == rank] |= bit
+    return out
+
+
 def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: int,
-                     pruning: bool) -> tuple[tuple[int, ...] | None, int, int]:
+                     pruning: bool) -> tuple[tuple[int, ...] | None, int, int, int]:
     """Scan inequality 4 for i1 in [i1_lo, i1_hi), lex order, first hit wins.
 
-    For fixed (X1, X2) the margin over the (X3, X4) plane decomposes as
+    The (X3, X4) pairs scanned form the lex-ordered list P: every pair, or
+    with pruning only the non-modular pairs with i3 <= i4.  For fixed
+    (X1, X2) the margin over P decomposes as
 
-        margin = r(X1 u X2) + G[X1] + G[X2] + (r(X3) + r(X4) - r(X3 u X4))
+        margin = r(X1 u X2) + GP[X1] + GP[X2] + (r(X3) + r(X4) - r(X3 u X4))
 
-    with G[j][k,l] = r(Xj u Xk u Xl) - r(Xj u Xk) - r(Xj u Xl), so the whole
-    plane is three precomputed-array adds.  G entries lie in [-r, 0] and the
-    plane sums stay within int16.
+    with GP[j][p] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4),
+    so a block of X2 rows is two precomputed-array adds and a compare.
+    GP entries lie in [-r, 0] and every sum stays within int8 (r <= 24).
+
+    Returns (lex-first hit or None, tuples examined, rank queries, |P|).
     """
     F = len(masks)
-    rank_f = table[masks].astype(np.int16)
-    pair_union = masks[:, None] | masks[None, :]
-    PR = table[pair_union].astype(np.int16)
-    base34 = rank_f[:, None] + rank_f[None, :] - PR
+    rank8 = table.view(np.int8)          # ranks are at most 24
+    rank_f = rank8[masks]
+    PR = rank8[masks[:, None] | masks[None, :]]
+    base34 = rank_f[:, None] + rank_f[None, :] - PR    # I(X3; X4)
     queries = F + F * F
-    tensor_ok = F ** 3 <= TENSOR_BYTES_LIMIT
-    G = None
-    if tensor_ok:
-        G = np.empty((F, F, F), dtype=np.int8)
-        for j in range(F):
-            T = table[masks[j] | pair_union].astype(np.int16)
-            G[j] = (T - PR[j][:, None] - PR[j][None, :]).astype(np.int8)
-        queries += F ** 3
+    if pruning:
+        cl = _closures(table, masks)
+        meet = table[cl[:, None] & cl[None, :]]
+        queries += (table.size.bit_length() - 1) * F + F * F
+        P3, P4 = np.nonzero(np.triu(base34 > meet))
+    else:
+        P3, P4 = np.nonzero(np.ones((F, F), dtype=bool))
+    width = len(P3)
+    if width == 0:
+        return None, 0, queries, 0
+    union = masks[P3] | masks[P4]
+    rows = max(1, SCAN_BLOCK // width)
+    i3_runs, run_len = np.unique(P3, return_counts=True)  # P3 is sorted
 
-    def g_plane(j: int) -> np.ndarray:
+    def g_rows(a: int, b: int) -> np.ndarray:
+        T = np.take(rank8, masks[a:b, None] | union)
+        T -= np.repeat(PR[a:b, i3_runs], run_len, axis=1)
+        T -= np.take(PR[a:b], P4, axis=1)
+        return T
+
+    # rows j >= i1_lo suffice with pruning, since then i2 >= i1
+    base = i1_lo if pruning else 0
+    GP = None
+    if (F - base) * width <= TENSOR_BYTES_LIMIT:
+        GP = np.empty((F - base, width), dtype=np.int8)
+        for a in range(base, F, rows):
+            b = min(F, a + rows)
+            GP[a - base:b - base] = g_rows(a, b)
+        queries += (F - base) * width
+
+    def gp(a: int, b: int) -> np.ndarray:
         nonlocal queries
-        if G is not None:
-            return G[j]
-        T = table[masks[j] | pair_union].astype(np.int16)
-        queries += F * F
-        return T - PR[j][:, None] - PR[j][None, :]
+        if GP is not None:
+            return GP[a - base:b - base]
+        queries += (b - a) * width
+        return g_rows(a, b)
 
+    c34 = base34[P3, P4]
     tuples = 0
     for i1 in range(i1_lo, i1_hi):
-        G1 = g_plane(i1)
-        for i2 in range(i1 if pruning else 0, F):
-            plane = (G1 + g_plane(i2)) + base34
-            tuples += F * F
-            hits = plane > -int(PR[i1, i2])
-            if not hits.any():
-                continue
-            for i3, i4 in np.argwhere(hits):
-                if pruning and i3 > i4:
-                    continue
-                return (i1, i2, int(i3), int(i4)), tuples, queries
-    return None, tuples, queries
+        c1 = gp(i1, i1 + 1)[0] + c34
+        floor = -PR[i1, :, None]
+        for a in range(i1 if pruning else 0, F, rows):
+            b = min(F, a + rows)
+            hits = gp(a, b) + c1 > floor[a:b]
+            k = int(hits.argmax())
+            if hits.flat[k]:
+                tuples += k + 1
+                j = k % width
+                return (i1, a + k // width, int(P3[j]), int(P4[j])), tuples, queries, width
+            tuples += (b - a) * width
+    return None, tuples, queries, width
 
 
 def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
@@ -363,10 +431,22 @@ def _chunk_worker(args):
     table, masks, n, lo, hi, pruning = args
     if n == 4:
         return _search_n4_chunk(table, masks, lo, hi, pruning)
-    return _search_generic_chunk(table, masks, n, lo, hi, pruning)
+    return _search_generic_chunk(table, masks, n, lo, hi, pruning) + (None,)
 
 
-def _run_search(M: Matroid, n: int, cfg: SearchConfig):
+def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
+                      ) -> BadFamilyCertificate | None:
+    """Exhaustive search for a violating family; None when the space is clean.
+
+    The returned family is the lexicographically least violating tuple over
+    the configured space, with pruning on or off.
+    """
+    return membership(M, n, cfg).certificate
+
+
+def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
+    """Decide membership in Kinser class n over the configured space."""
+    cfg = cfg or SearchConfig()
     masks = _space_masks(M, cfg)
     F = len(masks)
     width = max(1, cfg.parallel_width)
@@ -375,51 +455,29 @@ def _run_search(M: Matroid, n: int, cfg: SearchConfig):
     else:
         bounds = np.linspace(0, F, width + 1).astype(int)
         chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(width)]
-    results = []
-    if len(chunks) == 1:
-        results.append(_chunk_worker((M.table, masks, n, 0, F, cfg.symmetry_pruning)))
+    jobs = [(M.table, masks, n, lo, hi, cfg.symmetry_pruning) for lo, hi in chunks]
+    if len(jobs) == 1:
+        results = [_chunk_worker(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            jobs = [(M.table, masks, n, lo, hi, cfg.symmetry_pruning) for lo, hi in chunks]
             results = list(pool.map(_chunk_worker, jobs))
-    tuples = sum(r[1] for r in results)
-    queries = max(r[2] for r in results) if len(results) > 1 else results[0][2]
-    hits = [r[0] for r in results if r[0] is not None]
-    best = min(hits) if hits else None
-    if best is None:
-        return None, tuples, queries
+    queries = sum(r[2] for r in results)
+    pairs = results[0][3]
+    # chunks run in i1 order, so the first chunk with a hit holds the
+    # lex-first violator and the tuples of later chunks do not count
+    tuples = 0
+    for best, chunk_tuples, _, _ in results:
+        tuples += chunk_tuples
+        if best is not None:
+            break
+    else:
+        return Verdict(True, n, tuples, queries, None, F, pairs)
     fam = Family(n, tuple(int(masks[j]) for j in best))
-    return fam, tuples, queries
-
-
-def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
-                      ) -> BadFamilyCertificate | None:
-    """Exhaustive search for a violating family; None when the space is clean.
-
-    In lex_first mode the returned family is the lexicographically least
-    violating tuple over the configured space (pruning on or off); "any"
-    mode promises only some violation.
-    """
-    cfg = cfg or SearchConfig()
-    fam, _, _ = _run_search(M, n, cfg)
-    if fam is None:
-        return None
     value = evaluate(M, fam)
     assert value.lhs > value.rhs
-    return BadFamilyCertificate(M.label, content_fingerprint(M), fam,
-                                value.lhs, value.rhs)
-
-
-def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
-    """Decide membership in Kinser class n over the configured space."""
-    cfg = cfg or SearchConfig()
-    fam, tuples, queries = _run_search(M, n, cfg)
-    if fam is None:
-        return Verdict(True, n, tuples, queries)
-    value = evaluate(M, fam)
     cert = BadFamilyCertificate(M.label, content_fingerprint(M), fam,
                                 value.lhs, value.rhs)
-    return Verdict(False, n, tuples, queries, cert)
+    return Verdict(False, n, tuples, queries, cert, F, pairs)
 
 
 def dual_membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:

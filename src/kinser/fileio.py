@@ -111,6 +111,9 @@ def parse_matroid(text: str) -> Matroid:
         vals = [int(tok) for ln in body for tok in ln.split()]
         if len(vals) != 1 << m:
             raise FormatError(f"ranks body has {len(vals)} values, expected {1 << m}")
+        lo, hi = min(vals), max(vals)
+        if lo < 0 or hi > m:
+            raise FormatError(f"rank value {lo if lo < 0 else hi} outside [0, {m}]")
         table = np.array(vals, dtype=np.uint8)
         res = validate_rank_table(m, table, exhaustive=(m <= 16))
         if not res:

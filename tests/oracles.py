@@ -47,12 +47,16 @@ def brute_matching_rank(x: int, family: tuple[int, ...]) -> int:
     return best(0, 0)
 
 
-def ingleton_value(M, x1, x2, x3, x4):
-    """The Ingleton inequality's two sides, written out literally."""
-    r = M.rank
+def ingleton_sides(r, x1, x2, x3, x4):
+    """The Ingleton inequality's two sides, written out literally, for any
+    rank function r; with numpy mask arrays the sets broadcast."""
     lhs = r(x3) + r(x4) + r(x1 | x2) + r(x1 | x3 | x4) + r(x2 | x3 | x4)
     rhs = r(x1 | x3) + r(x1 | x4) + r(x2 | x3) + r(x2 | x4) + r(x3 | x4)
     return lhs, rhs
+
+
+def ingleton_value(M, x1, x2, x3, x4):
+    return ingleton_sides(M.rank, x1, x2, x3, x4)
 
 
 def kinser_value(M, sets):

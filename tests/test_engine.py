@@ -8,7 +8,7 @@ import pytest
 import kinser as K
 from kinser.engine import _search_generic_chunk, _search_n4_chunk
 
-from oracles import ingleton_value, kinser_value
+from oracles import ingleton_sides, ingleton_value, kinser_value
 
 
 def random_linear_matroid(rng, rows=4, cols=8):
@@ -261,19 +261,112 @@ class TestSearch:
         masks = vamos.enumerate("flats")[:25]
         arr = np.array(masks, dtype=np.int64)
         tup, _ = brute_force_lex_first(vamos, 4, masks)
-        got, _, _ = _search_n4_chunk(vamos.table, arr, 0, len(arr), False)
+        got = _search_n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
         assert got == tup
 
-    def test_any_mode_returns_a_violation(self, vamos):
-        cert = K.search_bad_family(vamos, 4, K.SearchConfig(determinism="any"))
-        assert cert is not None and cert.lhs > cert.rhs
-
-    def test_verdict_statistics_populated(self, fano):
+    def test_verdict_statistics_populated(self, fano, vamos):
+        # F7 is modular: the common-information rule prunes every (X3, X4)
+        flats = len(fano.enumerate("flats"))
         verdict = K.membership(fano, 4)
         assert verdict.in_class
-        flats = len(fano.enumerate("flats"))
-        assert verdict.tuples_examined > 0
+        assert (verdict.tuples_examined, verdict.pairs, verdict.space_size) == (0, 0, flats)
         assert verdict.rank_queries >= flats ** 2
+        off = K.membership(fano, 4, K.SearchConfig(symmetry_pruning=False))
+        assert (off.tuples_examined, off.pairs) == (flats ** 4, flats ** 2)
+        # with a violator: candidates in lex order up to and including it
+        flats = vamos.enumerate("flats")
+        F = len(flats)
+        r = vamos.rank
+        P = [(k, l) for k in range(F) for l in range(k, F)
+             if r(flats[k]) + r(flats[l]) != r(flats[k] | flats[l]) + r(flats[k] & flats[l])]
+        i1, i2, i3, i4 = (flats.index(x) for x in K.search_bad_family(vamos, 4).family.sets)
+        before = sum(F - a for a in range(i1)) + (i2 - i1)
+        expected_on = before * len(P) + P.index((i3, i4)) + 1
+        expected_off = (i1 * F + i2) * F * F + i3 * F + i4 + 1
+        for width in (1, 2):
+            on = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
+            assert (on.tuples_examined, on.pairs) == (expected_on, len(P))
+            off = K.membership(vamos, 4, K.SearchConfig(symmetry_pruning=False,
+                                                        parallel_width=width))
+            assert off.tuples_examined == expected_off
+
+
+def _relaxed(M, *Zs):
+    for Z in Zs:
+        M = K.relax(M, Z)
+    return M
+
+
+def _gate_cases():
+    fano, nonfano = K.fano_pair()
+    z4, z6 = K.binary_spike(4), K.binary_spike(6)
+    cases = [("F7", fano), ("F7-", nonfano),
+             ("F7+F7-", K.direct_sum(fano, nonfano)[0]), ("Z4", z4)]
+    cases += [(f"Z4-{Z:x}", K.relax(z4, Z)) for Z in K.spike_transversals(4, "even")]
+    cases += [("Vamos", K.kinser_relaxed(4)), ("Kin4", K.kinser(4)),
+              ("U36", K.uniform(3, 6)),
+              ("DowlingZ2", K.dowling(K.cyclic_group(2), 3)),
+              ("DowlingZ3", K.dowling(K.cyclic_group(3), 3))]
+    # Z6 relaxed at two even transversals through a1 and a2: early violators
+    cases += [(f"Z6-{a:x}-{b:x}", _relaxed(z6, a, b))
+              for a, b in ((0x333, 0xC0F), (0xA17, 0xC0F), (0x333, 0x91B))]
+    return cases
+
+
+GATE_CASES = _gate_cases()
+
+
+class TestPruningGate:
+    """Both pruning rules together must not move the verdict or certificate."""
+
+    @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
+                             ids=[name for name, _ in GATE_CASES])
+    def test_flats_pruning_on_off_agree(self, M):
+        on = K.membership(M, 4, K.SearchConfig(symmetry_pruning=True))
+        off = K.membership(M, 4, K.SearchConfig(symmetry_pruning=False))
+        assert on.in_class == off.in_class
+        assert on.certificate == off.certificate
+
+    @pytest.mark.parametrize("M", [M for _, M in GATE_CASES if M.m <= 8],
+                             ids=[name for name, M in GATE_CASES if M.m <= 8])
+    def test_all_subsets_pruning_on_off_agree(self, M):
+        cfg = K.SearchConfig(space="all_subsets")
+        on = K.membership(M, 4, cfg)
+        off = K.membership(M, 4, K.SearchConfig(space="all_subsets",
+                                                symmetry_pruning=False))
+        assert on.in_class == off.in_class
+        assert on.certificate == off.certificate
+        assert on.in_class == K.membership(M, 4).in_class
+
+
+class TestCommonInformationLemma:
+    """Every violating flat 4-tuple has a non-modular (X3, X4), checked by the
+    literal Ingleton formula over all flat 4-tuples, one X1 at a time."""
+
+    @pytest.mark.parametrize("maker", [
+        lambda: K.kinser_relaxed(4),
+        lambda: K.relax(K.binary_spike(4), K.binary_spike(4).parts("a1", "a2", "b3", "b4")),
+    ], ids=["Vamos", "Z4-relaxed"])
+    def test_violators_have_non_modular_x3_x4(self, maker):
+        M = maker()
+        flats = np.array(M.enumerate("flats"), dtype=np.int64)
+
+        def r(x):
+            return M.table[x].astype(np.int64)
+
+        x3, x4 = flats[:, None], flats[None, :]
+        modular = r(x3) + r(x4) == r(x3 | x4) + r(x3 & x4)
+        x2, x3, x4 = flats[:, None, None], flats[None, :, None], flats[None, None, :]
+        violators = modular_12 = 0
+        for i1, x1 in enumerate(flats):
+            lhs, rhs = ingleton_sides(r, x1, x2, x3, x4)
+            bad = lhs > rhs
+            assert not (bad & modular[None]).any()
+            violators += int(bad.sum())
+            modular_12 += int((bad & modular[i1][:, None, None]).sum())
+        assert violators > 0
+        # the rule needs the right pair: (X1, X2) is modular on some violators
+        assert modular_12 > 0
 
 
 class TestClassProperties:

@@ -204,6 +204,16 @@ class TestCli:
         assert main(["axioms", "-i", str(bad)]) == 2
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("value", ["300", "-1"])
+    def test_out_of_range_rank_exits_2(self, tmp_path, capsys, value):
+        text = K.write_matroid(K.uniform(2, 4))
+        bad = tmp_path / "bad.mtr"
+        bad.write_text(text.replace("\n0 1 1 2", f"\n0 {value} 1 2", 1))
+        with pytest.raises(K.FormatError):
+            K.parse_matroid(bad.read_text())
+        assert main(["check", "-n", "4", "-i", str(bad)]) == 2
+        assert f"rank value {value} outside [0, 4]" in capsys.readouterr().err
+
     def test_byte_determinism_including_parallel(self, tmp_path, capsys):
         mfile = tmp_path / "v.mtr"
         main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
