@@ -167,8 +167,9 @@ def transversal(system: SetSystem, label: str | None = None) -> Matroid:
 
     For small families the full table comes from the matching-duality
     formula r(X) = min over S of (k - |S| + |X & union(S)|), evaluated
-    vectorized over all X; large families fall back to one bipartite
-    matching per subset.
+    vectorized over all X once per distinct union U(S) with the largest
+    |S| giving it; large families fall back to one bipartite matching per
+    subset.
     """
     m, fam = system.m, system.family
     if m > MAX_GROUND:
@@ -176,22 +177,29 @@ def transversal(system: SetSystem, label: str | None = None) -> Matroid:
     k = len(fam)
     n = 1 << m
     if k <= RADO_FAMILY_LIMIT:
-        idx = np.arange(n, dtype=np.int64)
-        rank = np.full(n, k, dtype=np.int16)
+        largest: dict[int, int] = {}  # union -> largest |S| with that union
         for smask in range(1 << k):
-            u, s = 0, 0
+            u = 0
             for j in range(k):
                 if (smask >> j) & 1:
                     u |= fam[j]
-                    s += 1
-            np.minimum(rank, (k - s) + np.bitwise_count(idx & u), out=rank)
+            largest[u] = max(largest.get(u, 0), smask.bit_count())
+        masks = np.arange(n, dtype=np.uint32)
+        rank = np.full(n, k, dtype=np.uint8)
+        shared = np.empty(n, dtype=np.uint32)
+        term = np.empty(n, dtype=np.uint8)
+        for u, s in largest.items():
+            np.bitwise_and(masks, u, out=shared)
+            np.bitwise_count(shared, out=term)
+            term += k - s
+            np.minimum(rank, term, out=rank)
     else:
         if m > 16:
             raise SizeCapError("family too large for the Rado scan and ground too "
                                "large for per-subset matching")
         rank = np.fromiter((_matching_rank(x, fam) for x in range(n)),
-                           dtype=np.int16, count=n)
-    return Matroid(m, rank.astype(np.uint8), label=label or f"M[A], k={k}", validate=False)
+                           dtype=np.uint8, count=n)
+    return Matroid(m, rank, label=label or f"M[A], k={k}", validate=False)
 
 
 # -- Kinser matroids -----------------------------------------------------------
@@ -419,35 +427,6 @@ def _balanced(edges: list[GainEdge], idxs: list[int], group: GroupTable) -> bool
     return True
 
 
-def _edge_subset_shape(edges: list[GainEdge], idxs: list[int]) -> tuple[bool, int, dict[int, int]]:
-    """(connected, cyclomatic number, degree map) of an edge subset."""
-    verts: set[int] = set()
-    deg: dict[int, int] = {}
-    adj: dict[int, set[int]] = {}
-    for i in idxs:
-        e = edges[i]
-        verts.update((e.tail, e.head))
-        deg[e.tail] = deg.get(e.tail, 0) + 1
-        deg[e.head] = deg.get(e.head, 0) + 1  # a loop contributes 2 at its vertex
-        adj.setdefault(e.tail, set()).add(e.head)
-        adj.setdefault(e.head, set()).add(e.tail)
-    seen: set[int] = set()
-    stack = [next(iter(verts))]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
-    connected = seen == verts
-    return connected, len(idxs) - len(verts) + 1, deg
-
-
-def _is_cycle(edges: list[GainEdge], idxs: list[int]) -> bool:
-    connected, cyclo, deg = _edge_subset_shape(edges, idxs)
-    return connected and cyclo == 1 and all(d == 2 for d in deg.values())
-
-
 def dowling_gain_graph(group: GroupTable, n: int) -> GainGraph:
     """Complete graph on n vertices with |G| bijectively labeled parallel
     edges per pair and one loop per non-identity element at each vertex."""
@@ -508,51 +487,14 @@ def dowling_bias_rank_table(graph: GainGraph) -> np.ndarray:
 def dowling(group: GroupTable, n: int) -> Matroid:
     """Dowling geometry of the group-labeled complete graph.
 
-    Circuits are the balanced cycles together with the minimal connected
-    subgraphs carrying two unbalanced cycles (tight/loose handcuffs and
-    contrabalanced thetas).  The table built from those circuits is
-    cross-checked, entry by entry, against the bias rank oracle; any
-    mismatch is a construction bug and raises.
+    The rank table is the frame-matroid rank of `dowling_bias_rank_table`
+    (vertices touched minus balanced components); it is validated as a
+    matroid on construction.
     """
     graph = dowling_gain_graph(group, n)
-    edges = list(graph.edges)
-    m = len(edges)
-    bias = dowling_bias_rank_table(graph)
-    rank_full = int(bias[-1])
-
-    circuits: list[int] = []
-    for size in range(1, rank_full + 1):
-        for combo in itertools.combinations(range(m), size):
-            idxs = list(combo)
-            connected, cyclo, deg = _edge_subset_shape(edges, idxs)
-            if not connected:
-                continue
-            if cyclo == 1 and all(d == 2 for d in deg.values()):
-                if _balanced(edges, idxs, graph.group):
-                    circuits.append(sum(1 << i for i in idxs))
-                continue
-            if cyclo == 2 and all(d >= 2 for d in deg.values()):
-                contrabalanced = True
-                for sub_size in range(1, size):
-                    for sub in itertools.combinations(idxs, sub_size):
-                        if _is_cycle(edges, list(sub)) and _balanced(edges, list(sub),
-                                                                     graph.group):
-                            contrabalanced = False
-                            break
-                    if not contrabalanced:
-                        break
-                if contrabalanced:
-                    circuits.append(sum(1 << i for i in idxs))
-
-    label = f"Dowling({group.order},{n})"
-    M = matroid_from_circuits(m, rank_full, sorted(circuits), label=label)
-    if not np.array_equal(M.table, bias):
-        bad = int(np.nonzero(M.table != bias)[0][0])
-        raise NotAMatroidError(
-            f"dowling circuit table disagrees with bias rank oracle at mask {bad:#x}",
-            witness=(bad,))
     layout = {}
-    for i, e in enumerate(edges):
+    for i, e in enumerate(graph.edges):
         name = f"loop_{e.tail}_{e.label}" if e.is_loop else f"edge_{e.tail}_{e.head}_{e.label}"
         layout[name] = 1 << i
-    return Matroid(m, M.table, label=label, layout=layout, validate=False)
+    return Matroid(len(graph.edges), dowling_bias_rank_table(graph),
+                   label=f"Dowling({group.order},{n})", layout=layout)

@@ -4,6 +4,12 @@ A matroid on ground set {0, ..., m-1} is stored as a full table of 2**m
 ranks, indexed by subset mask (element i <-> bit i).  Everything else --
 closure, flats, circuits, axiom validation -- is derived from table
 lookups, so the cost model is "one array access per rank query".
+
+Every scan over all 2^m subsets runs on the hypercube view
+``table.reshape((2,) * m)``: in C order axis k holds element m-1-k, so
+the subsets without and with element e are two slice views (see
+``cube_halves``) and a per-element pass is one array operation.  Rank
+tables are validated exhaustively at every ground size.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GROUND = 24
-EAGER_VALIDATION_LIMIT = 16  # above this, constructor validation is sampled
+CLOSURE_SCAN_LIMIT = 16  # closure and independence axiom scans refuse above this
 
 ENUM_KINDS = ("flats", "circuits", "bases", "hyperplanes", "circuit_hyperplanes")
 
@@ -52,6 +58,42 @@ def popcount_array(m: int) -> np.ndarray:
         pc.flags.writeable = False
         _POPCOUNT_CACHE[m] = pc
     return pc
+
+
+def hypercube(vec: np.ndarray) -> np.ndarray:
+    """View of a vector over all 2^m masks as a (2,) * m array."""
+    return vec.reshape((2,) * (vec.size.bit_length() - 1))
+
+
+def cube_halves(cube: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a mask hypercube at the masks without and with element e.
+
+    Axis k holds element ndim-1-k, so each half is again a hypercube over
+    the remaining elements, in increasing mask order.
+    """
+    pre = (slice(None),) * (cube.ndim - 1 - e)
+    return cube[pre + (0,)], cube[pre + (1,)]
+
+
+def _insert_zero_bits(i: int, *positions: int) -> int:
+    """Mask whose bits at `positions` are 0 and whose other bits, in order, are i.
+
+    Maps a flat index into a sub-cube (see cube_halves) back to a mask.
+    """
+    for p in sorted(positions):
+        i = ((i >> p) << (p + 1)) | (i & ((1 << p) - 1))
+    return i
+
+
+def _superset_vector(m: int, masks) -> np.ndarray:
+    """Boolean vector over all 2^m masks: True on every superset of a given mask."""
+    up = np.zeros(1 << m, dtype=bool)
+    up[np.asarray(masks, dtype=np.int64)] = True
+    cube = hypercube(up)
+    for e in range(m):
+        lo, hi = cube_halves(cube, e)
+        hi |= lo
+    return up
 
 
 def mask_of(elements) -> int:
@@ -112,7 +154,10 @@ class Matroid:
     table:  sequence of 2**m ranks in mask order
     label:  provenance string
     layout: optional name -> mask dict for the construction's named parts
-    validate: run the rank-axiom check (full for m <= 16, sampled above)
+    validate: run the exhaustive rank-axiom check (R1-R3)
+
+    The table must have an integer dtype and entries in [0, m]; anything
+    else raises MatroidError before the entries are stored as uint8.
     """
 
     __slots__ = ("m", "table", "label", "layout", "_pc")
@@ -121,9 +166,15 @@ class Matroid:
                  validate: bool = True):
         if not 1 <= m <= MAX_GROUND:
             raise MatroidError(f"ground size must be in [1, {MAX_GROUND}], got {m}")
-        tab = np.asarray(table, dtype=np.uint8)
-        if tab.shape != (1 << m,):
-            raise MatroidError(f"rank table must have 2^{m} entries, got {tab.shape}")
+        raw = np.asarray(table)
+        if raw.shape != (1 << m,):
+            raise MatroidError(f"rank table must have 2^{m} entries, got {raw.shape}")
+        if raw.dtype.kind not in "iu":
+            raise MatroidError(f"rank table must have an integer dtype, got {raw.dtype}")
+        lo, hi = (int(raw.min()) if raw.dtype.kind == "i" else 0), int(raw.max())
+        if lo < 0 or hi > m:
+            raise MatroidError(f"rank value {lo if lo < 0 else hi} outside [0, {m}]")
+        tab = np.asarray(raw, dtype=np.uint8)
         self.m = m
         self.table = tab
         self.table.flags.writeable = False
@@ -131,7 +182,7 @@ class Matroid:
         self.layout = dict(layout) if layout else None
         self._pc = popcount_array(m)
         if validate:
-            res = validate_rank_table(m, tab, exhaustive=(m <= EAGER_VALIDATION_LIMIT))
+            res = validate_rank_table(m, tab)
             if not res:
                 raise NotAMatroidError(f"{label or 'table'}: {res.message}",
                                        axiom=res.axiom, witness=res.witness)
@@ -197,28 +248,22 @@ class Matroid:
 
     def _flat_mask_vector(self) -> np.ndarray:
         """Boolean vector over all masks: True where the mask is a flat."""
-        n = 1 << self.m
-        idx = np.arange(n, dtype=np.int64)
-        is_flat = np.ones(n, dtype=bool)
-        tab = self.table
+        is_flat = np.ones(1 << self.m, dtype=bool)
+        flat_cube, tab_cube = hypercube(is_flat), hypercube(self.table)
         for e in range(self.m):
-            b = 1 << e
-            absent = (idx & b) == 0
-            sub = idx[absent]
-            is_flat[sub] &= tab[sub | b] > tab[sub]
+            without, _ = cube_halves(flat_cube, e)
+            lo, hi = cube_halves(tab_cube, e)
+            without &= hi > lo
         return is_flat
 
     def _circuit_mask_vector(self) -> np.ndarray:
-        n = 1 << self.m
-        idx = np.arange(n, dtype=np.int64)
+        """Boolean vector over all masks: dependent with every X - e independent."""
         dep = self.table < self._pc
         is_circ = dep.copy()
+        circ_cube, indep_cube = hypercube(is_circ), hypercube(~dep)
         for e in range(self.m):
-            b = 1 << e
-            present = (idx & b) != 0
-            sub = idx[present]
-            is_circ[sub] &= ~dep[sub ^ b]
-        is_circ[0] = False
+            _, with_e = cube_halves(circ_cube, e)
+            with_e &= cube_halves(indep_cube, e)[0]
         return is_circ
 
     def enumerate(self, kind: str) -> list[int]:
@@ -237,7 +282,7 @@ class Matroid:
             sel = (self._circuit_mask_vector()
                    & self._flat_mask_vector()
                    & (self.table == self.rank_total - 1))
-        return [int(x) for x in np.nonzero(sel)[0]]
+        return np.flatnonzero(sel).tolist()
 
     # -- misc ---------------------------------------------------------------
 
@@ -273,16 +318,16 @@ def content_fingerprint(M: Matroid) -> str:
 # -- axiom validation -------------------------------------------------------
 
 
-def validate_rank_table(m: int, table: np.ndarray, exhaustive: bool = True,
-                        samples: int = 200_000, seed: int = 0) -> AxiomResult:
-    """Check R1-R3 (plus r(empty)=0) on a rank table.
+def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
+    """Check R1-R3 (plus r(empty)=0) on a rank table, exhaustively.
 
     Monotonicity and submodularity are checked through their single-element
     local forms, which are equivalent to the quantified axioms; the reported
-    witness is always an instance of the literal axiom.  When not exhaustive,
-    a seeded sample of local checks is used instead of the full scan.
+    witness is the first instance in (e, f, mask) order and is always an
+    instance of the literal axiom.  Once R2 holds, the increments
+    r(X + e) - r(X) are non-negative uint8 views, and R3 at (e, f) says the
+    increment in e does not grow when f is added.
     """
-    n = 1 << m
     pc = popcount_array(m)
     if table[0] != 0:
         return AxiomResult(False, "R1", (0,), "rank of empty set is nonzero")
@@ -290,83 +335,70 @@ def validate_rank_table(m: int, table: np.ndarray, exhaustive: bool = True,
     if bad.size:
         x = int(bad[0])
         return AxiomResult(False, "R1", (x,), f"r(X)={int(table[x])} > |X|={int(pc[x])} for X={x:#x}")
-    if exhaustive:
-        idx = np.arange(n, dtype=np.int64)
-        for e in range(m):
-            b = 1 << e
-            sub = idx[(idx & b) == 0]
-            bad = sub[table[sub | b] < table[sub]]
-            if bad.size:
-                x = int(bad[0])
-                return AxiomResult(False, "R2", (x, x | b),
-                                   f"r decreases from X={x:#x} to X+{{{e}}}")
-        for e in range(m):
-            for f in range(e + 1, m):
+    cube = hypercube(table)
+    for e in range(m):
+        lo, hi = cube_halves(cube, e)
+        bad = hi < lo
+        if bad.any():
+            x = _insert_zero_bits(int(bad.argmax()), e)
+            return AxiomResult(False, "R2", (x, x | (1 << e)),
+                               f"r decreases from X={x:#x} to X+{{{e}}}")
+    for e in range(m):
+        lo, hi = cube_halves(cube, e)
+        inc = hi - lo
+        for f in range(e + 1, m):
+            without_f, with_f = cube_halves(inc, f - 1)
+            bad = without_f < with_f
+            if bad.any():
+                x = _insert_zero_bits(int(bad.argmax()), e, f)
                 be, bf = 1 << e, 1 << f
-                sub = idx[(idx & (be | bf)) == 0]
-                lhs = table[sub | be].astype(np.int16) + table[sub | bf]
-                rhs = table[sub | be | bf].astype(np.int16) + table[sub]
-                bad = sub[lhs < rhs]
-                if bad.size:
-                    x = int(bad[0])
-                    return AxiomResult(False, "R3", (x | be, x | bf),
-                                       f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
-    else:
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(0, n, size=samples, dtype=np.int64)
-        es = rng.integers(0, m, size=samples)
-        fs = rng.integers(0, m, size=samples)
-        be, bf = (1 << es).astype(np.int64), (1 << fs).astype(np.int64)
-        base = xs & ~(be | bf)
-        mono = table[base | be] >= table[base]
-        if not mono.all():
-            i = int(np.nonzero(~mono)[0][0])
-            return AxiomResult(False, "R2", (int(base[i]), int(base[i] | be[i])),
-                               "sampled monotonicity violation")
-        lhs = table[base | be].astype(np.int16) + table[base | bf]
-        rhs = table[base | be | bf].astype(np.int16) + table[base]
-        ok = lhs >= rhs
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            return AxiomResult(False, "R3", (int(base[i] | be[i]), int(base[i] | bf[i])),
-                               "sampled submodularity violation")
+                return AxiomResult(False, "R3", (x | be, x | bf),
+                                   f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
     return AxiomResult(True)
 
 
 def validate_closure_axioms(matroid: Matroid) -> AxiomResult:
-    """Check CL1-CL4 for every subset (exhaustive)."""
+    """Check CL1-CL4 for every subset (exhaustive).
+
+    cl(X) is read off the rank table: X plus every e with r(X + e) = r(X).
+    """
     m = matroid.m
-    cl = np.empty(1 << m, dtype=np.int64)
-    for x in range(1 << m):
-        c = matroid.closure(x)
-        if c & x != x:
-            return AxiomResult(False, "CL1", (x,), f"X not contained in cl(X) for X={x:#x}")
-        cl[x] = c
-    idx = np.arange(1 << m, dtype=np.int64)
+    masks = np.arange(1 << m, dtype=np.int64)
+    cl = masks.copy()
+    cl_cube, tab_cube, mask_cube = hypercube(cl), hypercube(matroid.table), hypercube(masks)
     for e in range(m):
-        b = 1 << e
-        sub = idx[(idx & b) == 0]
-        bad = sub[(cl[sub] & ~cl[sub | b]) != 0]
-        if bad.size:
-            x = int(bad[0])
-            return AxiomResult(False, "CL2", (x, x | b),
+        lo, hi = cube_halves(tab_cube, e)
+        without, _ = cube_halves(cl_cube, e)
+        np.bitwise_or(without, 1 << e, out=without, where=hi == lo)
+    bad = np.nonzero((cl & masks) != masks)[0]
+    if bad.size:
+        x = int(bad[0])
+        return AxiomResult(False, "CL1", (x,), f"X not contained in cl(X) for X={x:#x}")
+    for e in range(m):
+        lo, hi = cube_halves(cl_cube, e)
+        bad = (lo & ~hi) != 0
+        if bad.any():
+            x = _insert_zero_bits(int(bad.argmax()), e)
+            return AxiomResult(False, "CL2", (x, x | (1 << e)),
                                f"cl not monotone from X={x:#x} to X+{{{e}}}")
-    bad = idx[cl[cl] != cl]
+    bad = np.nonzero(cl[cl] != cl)[0]
     if bad.size:
         x = int(bad[0])
         return AxiomResult(False, "CL3", (x,), f"cl(cl(X)) != cl(X) for X={x:#x}")
     for x_bit in range(m):
         bx = 1 << x_bit
-        gained = cl[idx | bx] & ~cl[idx] & ~(idx | bx)
+        cl_lo, cl_hi = cube_halves(cl_cube, x_bit)
+        gained = cl_hi & ~cl_lo & ~(cube_halves(mask_cube, x_bit)[0] | bx)
         for y_bit in range(m):
-            by = 1 << y_bit
-            has_y = (gained & by) != 0
-            if not has_y.any():
+            if y_bit == x_bit:
                 continue
-            sub = idx[has_y]
-            bad = sub[(cl[sub | by] & bx) == 0]
-            if bad.size:
-                x = int(bad[0])
+            by = 1 << y_bit
+            y_axis = y_bit if y_bit < x_bit else y_bit - 1
+            gained_lo = cube_halves(gained, y_axis)[0]
+            cl_y = cube_halves(cl_lo, y_axis)[1]
+            bad = ((gained_lo & by) != 0) & ((cl_y & bx) == 0)
+            if bad.any():
+                x = _insert_zero_bits(int(bad.argmax()), x_bit, y_bit)
                 return AxiomResult(False, "CL4", (x, x_bit, y_bit),
                                    f"exchange fails for X={x:#x}, x={x_bit}, y={y_bit}")
     return AxiomResult(True)
@@ -377,6 +409,8 @@ def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
 
     C3 is checked for e in the intersection; for e outside it the axiom
     holds trivially because one of the two circuits survives untouched.
+    It is answered by lookups in the vector of supersets of listed
+    circuits; pairs are scanned in list order, one row of pairs at a time.
     """
     sets = [int(c) for c in circuits]
     for c in sets:
@@ -387,43 +421,45 @@ def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
     if len(set(sets)) != len(sets):
         dup = next(c for c in sets if sets.count(c) > 1)
         return AxiomResult(False, "C2", (dup, dup), "duplicate circuit")
+    if m > MAX_GROUND:
+        raise SizeCapError(f"ground size {m} exceeds cap {MAX_GROUND}")
+    arr = np.array(sets, dtype=np.int64)
     for i, c in enumerate(sets):
-        for d in sets[i + 1:]:
-            if c & d == c or c & d == d:
-                return AxiomResult(False, "C2", (c, d),
-                                   f"circuits {c:#x} and {d:#x} are nested")
+        later = arr[i + 1:]
+        inter = later & c
+        nested = np.nonzero((inter == c) | (inter == later))[0]
+        if nested.size:
+            d = int(later[nested[0]])
+            return AxiomResult(False, "C2", (c, d), f"circuits {c:#x} and {d:#x} are nested")
+    dependent = _superset_vector(m, arr)
+    bits = np.int64(1) << np.arange(m, dtype=np.int64)
     for i, c in enumerate(sets):
-        for d in sets[i + 1:]:
-            inter = c & d
-            union = c | d
-            e = inter
-            while e:
-                b = e & (-e)
-                rest = union ^ b
-                if not any(g & rest == g for g in sets):
-                    return AxiomResult(False, "C3", (c, d, b.bit_length() - 1),
-                                       "elimination produced a circuit-free set")
-                e ^= b
+        later = arr[i + 1:, None]
+        shared = (later & c & bits) != 0
+        bad = shared & ~dependent[(later | c) ^ bits]
+        if bad.any():
+            j, e = np.argwhere(bad)[0]
+            return AxiomResult(False, "C3", (c, int(later[j, 0]), int(e)),
+                               "elimination produced a circuit-free set")
     return AxiomResult(True)
 
 
 def validate_independence_axioms(m: int, table: np.ndarray) -> AxiomResult:
     """Check I1-I3 on the independence system derived from a rank table."""
-    n = 1 << m
     pc = popcount_array(m)
     indep = np.asarray(table) == pc
     if not indep[0]:
         return AxiomResult(False, "I1", (0,), "empty set is dependent")
-    idx = np.arange(n, dtype=np.int64)
+    cube = hypercube(indep)
     for e in range(m):
-        b = 1 << e
-        sub = idx[((idx & b) != 0) & indep[idx]]
-        bad = sub[~indep[sub ^ b]]
-        if bad.size:
-            x = int(bad[0])
-            return AxiomResult(False, "I2", (x, x ^ b), f"subset of independent {x:#x} dependent")
+        lo, hi = cube_halves(cube, e)
+        bad = hi & ~lo
+        if bad.any():
+            x = _insert_zero_bits(int(bad.argmax()), e) | (1 << e)
+            return AxiomResult(False, "I2", (x, x ^ (1 << e)),
+                               f"subset of independent {x:#x} dependent")
     # I3 with |J| = |I| + 1 (equivalent to the general form by induction)
-    ind_masks = idx[indep[idx]]
+    ind_masks = np.flatnonzero(indep)
     by_size = {k: ind_masks[pc[ind_masks] == k] for k in range(m + 1)}
     for k in range(m):
         smaller, larger = by_size[k], by_size[k + 1]
@@ -451,17 +487,18 @@ def validate_axioms(matroid_or_input, which: str) -> AxiomResult:
 
     `which` is one of rank | closure | circuits | independence.  The input
     is a Matroid for rank/closure/independence, or an (m, circuit list)
-    pair for circuits.  Exhaustive scans refuse beyond m = 16.
+    pair for circuits.  The rank scan runs at every ground size; the
+    closure and independence scans refuse beyond m = CLOSURE_SCAN_LIMIT.
     """
     if which == "circuits":
         m, circuits = matroid_or_input
         return validate_circuit_axioms(m, circuits)
     M = matroid_or_input
-    if M.m > EAGER_VALIDATION_LIMIT:
-        raise SizeCapError(
-            f"exhaustive {which} axiom scan refused for m={M.m} > {EAGER_VALIDATION_LIMIT}")
     if which == "rank":
-        return validate_rank_table(M.m, M.table, exhaustive=True)
+        return validate_rank_table(M.m, M.table)
+    if which in ("closure", "independence") and M.m > CLOSURE_SCAN_LIMIT:
+        raise SizeCapError(
+            f"exhaustive {which} axiom scan refused for m={M.m} > {CLOSURE_SCAN_LIMIT}")
     if which == "closure":
         return validate_closure_axioms(M)
     if which == "independence":
@@ -495,38 +532,20 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
                 raise NotAMatroidError(
                     f"circuit list is not an antichain: {c:#x} vs {d:#x}", "C2", (c, d))
 
-    n = 1 << m
     pc = popcount_array(m)
-    indep = pc <= r
-    full = n - 1
-    for c in circuits:
-        rest = full & ~c
-        sub = rest
-        while True:
-            indep[c | sub] = False
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-
-    # rank DP by popcount level: r(X) = |X| if independent, else max over e of r(X - e)
-    table = np.zeros(n, dtype=np.uint8)
-    order = np.argsort(pc, kind="stable")
-    level_starts = np.searchsorted(pc[order], np.arange(m + 2))
-    for k in range(1, m + 1):
-        masks = order[level_starts[k]:level_starts[k + 1]]
-        if masks.size == 0:
-            continue
-        best = np.zeros(masks.size, dtype=np.uint8)
-        for e in range(m):
-            b = 1 << e
-            has = (masks & b) != 0
-            best[has] = np.maximum(best[has], table[masks[has] ^ b])
-        table[masks] = np.where(indep[masks], k, best)
-
+    indep = (pc <= r) & ~_superset_vector(m, circuits)
+    # r(X) = largest |I| over independent I within X: a running maximum
+    # over subsets, taken one element at a time on the hypercube
+    table = np.where(indep, pc, 0).astype(np.uint8)
+    cube = hypercube(table)
+    for e in range(m):
+        lo, hi = cube_halves(cube, e)
+        np.maximum(hi, lo, out=hi)
     if int(table[-1]) != r:
         raise NotAMatroidError(
-            f"declared rank {r} but circuits force rank {int(table[-1])}", "R1", (full,))
-    res = validate_rank_table(m, table, exhaustive=(m <= EAGER_VALIDATION_LIMIT))
+            f"declared rank {r} but circuits force rank {int(table[-1])}", "R1",
+            ((1 << m) - 1,))
+    res = validate_rank_table(m, table)
     if not res:
         raise NotAMatroidError(f"circuit input yields invalid rank table: {res.message}",
                                axiom=res.axiom, witness=res.witness)

@@ -427,6 +427,20 @@ def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
     return best, state["tuples"], state["queries"]
 
 
+def _balanced_chunks(F: int, width: int, triangular: bool) -> list[tuple[int, int]]:
+    """Split i1 over [0, F) into runs of about equal tuple counts.
+
+    A row i1 scans F - i1 rows of X2 when the n=4 search is pruned
+    (i2 >= i1), and F rows otherwise, so cuts go where the cumulative
+    per-i1 tuple count crosses each multiple of total / width.
+    """
+    work = np.arange(F, 0, -1) if triangular else np.full(F, F)
+    before = np.concatenate(([0], np.cumsum(work)))
+    cuts = np.searchsorted(before, before[-1] * np.arange(1, width) / width)
+    bounds = [0, *(int(c) for c in cuts), F]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
 def _chunk_worker(args):
     table, masks, n, lo, hi, pruning = args
     if n == 4:
@@ -453,8 +467,7 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     if width == 1 or F < 2 * width:
         chunks = [(0, F)]
     else:
-        bounds = np.linspace(0, F, width + 1).astype(int)
-        chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(width)]
+        chunks = _balanced_chunks(F, width, n == 4 and cfg.symmetry_pruning)
     jobs = [(M.table, masks, n, lo, hi, cfg.symmetry_pruning) for lo, hi in chunks]
     if len(jobs) == 1:
         results = [_chunk_worker(jobs[0])]

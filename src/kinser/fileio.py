@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Matroid, MatroidError, content_fingerprint, elements_of,
-                   mask_of, matroid_from_circuits, validate_rank_table)
+from .core import (MAX_GROUND, Matroid, MatroidError, content_fingerprint,
+                   elements_of, mask_of, matroid_from_circuits, validate_rank_table)
 from .catalog import MatrixGFp, SetSystem, from_matrix, transversal
 from .engine import BadFamilyCertificate, Family, evaluate
 
 MATROID_HEADER = "matroid v1"
 CERT_HEADER = "kinser-certificate v1"
 MASK_ORDER_COMMENT = "# masks little-endian: element i <-> bit i of the subset index"
+RANKS_PER_LINE = 16
 
 
 class FormatError(MatroidError):
@@ -45,9 +46,12 @@ def parse_elements(text: str) -> int:
     if text == "-" or not text:
         return 0
     try:
-        return mask_of(int(tok) for tok in text.split(","))
+        elements = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise FormatError(f"bad element list {text!r}") from exc
+    if not all(0 <= e < MAX_GROUND for e in elements):
+        raise FormatError(f"element list {text!r} has an element outside [0, {MAX_GROUND})")
+    return mask_of(elements)
 
 
 def write_matroid(M: Matroid) -> str:
@@ -57,13 +61,27 @@ def write_matroid(M: Matroid) -> str:
     lines.append(f"elements {M.m}")
     lines.append(f"rank {M.rank_total}")
     lines.append("ranks")
-    vals = M.table.tolist()
-    for i in range(0, len(vals), 16):
-        lines.append(" ".join(str(v) for v in vals[i:i + 16]))
-    if M.layout:
-        for name in sorted(M.layout):
-            lines.append(f"layout {name}={format_elements(M.layout[name])}")
-    return "\n".join(lines) + "\n"
+    tail = "".join(f"layout {name}={format_elements(M.layout[name])}\n"
+                   for name in sorted(M.layout or ()))
+    return "".join(("\n".join(lines), "\n", _ranks_body(M.table), tail))
+
+
+def _ranks_body(table: np.ndarray) -> str:
+    """The table as decimal text, RANKS_PER_LINE values a line, in one array pass.
+
+    Each value gets a cell of (tens digit, units digit, separator); the
+    separator is a newline at the end of a line and after the last value,
+    and the tens digit is dropped below 10 (ranks are at most 24).
+    """
+    cells = np.empty((table.size, 3), dtype=np.uint8)
+    cells[:, 0] = ord("0") + table // 10
+    cells[:, 1] = ord("0") + table % 10
+    cells[:, 2] = ord(" ")
+    cells[RANKS_PER_LINE - 1::RANKS_PER_LINE, 2] = ord("\n")
+    cells[-1, 2] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, 0] = table >= 10
+    return cells[keep].tobytes().decode("ascii")
 
 
 def _parse_layout_line(line: str) -> tuple[str, int]:
@@ -74,70 +92,191 @@ def _parse_layout_line(line: str) -> tuple[str, int]:
     return name.strip(), parse_elements(els)
 
 
-def parse_matroid(text: str) -> Matroid:
-    """Parse any of the four bodies; the result is validated on load."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != MATROID_HEADER:
-        raise FormatError(f"missing header {MATROID_HEADER!r}")
-    pos = 1
-    label = ""
-    if pos < len(lines) and lines[pos].startswith("label "):
-        label = lines[pos][len("label "):].strip()
-        pos += 1
-    if pos >= len(lines) or not lines[pos].startswith("elements "):
-        raise FormatError("missing 'elements <m>' line")
-    m = int(lines[pos].split()[1])
-    pos += 1
-    if pos >= len(lines) or not lines[pos].startswith("rank "):
-        raise FormatError("missing 'rank <r>' line")
-    declared_rank = int(lines[pos].split()[1])
-    pos += 1
-    if pos >= len(lines):
-        raise FormatError("missing body section")
-    section = lines[pos]
-    pos += 1
-    body: list[str] = []
-    layout: dict[str, int] = {}
-    while pos < len(lines):
-        if lines[pos].startswith("layout"):
-            name, mask = _parse_layout_line(lines[pos])
-            layout[name] = mask
-        else:
-            body.append(lines[pos])
-        pos += 1
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad {what} {text!r}") from None
 
-    if section == "ranks":
-        vals = [int(tok) for ln in body for tok in ln.split()]
-        if len(vals) != 1 << m:
-            raise FormatError(f"ranks body has {len(vals)} values, expected {1 << m}")
-        lo, hi = min(vals), max(vals)
+
+def _meaningful_lines(text: str):
+    """(offset after the line, stripped line) of each line that is neither
+    blank nor a '#' comment; lines end where str.splitlines ends them."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end + 1
+        for piece in text[pos:end].splitlines(keepends=True):
+            pos += len(piece)
+            line = piece.strip()
+            if line and not line.startswith("#"):
+                yield pos, line
+
+
+def _newline_text(text: str) -> str:
+    """text with every str.splitlines line break written as one newline."""
+    if text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        return text
+    return "\n".join(text.splitlines())
+
+
+def _cut_lines(rest: str) -> tuple[str, list[str]]:
+    """Split off the comment and layout lines of newline-separated lines.
+
+    Returns the other lines as one text and the stripped layout lines in
+    order.  Only the lines holding a '#' or 'layout' are looked at.
+    """
+    cuts: dict[int, int] = {}
+    for needle in ("#", "layout"):
+        i = rest.find(needle)
+        while i >= 0:
+            start = rest.rfind("\n", 0, i) + 1
+            end = rest.find("\n", i)
+            end = len(rest) if end < 0 else end
+            if not rest[start:i].strip():
+                cuts[start] = end
+            i = rest.find(needle, end)
+    kept, layout, at = [], [], 0
+    for start in sorted(cuts):
+        kept.append(rest[at:start])
+        line = rest[start:cuts[start]].strip()
+        if not line.startswith("#"):
+            layout.append(line)
+        at = cuts[start]
+    kept.append(rest[at:])
+    return "".join(kept), layout
+
+
+INT64_DIGITS = 18      # decimal digits that always fit in an int64
+RANKS_CHUNK = 1 << 20  # characters of a ranks body converted per array pass
+ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
+def _rank_values(body: str, m: int) -> np.ndarray:
+    """The 2^m whitespace-separated decimal ranks of a body, as uint8.
+
+    The body is converted in chunks of about RANKS_CHUNK characters, cut
+    at whitespace, so the temporaries stay small.  Raises FormatError for
+    a non-decimal token, a wrong count or a value outside [0, m].
+    """
+    parts, at = [], 0
+    while at < len(body):
+        end = at + RANKS_CHUNK
+        while end < len(body) and body[end] not in ASCII_SPACE:
+            end += 1
+        parts.append(_decimal_values(body[at:end], m))
+        at = end
+    count = sum(p.size for p in parts)
+    if count != 1 << m:
+        raise FormatError(f"ranks body has {count} values, expected {1 << m}")
+    return np.concatenate(parts)
+
+
+def _decimal_values(text: str, m: int) -> np.ndarray:
+    """Whitespace-separated decimal tokens with values in [0, m], as uint8.
+
+    Tokens are converted as arrays: the bytes are classed as space, digit
+    or sign, and each token's value is summed from its digits.
+    """
+    try:
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"non-ASCII character {exc.object[exc.start]!r} "
+                          "in ranks body") from None
+    filled = (data != ord(" ")) & (data - 9 >= 5)      # not space, \t \n \v \f \r
+    sign = (data == ord("-")) | (data == ord("+"))
+    first, last = filled.copy(), filled.copy()
+    first[1:] &= ~filled[:-1]
+    last[:-1] &= ~filled[1:]
+    # a sign may only open a token of two or more bytes
+    bad = filled & (data - ord("0") >= 10) & ~(sign & first & ~last)
+    if bad.any():
+        at = int(bad.argmax())
+        spaces = np.flatnonzero(~filled)
+        k = int(np.searchsorted(spaces, at))
+        lo = int(spaces[k - 1]) + 1 if k else 0
+        hi = int(spaces[k]) if k < spaces.size else data.size
+        raise FormatError(f"non-decimal token {text[lo:hi][:24]!r} in ranks body")
+    starts, lasts = np.flatnonzero(first), np.flatnonzero(last)
+    digits = lasts + 1 - starts
+    signed = sign.any()
+    if signed:
+        digits -= sign[starts]
+    vals = data[lasts].astype(np.int64) - ord("0")
+    for k in range(1, min(int(digits.max(initial=0)), INT64_DIGITS)):
+        digit = data[lasts - k].astype(np.int64) - ord("0")
+        vals += np.where(digits > k, digit, 0) * 10 ** k
+    for i in np.flatnonzero(digits > INT64_DIGITS):
+        v = int(text[starts[i]:lasts[i] + 1])
+        if not 0 <= v <= m:
+            raise FormatError(f"rank value {v} outside [0, {m}]")
+        vals[i] = v
+    if signed:
+        vals[data[starts] == ord("-")] *= -1
+    if vals.size:
+        lo, hi = int(vals.min()), int(vals.max())
         if lo < 0 or hi > m:
             raise FormatError(f"rank value {lo if lo < 0 else hi} outside [0, {m}]")
-        table = np.array(vals, dtype=np.uint8)
-        res = validate_rank_table(m, table, exhaustive=(m <= 16))
+    return vals.astype(np.uint8)
+
+
+def parse_matroid(text: str) -> Matroid:
+    """Parse any of the four bodies; the result is validated on load.
+
+    Any malformed text raises FormatError or another MatroidError.
+    """
+    lines = _meaningful_lines(text)
+    _, line = next(lines, (0, None))
+    if line != MATROID_HEADER:
+        raise FormatError(f"missing header {MATROID_HEADER!r}")
+    _, line = next(lines, (0, None))
+    label = ""
+    if line is not None and line.startswith("label "):
+        label = line[len("label "):].strip()
+        _, line = next(lines, (0, None))
+    if line is None or not line.startswith("elements "):
+        raise FormatError("missing 'elements <m>' line")
+    m = _int(line.split()[1], "ground size")
+    if not 1 <= m <= MAX_GROUND:
+        raise FormatError(f"ground size {m} outside [1, {MAX_GROUND}]")
+    _, line = next(lines, (0, None))
+    if line is None or not line.startswith("rank "):
+        raise FormatError("missing 'rank <r>' line")
+    declared_rank = _int(line.split()[1], "rank")
+    after, section = next(lines, (0, None))
+    if section is None:
+        raise FormatError("missing body section")
+    body, layout_lines = _cut_lines(_newline_text(text[after:]))
+    layout = dict(_parse_layout_line(ln) for ln in layout_lines)
+    rows = [] if section == "ranks" else [s for ln in body.splitlines() if (s := ln.strip())]
+
+    if section == "ranks":
+        table = _rank_values(body, m)
+        res = validate_rank_table(m, table)
         if not res:
             raise FormatError(f"rank table violates {res.axiom} "
                               f"(witness masks {res.witness}): {res.message}")
         M = Matroid(m, table, label=label, layout=layout or None, validate=False)
     elif section == "circuits":
-        circuits = [parse_elements(ln) for ln in body]
+        circuits = [parse_elements(ln) for ln in rows]
         M = matroid_from_circuits(m, declared_rank, circuits, label=label,
                                   layout=layout or None)
     elif section.startswith("matrix"):
         tail = section[len("matrix"):].strip()
         if not tail.startswith("p="):
             raise FormatError(f"bad matrix section {section!r}")
-        p = int(tail[2:])
-        rows = [[int(tok) for tok in ln.split()] for ln in body]
-        if not rows or any(len(r) != m for r in rows):
+        p = _int(tail[2:], "modulus")
+        if p < 2:
+            raise FormatError(f"modulus {p} is not prime")
+        entries = [[_int(tok, "matrix entry") for tok in ln.split()] for ln in rows]
+        if not entries or any(len(r) != m for r in entries):
             raise FormatError("matrix rows must have one entry per element")
-        entries = tuple(v % p for row in rows for v in row)
-        M = from_matrix(MatrixGFp(p, len(rows), m, entries), label=label)
+        flat = tuple(v % p for row in entries for v in row)
+        M = from_matrix(MatrixGFp(p, len(entries), m, flat), label=label)
         if layout:
             M = Matroid(m, M.table, label=label, layout=layout, validate=False)
     elif section == "transversal":
-        fam = tuple(parse_elements(ln) for ln in body)
+        fam = tuple(parse_elements(ln) for ln in rows)
         M = transversal(SetSystem(m, fam), label=label)
         if layout:
             M = Matroid(m, M.table, label=label, layout=layout, validate=False)
@@ -170,7 +309,7 @@ def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
     sets: dict[int, int] = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key.startswith("X") and key[1:].isdigit():
+        if key.startswith("X") and key[1:].isdecimal():
             sets[int(key[1:])] = parse_elements(rest)
         else:
             fields[key] = rest.strip()
@@ -178,12 +317,12 @@ def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
         if key not in fields:
             raise FormatError(f"certificate missing {key!r} line")
     label, _, fingerprint = fields["matroid"].rpartition(" ")
-    n = int(fields["n"])
-    if sorted(sets) != list(range(1, n + 1)):
+    n = _int(fields["n"], "n")
+    if len(sets) != n or sorted(sets) != list(range(1, n + 1)):
         raise FormatError("certificate must list X1..Xn exactly")
     cert = BadFamilyCertificate(label, fingerprint,
                                 Family(n, tuple(sets[i] for i in range(1, n + 1))),
-                                int(fields["lhs"]), int(fields["rhs"]))
+                                _int(fields["lhs"], "lhs"), _int(fields["rhs"], "rhs"))
     verify_certificate(cert, M)
     return cert
 

@@ -13,15 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (MAX_GROUND, Matroid, MatroidError, NotAMatroidError,
-                   SizeCapError, popcount_array, validate_rank_table)
-
-
-def _embed_masks(m_new: int, position: int) -> np.ndarray:
-    """Masks on m_new elements re-embedded with a 0 bit inserted at position."""
-    idx = np.arange(1 << m_new, dtype=np.int64)
-    low = idx & ((1 << position) - 1)
-    high = (idx >> position) << (position + 1)
-    return high | low
+                   SizeCapError, cube_halves, hypercube, popcount_array,
+                   validate_rank_table)
 
 
 def _drop_layout(layout: dict[str, int] | None, e: int) -> dict[str, int] | None:
@@ -44,8 +37,7 @@ def delete(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
         raise MatroidError(f"element {e} out of range for ground size {M.m}")
     if M.m < 2:
         raise MatroidError("cannot delete from a single-element ground set")
-    emb = _embed_masks(M.m - 1, e)
-    table = M.table[emb]
+    table = cube_halves(hypercube(M.table), e)[0].ravel()
     index_map = {old: (old if old < e else old - 1) for old in range(M.m) if old != e}
     out = Matroid(M.m - 1, table, label=f"{M.label}\\{e}",
                   layout=_drop_layout(M.layout, e), validate=False)
@@ -58,11 +50,10 @@ def contract(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
         raise MatroidError(f"element {e} out of range for ground size {M.m}")
     if M.m < 2:
         raise MatroidError("cannot contract from a single-element ground set")
-    emb = _embed_masks(M.m - 1, e)
     re = int(M.table[1 << e])
-    table = M.table[emb | (1 << e)].astype(np.int16) - re
+    table = (cube_halves(hypercube(M.table), e)[1] - re).ravel()
     index_map = {old: (old if old < e else old - 1) for old in range(M.m) if old != e}
-    out = Matroid(M.m - 1, table.astype(np.uint8), label=f"{M.label}/{e}",
+    out = Matroid(M.m - 1, table, label=f"{M.label}/{e}",
                   layout=_drop_layout(M.layout, e), validate=False)
     return out, index_map
 
@@ -98,12 +89,10 @@ def minor(M: Matroid, deletions: int, contractions: int) -> tuple[Matroid, dict[
 
 
 def dual(M: Matroid) -> Matroid:
-    """M*: r*(X) = |X| + r(E - X) - r(M)."""
-    n = 1 << M.m
-    idx = np.arange(n, dtype=np.int64)
-    pc = popcount_array(M.m)
-    table = pc.astype(np.int16) + M.table[M.full_mask ^ idx] - M.rank_total
-    return Matroid(M.m, table.astype(np.uint8), label=f"dual({M.label})",
+    """M*: r*(X) = |X| + r(E - X) - r(M); E - X is mask 2^m - 1 - X."""
+    table = popcount_array(M.m) + M.table[::-1]
+    table -= M.rank_total
+    return Matroid(M.m, table, label=f"dual({M.label})",
                    layout=dict(M.layout) if M.layout else None, validate=False)
 
 
@@ -134,7 +123,7 @@ def relax(M: Matroid, H: int) -> Matroid:
         raise MatroidError(f"{M.label}: mask {H:#x} is not a circuit-hyperplane")
     table = M.table.copy()
     table[H] += 1
-    res = validate_rank_table(M.m, table, exhaustive=(M.m <= 16))
+    res = validate_rank_table(M.m, table)
     if not res:
         raise NotAMatroidError(f"relaxation broke axioms: {res.message}",
                                axiom=res.axiom, witness=res.witness)
@@ -149,7 +138,7 @@ def tighten(M: Matroid, H: int) -> Matroid:
         raise MatroidError(f"{M.label}: mask {H:#x} is not a basis, cannot tighten")
     table = M.table.copy()
     table[H] -= 1
-    res = validate_rank_table(M.m, table, exhaustive=(M.m <= 16))
+    res = validate_rank_table(M.m, table)
     if not res:
         raise NotAMatroidError(
             f"not tightenable: decremented table violates {res.axiom}",

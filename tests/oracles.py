@@ -186,3 +186,37 @@ def bias_rank_oracle(edges, group_order: int, x: int) -> int:
                                  for row in a)
         balanced += 1 if consistent else 0
     return len(verts) - balanced
+
+
+def literal_rank_tokens(body: str) -> list[int]:
+    """A ranks body read literally: int() of every token of every line
+    that is not a '#' comment."""
+    return [int(t) for ln in body.splitlines() if not ln.strip().startswith("#")
+            for t in ln.split()]
+
+
+def literal_rank_violation(m: int, table) -> tuple[str, tuple] | None:
+    """First rank-axiom violation found by literal loops, or None.
+
+    Order: r(0) = 0, then r(X) <= |X| by X; r(X) <= r(X + e) by e, then X;
+    r(X + e) + r(X + f) >= r(X + e + f) + r(X) by e < f, then X.
+    """
+    r = [int(v) for v in table]
+    if r[0] != 0:
+        return "R1", (0,)
+    for x in range(1 << m):
+        if r[x] > bin(x).count("1"):
+            return "R1", (x,)
+    for e in range(m):
+        for x in range(1 << m):
+            if not (x >> e) & 1 and r[x | 1 << e] < r[x]:
+                return "R2", (x, x | 1 << e)
+    for e in range(m):
+        for f in range(e + 1, m):
+            for x in range(1 << m):
+                if (x >> e) & 1 or (x >> f) & 1:
+                    continue
+                xe, xf = x | 1 << e, x | 1 << f
+                if r[xe] + r[xf] < r[xe | xf] + r[x]:
+                    return "R3", (xe, xf)
+    return None

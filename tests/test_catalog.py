@@ -218,10 +218,8 @@ class TestDowling:
         M = {2: dowling_z2, 3: dowling_z3}[order]
         graph = K.dowling_gain_graph(K.cyclic_group(order), 3)
         edges = [(e.tail, e.head, e.label, e.is_loop) for e in graph.edges]
-        rng = np.random.default_rng(3)
-        masks = list(rng.integers(0, 1 << M.m, size=400)) + [0, M.full_mask]
-        for x in masks:
-            assert M.rank(int(x)) == bias_rank_oracle(edges, order, int(x))
+        for x in range(1 << M.m):
+            assert M.rank(x) == bias_rank_oracle(edges, order, x)
 
     def test_loops_are_dependent_in_pairs_via_path(self, dowling_z2):
         M = dowling_z2

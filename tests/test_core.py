@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinser as K
+from kinser.cli import main
 from kinser.core import validate_rank_table
 
 from oracles import (definition_closure, definition_flats, definition_is_circuit,
-                     gf2_span_closure)
+                     gf2_span_closure, literal_rank_violation)
 
 
 class TestRank:
@@ -152,6 +153,12 @@ class TestValidateAxioms:
         res = validate_rank_table(4, table)
         assert not res.ok and res.axiom == "R3"
 
+    def test_c3_violation_witness(self):
+        # U(2,4) without the circuit {1,2,3}: eliminating 0 from {0,1,2} and
+        # {0,1,3} leaves {1,2,3}, which holds no listed circuit
+        res = K.validate_axioms((4, [0b0111, 0b1011, 0b1101]), "circuits")
+        assert (res.ok, res.axiom, res.witness) == (False, "C3", (0b0111, 0b1011, 0))
+
     def test_spike_circuits_pass_c1_c3(self, z4):
         nonspanning = [c for c in z4.enumerate("circuits") if z4.rank(c) < 4]
         assert K.validate_axioms((8, nonspanning), "circuits").ok
@@ -169,8 +176,66 @@ class TestValidateAxioms:
             assert K.validate_axioms(M, "independence").ok
 
     def test_size_cap_refused(self, kin6_relaxed):
-        with pytest.raises(K.SizeCapError):
-            K.validate_axioms(kin6_relaxed, "rank")
+        # the rank scan is exhaustive at every ground size; the closure and
+        # independence scans still refuse above m = 16
+        assert K.validate_axioms(kin6_relaxed, "rank").ok
+        for which in ("closure", "independence"):
+            with pytest.raises(K.SizeCapError):
+                K.validate_axioms(kin6_relaxed, which)
+
+    def test_broken_kin6_table_refused(self, kin6_relaxed, tmp_path, capsys):
+        table = broken_kin6_table(kin6_relaxed)
+        with pytest.raises(K.NotAMatroidError) as err:
+            K.Matroid(22, table)
+        assert err.value.axiom == "R3"
+        text = K.write_matroid(K.Matroid(22, table, label="broken", validate=False))
+        with pytest.raises(K.FormatError, match="R3"):
+            K.parse_matroid(text)
+        path = tmp_path / "broken.mtr"
+        path.write_text(text)
+        assert main(["enumerate", "--kind", "flats", "-i", str(path)]) == 2
+        assert "violates R3" in capsys.readouterr().err
+        # relaxing a circuit-hyperplane of a non-matroid leaves the R3 violation
+        broken = K.Matroid(22, table, validate=False)
+        H = kin6_relaxed.parts("V2", "V3")
+        assert broken.classify(H).circuit_hyperplane
+        with pytest.raises(K.NotAMatroidError):
+            K.relax(broken, H)
+
+
+def broken_kin6_table(kin6: K.Matroid) -> np.ndarray:
+    """Kin(6)^- with r(Y) lowered by one for an independent 3-set Y.
+
+    For e in Y and f with Y + f independent, submodularity
+    r(Y) + r(Y - e + f) >= r(Y + f) + r(Y - e) becomes 2 + 3 >= 4 + 2, so
+    only R3 fails, at a handful of the 2^20 * 231 local instances that a
+    sampled check draws from.
+    """
+    Y = kin6.parts("V1", "V3", "V4") & 0b10001000001  # elements 0, 6, 10
+    f = 14                                            # first element of V5
+    assert kin6.rank(Y) == 3 and kin6.rank(Y | 1 << f) == 4
+    table = kin6.table.copy()
+    table[Y] -= 1
+    return table
+
+
+class TestConstructorInput:
+    @pytest.mark.parametrize("value", [257, -255])
+    def test_out_of_range_entry_refused(self, value):
+        table = K.uniform(2, 4).table.astype(np.int16)
+        table[0b0011] = value  # stored as 1 by a bare uint8 cast
+        with pytest.raises(K.MatroidError, match=f"rank value {value} outside"):
+            K.Matroid(4, table, validate=False)
+
+    def test_float_table_refused(self):
+        table = K.uniform(2, 4).table.astype(np.float64)
+        table[0b0011] = 2.7  # stored as 2 by a bare uint8 cast
+        with pytest.raises(K.MatroidError, match="integer dtype"):
+            K.Matroid(4, table, validate=False)
+
+    def test_integer_input_accepted(self, u24):
+        for table in (u24.table.astype(np.int64), u24.table.tolist()):
+            assert K.Matroid(4, table).table_equal(u24)
 
 
 class TestFromCircuits:
@@ -247,3 +312,17 @@ def test_from_circuits_reconstructs_linear_matroid(mat):
     nonspanning = [c for c in M.enumerate("circuits") if M.rank(c) < M.rank_total]
     rebuilt = K.matroid_from_circuits(M.m, M.rank_total, nonspanning)
     assert rebuilt.table_equal(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf2_matrices(), st.lists(st.tuples(st.integers(0, 127), st.integers(-1, 1)),
+                                max_size=3))
+def test_rank_validation_matches_literal_loops(mat, edits):
+    M = K.from_matrix(mat)
+    table = M.table.astype(np.int16)
+    for x, step in edits:
+        x %= 1 << M.m
+        table[x] = min(max(table[x] + step, 0), M.m)
+    res = validate_rank_table(M.m, table.astype(np.uint8))
+    expected = literal_rank_violation(M.m, table)
+    assert (None if res.ok else (res.axiom, res.witness)) == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kinser as K
-from kinser.engine import _search_generic_chunk, _search_n4_chunk
+from kinser.engine import _balanced_chunks, _search_generic_chunk, _search_n4_chunk
 
 from oracles import ingleton_sides, ingleton_value, kinser_value
 
@@ -263,6 +263,18 @@ class TestSearch:
         tup, _ = brute_force_lex_first(vamos, 4, masks)
         got = _search_n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
         assert got == tup
+
+    def test_parallel_chunks_balanced_by_tuples(self, fano_sum):
+        # with pruning i2 >= i1, so equal i1 ranges would give the first of
+        # two chunks three quarters of the F7 (+) F7^- scan
+        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
+        F = len(masks)
+        chunks = _balanced_chunks(F, 2, True)
+        assert chunks[0][0] == 0 and chunks[-1][1] == F
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        tuples = [_search_n4_chunk(fano_sum.table, masks, lo, hi, True)[1]
+                  for lo, hi in chunks]
+        assert max(tuples) < 0.51 * sum(tuples)
 
     def test_verdict_statistics_populated(self, fano, vamos):
         # F7 is modular: the common-information rule prunes every (X3, X4)

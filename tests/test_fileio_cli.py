@@ -1,11 +1,20 @@
 """Text formats (round trips, self-verifying certificates) and the CLI."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kinser as K
 from kinser.cli import main
 from kinser.engine import BadFamilyCertificate
+
+from oracles import literal_rank_tokens
 
 
 class TestMatroidFormat:
@@ -238,3 +247,157 @@ class TestCli:
         mfile = tmp_path / "v.mtr"
         main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
         assert main(["check", "-n", "4", "-i", str(mfile), "--dual"]) == 1
+
+
+# -- property and fuzz tests of the parsers --------------------------------------
+
+
+@st.composite
+def small_matroids(draw):
+    """Valid matroids with m in 1..10: GF(2)/GF(3) column matroids and uniform
+    matroids (U(10, 10) has a two-digit rank), with a label and a layout."""
+    m = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        p, rows = draw(st.sampled_from([2, 3])), draw(st.integers(1, 4))
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * m,
+                                max_size=rows * m))
+        table = K.from_matrix(K.MatrixGFp(p, rows, m, tuple(entries))).table
+    else:
+        table = K.uniform(draw(st.integers(0, m)), m).table
+    label = draw(st.sampled_from(["", "M", "two words"]))
+    layout = draw(st.dictionaries(st.sampled_from(["A", "B", "pair"]),
+                                  st.integers(0, (1 << m) - 1), max_size=2))
+    return K.Matroid(m, table, label=label, layout=layout or None)
+
+
+BLANKS = st.text(alphabet=" \t", max_size=3)
+COMMENTS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                   max_size=12).map(lambda t: "#" + t)
+
+
+def ranks_lines(text: str, m: int) -> tuple[str, list[str], list[str]]:
+    """(header through 'ranks', the ranks lines, the layout lines) of a written file."""
+    head, _, rest = text.partition("\nranks\n")
+    lines = rest.splitlines()
+    n_lines = -(-(1 << m) // 16)
+    return head + "\nranks\n", lines[:n_lines], lines[n_lines:]
+
+
+class TestParserProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids())
+    def test_write_then_parse_is_identity(self, M):
+        text = K.write_matroid(M)
+        again = K.parse_matroid(text)
+        assert again.table_equal(M)
+        assert (again.label, again.layout) == (M.label, M.layout)
+        assert K.write_matroid(again) == text
+        # the last ranks line holds 2^m mod 16 values when m < 4
+        _, body, _ = ranks_lines(text, M.m)
+        assert literal_rank_tokens("\n".join(body)) == M.table.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_noise_in_body_matches_literal_reader(self, M, data):
+        head, body, tail = ranks_lines(K.write_matroid(M), M.m)
+        noisy = []
+        for line in body:
+            noisy += data.draw(st.lists(BLANKS | COMMENTS, max_size=2))
+            sep = " " + data.draw(BLANKS)
+            noisy.append(data.draw(BLANKS) + sep.join(line.split()) + data.draw(BLANKS))
+        noisy += data.draw(st.lists(BLANKS | COMMENTS, max_size=2))
+        again = K.parse_matroid(head + "\n".join(noisy + tail) + "\n")
+        assert again.table.tolist() == literal_rank_tokens("\n".join(noisy))
+        assert again.table_equal(M)
+        assert (again.label, again.layout) == (M.label, M.layout)
+
+
+VAMOS = K.kinser_relaxed(4)
+VAMOS_CERT = K.write_certificate(K.search_bad_family(VAMOS, 4))
+SEED_TEXTS = [
+    K.write_matroid(K.uniform(2, 4)),
+    K.write_matroid(VAMOS),
+    "matroid v1\nelements 4\nrank 2\ncircuits\n0,1,2\n0,1,3\n0,2,3\n1,2,3\n",
+    "matroid v1\nlabel F7\nelements 7\nrank 3\nmatrix p=2\n"
+    "1 0 0 1 1 0 1\n0 1 0 1 0 1 1\n0 0 1 0 1 1 1\n",
+    "matroid v1\nelements 3\nrank 2\ntransversal\n0,1\n1,2\n",
+    VAMOS_CERT,
+]
+FUZZ_LINES = [
+    "matroid v1", "kinser-certificate v1", "label x", "elements 4", "elements 3",
+    "elements 0", "elements -2", "elements x", "elements 99", "rank 2", "rank -1",
+    "rank x", "ranks", "circuits", "transversal", "matrix p=2", "matrix p=0",
+    "matrix p=-3", "matrix p=x", "matrix", "layout A=0,1", "layout A", "layout =",
+    "# comment", "", "0 1 1 2", "0 1 1 1 1 2 2 2", "0,1,2", "0,1", "1 0 1 0", "-1",
+    "300", "x", "-", "+", "+-1", "1,99", "1,-1", "1,99999999999", "n 4", "n 0",
+    "n -3", "n 99999999999", "X1 0,1", "X2 -", "X3 2", "X4 3", "X9 1", "X\u00b2 1",
+    "X\u0663 1", "lhs 1", "rhs x", "matroid Kin(4)- 0123456789abcdef",
+]
+FUZZ_LINE = st.sampled_from(FUZZ_LINES) | st.text(max_size=12)
+
+
+@st.composite
+def fuzzed_texts(draw):
+    """Free text, random lines, or a valid file with a few lines edited."""
+    kind = draw(st.sampled_from(["text", "lines", "edited"]))
+    if kind == "text":
+        return draw(st.text(max_size=200))
+    if kind == "lines":
+        return "\n".join(draw(st.lists(FUZZ_LINE, max_size=12)))
+    lines = draw(st.sampled_from(SEED_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(FUZZ_LINE))
+        elif op == "delete":
+            del lines[min(i, len(lines) - 1)]
+        elif op == "replace":
+            lines[min(i, len(lines) - 1)] = draw(FUZZ_LINE)
+        else:
+            j = min(i, len(lines) - 1)
+            tokens = lines[j].split()
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(FUZZ_LINE))
+            lines[j] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestParserFuzz:
+    @FUZZ
+    @given(fuzzed_texts())
+    def test_parse_matroid_yields_value_or_matroid_error(self, text):
+        try:
+            M = K.parse_matroid(text)
+        except K.MatroidError:
+            return
+        assert isinstance(M, K.Matroid) and K.validate_axioms(M, "rank").ok
+
+    @FUZZ
+    @given(fuzzed_texts())
+    def test_parse_certificate_yields_value_or_matroid_error(self, text):
+        try:
+            cert = K.parse_certificate(text, VAMOS)
+        except K.MatroidError:
+            return
+        assert cert.lhs > cert.rhs
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzzed_texts(), st.sampled_from([
+        ["check", "-n", "4"], ["enumerate", "--kind", "flats"],
+        ["axioms", "--which", "rank"], ["transform", "dual"]]))
+    def test_cli_exits_0_1_or_2(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.mtr")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command + ["-i", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
