@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (MAX_GROUND, InvalidSubsetError, Matroid, MatroidError,
-                   NotAMatroidError, SizeCapError, matroid_from_circuits,
-                   popcount_array, validate_circuit_axioms)
+                   NotAMatroidError, SizeCapError, cube_halves, hypercube,
+                   matroid_from_circuits, popcount_array, validate_circuit_axioms)
 from .transforms import relax, truncate
 
 RADO_FAMILY_LIMIT = 12  # above this, per-subset matching replaces the Rado scan
@@ -36,14 +36,35 @@ def uniform(k: int, m: int, label: str | None = None) -> Matroid:
 # -- linear matroids over GF(p) ----------------------------------------------
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound, the least strong pseudoprime to all of them (the first twelve
+# are fooled by 318665857834031151167461)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; refuses p >= PRIME_TEST_LIMIT."""
+    if p >= PRIME_TEST_LIMIT:
+        raise MatroidError(f"modulus {p} is too large to test for primality")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESS_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -395,38 +416,6 @@ class GainGraph:
                 raise MatroidError(f"parallel class {pair} is not bijectively labeled")
 
 
-def _balanced(edges: list[GainEdge], idxs: list[int], group: GroupTable) -> bool:
-    """Whether the sub(multi)graph admits a consistent vertex potential.
-
-    Potentials phi satisfy phi(head) = phi(tail) * label for every chosen
-    edge; a loop with a non-identity label always breaks consistency.
-    """
-    chosen = [edges[i] for i in idxs]
-    if any(e.is_loop for e in chosen):
-        return False
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for e in chosen:
-        adj.setdefault(e.tail, []).append((e.head, e.label, True))
-        adj.setdefault(e.head, []).append((e.tail, e.label, False))
-    phi: dict[int, int] = {}
-    for start in adj:
-        if start in phi:
-            continue
-        phi[start] = group.identity
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for (v, lab, forward) in adj[u]:
-                val = group.mul(phi[u], lab) if forward \
-                    else group.mul(phi[u], group.inverse[lab])
-                if v not in phi:
-                    phi[v] = val
-                    stack.append(v)
-                elif phi[v] != val:
-                    return False
-    return True
-
-
 def dowling_gain_graph(group: GroupTable, n: int) -> GainGraph:
     """Complete graph on n vertices with |G| bijectively labeled parallel
     edges per pair and one loop per non-identity element at each vertex."""
@@ -448,39 +437,58 @@ def dowling_gain_graph(group: GroupTable, n: int) -> GainGraph:
 
 
 def dowling_bias_rank_table(graph: GainGraph) -> np.ndarray:
-    """Independent rank oracle: r(X) = vertices touched - balanced components."""
-    edges = list(graph.edges)
-    m = len(edges)
-    group = graph.group
-    table = np.zeros(1 << m, dtype=np.uint8)
-    for x in range(1, 1 << m):
-        idxs = [i for i in range(m) if (x >> i) & 1]
-        verts: set[int] = set()
-        adj: dict[int, set[int]] = {}
-        for i in idxs:
-            e = edges[i]
-            verts.update((e.tail, e.head))
-            adj.setdefault(e.tail, set()).add(e.head)
-            adj.setdefault(e.head, set()).add(e.tail)
-        balanced_comps = 0
-        seen: set[int] = set()
-        for s in verts:
-            if s in seen:
+    """Frame-matroid rank of every edge set: r(X) = |V(X)| - b(X).
+
+    V(X) is the set of vertices X touches and b(X) counts the components
+    of (V(X), X) whose edges are balanced.  Every table pass is a
+    hypercube pass (see core.cube_halves):
+
+    - an edge set is balanced iff it lies in the consistent set
+      B_phi = {tail -> head edges with phi(head) = phi(tail) * label} of
+      some potential phi in G^n (loops carry non-identity labels and lie
+      in none), so B_phi is marked for every phi and marks are passed
+      down to subsets;
+    - V(X) is an OR of edge endpoints, one pass per edge;
+    - comp[v][X], the least vertex joined to v by a path in X, comes from
+      n - 1 rounds of min-propagation over the edges (a path has at most
+      n - 1 edges), each a pass per edge;
+    - each component root v (a touched vertex with comp[v][X] = v) adds
+      bal[X & E(C)], where E(C) holds the edges with both ends in its
+      vertex set C.
+    """
+    edges = graph.edges
+    m, n, group = len(edges), graph.n_vertices, graph.group
+    size = 1 << m
+    bal = np.zeros(size, dtype=bool)
+    for phi in itertools.product(range(group.order), repeat=n):
+        bal[sum(1 << i for i, e in enumerate(edges)
+                if not e.is_loop and phi[e.head] == group.mul(phi[e.tail], e.label))] = True
+    touched = np.zeros(size, dtype=np.uint8)
+    comp = [np.full(size, v, dtype=np.uint8) for v in range(n)]
+    bal_cube, touched_cube = hypercube(bal), hypercube(touched)
+    comp_cubes = [hypercube(c) for c in comp]
+    for i, e in enumerate(edges):
+        lo, hi = cube_halves(bal_cube, i)
+        lo |= hi
+        touched_with = cube_halves(touched_cube, i)[1]
+        touched_with |= (1 << e.tail) | (1 << e.head)
+    for _ in range(n - 1):
+        for i, e in enumerate(edges):
+            if e.is_loop:
                 continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            comp_edges = [i for i in idxs
-                          if edges[i].tail in comp or edges[i].head in comp]
-            if _balanced(edges, comp_edges, group):
-                balanced_comps += 1
-        table[x] = len(verts) - balanced_comps
+            tail = cube_halves(comp_cubes[e.tail], i)[1]
+            head = cube_halves(comp_cubes[e.head], i)[1]
+            np.minimum(tail, head, out=tail)
+            head[...] = tail
+    inside = np.array([sum(1 << i for i, e in enumerate(edges)
+                           if (s >> e.tail) & (s >> e.head) & 1)
+                       for s in range(1 << n)], dtype=np.uint32)  # E(C) by vertex set C
+    masks = np.arange(size, dtype=np.uint32)
+    table = np.bitwise_count(touched)
+    for v in range(n):
+        members = sum((comp[w] == v).astype(np.uint8) << w for w in range(n))
+        root = (comp[v] == v) & ((touched >> v) & 1).astype(bool)
+        table -= root & bal[masks & inside[members]]
     return table
 
 

@@ -157,8 +157,7 @@ def _axioms(args) -> int:
 def _enumerate(args) -> int:
     M = _load(args.input)
     masks = M.enumerate(args.kind)
-    for x in masks:
-        print(format_elements(x))
+    sys.stdout.writelines(format_elements(x) + "\n" for x in masks)
     print(f"count {len(masks)}", file=sys.stderr)
     return 0
 

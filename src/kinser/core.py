@@ -69,10 +69,11 @@ def cube_halves(cube: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a mask hypercube at the masks without and with element e.
 
     Axis k holds element ndim-1-k, so each half is again a hypercube over
-    the remaining elements, in increasing mask order.
+    the remaining elements, in increasing mask order.  The halves are
+    always views, 0-d ones for a 1-d cube, so in-place passes write through.
     """
     pre = (slice(None),) * (cube.ndim - 1 - e)
-    return cube[pre + (0,)], cube[pre + (1,)]
+    return cube[pre + (0, ...)], cube[pre + (1, ...)]
 
 
 def _insert_zero_bits(i: int, *positions: int) -> int:
@@ -318,15 +319,74 @@ def content_fingerprint(M: Matroid) -> str:
 # -- axiom validation -------------------------------------------------------
 
 
+# bits of a 64-bit word whose position has bit k clear, for k < 6
+_LOW_HALF_BITS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                  0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+
+
+def _packed_planes(inc: np.ndarray, top: int) -> list[np.ndarray]:
+    """Bit planes [inc >= t], t = 1..top, packed little-endian into uint64 words.
+
+    Bit b of word w stands for index 64 w + b of the flattened array;
+    short arrays are padded with clear bits to one word.
+    """
+    flat = inc.reshape(-1)
+    planes = []
+    for t in range(1, top + 1):
+        packed = np.packbits(flat if t == 1 else flat >= t, bitorder="little")
+        if packed.size % 8:
+            packed = np.concatenate([packed, np.zeros(8 - packed.size % 8, np.uint8)])
+        planes.append(packed.view("<u8"))
+    return planes
+
+
+def _first_increase(planes: list[np.ndarray], k: int) -> int | None:
+    """First index X with bit k clear at which some plane is clear while
+    its bit at X + 2^k is set, or None.
+
+    For k < 6 the partner bit lies in the same word, 2^k places up; for
+    k >= 6 it lies in the word 2^(k-6) places up, and the words are split
+    into halves like a mask hypercube.
+    """
+    if k < 6:
+        shift = np.uint64(1 << k)
+        viol = np.zeros_like(planes[0])
+        for p in planes:
+            viol |= (p >> shift) & ~p
+        viol &= np.uint64(_LOW_HALF_BITS[k])
+    else:
+        viol = np.zeros(planes[0].size // 2, dtype=np.uint64)
+        for p in planes:
+            lo, hi = cube_halves(hypercube(p), k - 6)
+            viol |= (hi & ~lo).reshape(-1)
+    if not viol.any():
+        return None
+    i = int((viol != 0).argmax())
+    word = int(viol[i])
+    w = i if k < 6 else _insert_zero_bits(i, k - 6)
+    return 64 * w + (word & -word).bit_length() - 1
+
+
 def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     """Check R1-R3 (plus r(empty)=0) on a rank table, exhaustively.
 
     Monotonicity and submodularity are checked through their single-element
     local forms, which are equivalent to the quantified axioms; the reported
     witness is the first instance in (e, f, mask) order and is always an
-    instance of the literal axiom.  Once R2 holds, the increments
-    r(X + e) - r(X) are non-negative uint8 views, and R3 at (e, f) says the
-    increment in e does not grow when f is added.
+    instance of the literal axiom.
+
+    The table is uint8, as Matroid stores it.  One pass per element e
+    takes inc_e(X) = r(X + e) - r(X) as a uint8 hypercube over the masks X
+    without e; a value that wrapped below zero (above m) is an R2 failure.
+    R2 failures come first, so once an R3 failure is found it is kept
+    while the pass goes on looking for R2 failures only.  R3 at (e, f) says
+    inc_e(X + f) <= inc_e(X) for every X without f.  It runs on packed
+    bits: it fails exactly where some bit plane [inc_e >= t] is set at
+    X + f and clear at X, so the planes are packed 64 masks to a word and
+    compared by a shift within a word (f - 1 < 6) or between word halves.
+    For a valid table R1 and R3 give inc_e(X) <= r({e}) <= 1, so there is
+    one plane; an invalid table may have more, and their union still finds
+    exactly the violations, first one first.
     """
     pc = popcount_array(m)
     if table[0] != 0:
@@ -336,25 +396,28 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
         x = int(bad[0])
         return AxiomResult(False, "R1", (x,), f"r(X)={int(table[x])} > |X|={int(pc[x])} for X={x:#x}")
     cube = hypercube(table)
-    for e in range(m):
-        lo, hi = cube_halves(cube, e)
-        bad = hi < lo
-        if bad.any():
-            x = _insert_zero_bits(int(bad.argmax()), e)
-            return AxiomResult(False, "R2", (x, x | (1 << e)),
-                               f"r decreases from X={x:#x} to X+{{{e}}}")
+    first_r3 = None
     for e in range(m):
         lo, hi = cube_halves(cube, e)
         inc = hi - lo
+        top = int(inc.max())
+        if top > m:
+            x = _insert_zero_bits(int((hi < lo).argmax()), e)
+            return AxiomResult(False, "R2", (x, x | (1 << e)),
+                               f"r decreases from X={x:#x} to X+{{{e}}}")
+        if first_r3 is not None or not top:
+            continue
+        planes = _packed_planes(inc, top)
         for f in range(e + 1, m):
-            without_f, with_f = cube_halves(inc, f - 1)
-            bad = without_f < with_f
-            if bad.any():
-                x = _insert_zero_bits(int(bad.argmax()), e, f)
+            i = _first_increase(planes, f - 1)
+            if i is not None:
+                x = _insert_zero_bits(i, e)
                 be, bf = 1 << e, 1 << f
-                return AxiomResult(False, "R3", (x | be, x | bf),
-                                   f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
-    return AxiomResult(True)
+                first_r3 = AxiomResult(
+                    False, "R3", (x | be, x | bf),
+                    f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
+                break
+    return AxiomResult(True) if first_r3 is None else first_r3
 
 
 def validate_closure_axioms(matroid: Matroid) -> AxiomResult:
@@ -458,27 +521,24 @@ def validate_independence_axioms(m: int, table: np.ndarray) -> AxiomResult:
             x = _insert_zero_bits(int(bad.argmax()), e) | (1 << e)
             return AxiomResult(False, "I2", (x, x ^ (1 << e)),
                                f"subset of independent {x:#x} dependent")
-    # I3 with |J| = |I| + 1 (equivalent to the general form by induction)
-    ind_masks = np.flatnonzero(indep)
-    by_size = {k: ind_masks[pc[ind_masks] == k] for k in range(m + 1)}
+    # I3 with |J| = |I| + 1 (equivalent to the general form by induction);
+    # aug[I] holds the elements e outside I with I + e independent
+    aug = np.zeros(1 << m, dtype=np.uint32)
+    aug_cube = hypercube(aug)
+    for e in range(m):
+        without, _ = cube_halves(aug_cube, e)
+        np.bitwise_or(without, 1 << e, out=without, where=cube_halves(cube, e)[1])
+    ind_masks = np.flatnonzero(indep).astype(np.uint32)
+    sizes = pc[ind_masks]
     for k in range(m):
-        smaller, larger = by_size[k], by_size[k + 1]
-        if smaller.size == 0 or larger.size == 0:
+        smaller, larger = ind_masks[sizes == k], ind_masks[sizes == k + 1]
+        if larger.size == 0:
             continue
-        for i in smaller:
-            i = int(i)
-            for j in larger:
-                extra = int(j) & ~i
-                augmented = False
-                while extra:
-                    b = extra & (-extra)
-                    if indep[i | b]:
-                        augmented = True
-                        break
-                    extra ^= b
-                if not augmented:
-                    return AxiomResult(False, "I3", (i, int(j)),
-                                       f"no augmentation of {i:#x} from {int(j):#x}")
+        for i in smaller.tolist():
+            stuck = (larger & aug[i]) == 0
+            if stuck.any():
+                j = int(larger[stuck.argmax()])
+                return AxiomResult(False, "I3", (i, j), f"no augmentation of {i:#x} from {j:#x}")
     return AxiomResult(True)
 
 

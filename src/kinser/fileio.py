@@ -14,11 +14,13 @@ lhs or rhs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (MAX_GROUND, Matroid, MatroidError, content_fingerprint,
-                   elements_of, mask_of, matroid_from_circuits, validate_rank_table)
-from .catalog import MatrixGFp, SetSystem, from_matrix, transversal
+                   mask_of, matroid_from_circuits, validate_rank_table)
+from .catalog import PRIME_TEST_LIMIT, MatrixGFp, SetSystem, from_matrix, transversal
 from .engine import BadFamilyCertificate, Family, evaluate
 
 MATROID_HEADER = "matroid v1"
@@ -35,10 +37,21 @@ class StaleCertificateError(MatroidError):
     """Certificate does not re-verify against the named matroid."""
 
 
+@functools.cache
+def _byte_chunks() -> tuple[tuple[str, ...], ...]:
+    """For each of the MAX_GROUND // 8 mask bytes k, the comma list of
+    elements 8k..8k+7 in each byte value (built on first use)."""
+    return tuple(tuple(",".join(str(8 * k + i) for i in range(8) if b >> i & 1)
+                       for b in range(256))
+                 for k in range(MAX_GROUND // 8))
+
+
 def format_elements(mask: int) -> str:
     """Comma list of a mask's elements; '-' for the empty set."""
-    els = elements_of(mask)
-    return ",".join(str(e) for e in els) if els else "-"
+    if mask >> MAX_GROUND:
+        raise MatroidError(f"mask {mask:#x} has an element outside [0, {MAX_GROUND})")
+    lo, mid, hi = _byte_chunks()
+    return ",".join(filter(None, (lo[mask & 255], mid[mask >> 8 & 255], hi[mask >> 16]))) or "-"
 
 
 def parse_elements(text: str) -> int:
@@ -81,7 +94,9 @@ def _ranks_body(table: np.ndarray) -> str:
     cells[-1, 2] = ord("\n")
     keep = np.ones(cells.shape, dtype=bool)
     keep[:, 0] = table >= 10
-    return cells[keep].tobytes().decode("ascii")
+    body = cells[keep]
+    del cells, keep  # the largest temporaries of a write: free them before decoding
+    return str(body, "ascii")
 
 
 def _parse_layout_line(line: str) -> tuple[str, int]:
@@ -268,6 +283,8 @@ def parse_matroid(text: str) -> Matroid:
         p = _int(tail[2:], "modulus")
         if p < 2:
             raise FormatError(f"modulus {p} is not prime")
+        if p >= PRIME_TEST_LIMIT:
+            raise FormatError(f"modulus {p} is not below {PRIME_TEST_LIMIT}")
         entries = [[_int(tok, "matrix entry") for tok in ln.split()] for ln in rows]
         if not entries or any(len(r) != m for r in entries):
             raise FormatError("matrix rows must have one entry per element")

@@ -220,3 +220,29 @@ def literal_rank_violation(m: int, table) -> tuple[str, tuple] | None:
                 if r[xe] + r[xf] < r[xe | xf] + r[x]:
                     return "R3", (xe, xf)
     return None
+
+
+def literal_independence_violation(m: int, table) -> tuple[str, tuple] | None:
+    """First independence-axiom violation found by literal loops, or None.
+
+    X is independent when r(X) = |X|.  Order: I1 on the empty set; I2 as
+    (X + e, X) with X + e independent and X dependent, by e, then X; I3
+    as (I, J) with |J| = |I| + 1 and no e in J - I making I + e
+    independent, by |I|, then I, then J.
+    """
+    indep = [int(table[x]) == bin(x).count("1") for x in range(1 << m)]
+    if not indep[0]:
+        return "I1", (0,)
+    for e in range(m):
+        for x in range(1 << m):
+            if not (x >> e) & 1 and indep[x | 1 << e] and not indep[x]:
+                return "I2", (x | 1 << e, x)
+    for k in range(m):
+        smaller = [x for x in range(1 << m) if indep[x] and bin(x).count("1") == k]
+        larger = [x for x in range(1 << m) if indep[x] and bin(x).count("1") == k + 1]
+        for i in smaller:
+            for j in larger:
+                if not any((j >> e) & 1 and not (i >> e) & 1 and indep[i | 1 << e]
+                           for e in range(m)):
+                    return "I3", (i, j)
+    return None

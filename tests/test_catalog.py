@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kinser as K
+from kinser.catalog import PRIME_TEST_LIMIT, _is_prime
 
 from oracles import bias_rank_oracle, brute_matching_rank, gf_column_rank
 
@@ -35,6 +36,27 @@ class TestFromMatrix:
     def test_nonprime_rejected(self):
         with pytest.raises(K.MatroidError):
             K.MatrixGFp(4, 1, 1, (1,))
+
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+        assert [p for p in range(-3, 20000) if _is_prime(p)] == \
+            [p for p in range(-3, 20000) if trial(p)]
+
+    @pytest.mark.parametrize("p, prime", [
+        (2047, False),                       # strong pseudoprime to base 2
+        (3825123056546413051, False),        # ... to bases 2..23
+        (318665857834031151167461, False),   # ... to bases 2..37
+        ((2 ** 31 - 1) ** 2, False),
+        (2 ** 61 - 1, True),
+        (2 ** 31 - 1, True),
+    ])
+    def test_primality_of_large_moduli(self, p, prime):
+        assert _is_prime(p) is prime
+
+    def test_modulus_beyond_exact_range_refused(self):
+        with pytest.raises(K.MatroidError, match="too large"):
+            _is_prime(PRIME_TEST_LIMIT)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_every_subset_matches_elimination_oracle(self, p, fano, nonfano):
@@ -213,10 +235,16 @@ class TestDowling:
         assert (M.m, M.rank_total) == (3, 2)
         assert M.classify(0b111).circuit
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_matches_bias_rank_oracle(self, order, dowling_z2, dowling_z3):
-        M = {2: dowling_z2, 3: dowling_z3}[order]
-        graph = K.dowling_gain_graph(K.cyclic_group(order), 3)
+    @pytest.mark.parametrize("order, n", [
+        pytest.param(2, 3, id="2"), pytest.param(3, 3, id="3"),
+        # more vertices than three rounds of label propagation reach
+        pytest.param(1, 5, id="1-5"), pytest.param(2, 4, id="2-4"),
+    ])
+    def test_matches_bias_rank_oracle(self, order, n, dowling_z2, dowling_z3):
+        M = {(2, 3): dowling_z2, (3, 3): dowling_z3}.get((order, n))
+        if M is None:
+            M = K.dowling(K.cyclic_group(order), n)
+        graph = K.dowling_gain_graph(K.cyclic_group(order), n)
         edges = [(e.tail, e.head, e.label, e.is_loop) for e in graph.edges]
         for x in range(1 << M.m):
             assert M.rank(x) == bias_rank_oracle(edges, order, x)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser.cli import main
-from kinser.core import validate_rank_table
+from kinser.core import validate_independence_axioms, validate_rank_table
 
 from oracles import (definition_closure, definition_flats, definition_is_circuit,
-                     gf2_span_closure, literal_rank_violation)
+                     gf2_span_closure, literal_independence_violation,
+                     literal_rank_violation)
 
 
 class TestRank:
@@ -127,6 +128,15 @@ class TestEnumerate:
     def test_bases_are_max_rank_independents(self, u24):
         assert len(u24.enumerate("bases")) == 6  # C(4,2)
 
+    def test_one_element_ground(self):
+        # the halves of a 1-d cube are 0-d views, so the passes write through
+        loop, coloop = K.Matroid(1, [0, 0]), K.Matroid(1, [0, 1])
+        assert loop.enumerate("flats") == definition_flats(loop) == [1]
+        assert coloop.enumerate("flats") == definition_flats(coloop) == [0, 1]
+        assert loop.enumerate("circuits") == [1] and coloop.enumerate("circuits") == []
+        assert K.matroid_from_circuits(1, 0, [1]).table_equal(loop)
+        assert K.parse_matroid("matroid v1\nelements 1\nrank 0\ncircuits\n0\n").table_equal(loop)
+
 
 class TestValidateAxioms:
     def test_uniform_rank_ok(self, u24):
@@ -158,6 +168,16 @@ class TestValidateAxioms:
         # {0,1,3} leaves {1,2,3}, which holds no listed circuit
         res = K.validate_axioms((4, [0b0111, 0b1011, 0b1101]), "circuits")
         assert (res.ok, res.axiom, res.witness) == (False, "C3", (0b0111, 0b1011, 0))
+
+    def test_i3_violation_witness(self):
+        # independent sets: the subsets of {0,1} and {2}; {2} cannot be
+        # augmented from {0,1}, while I1 and I2 hold
+        indep = [0b000, 0b001, 0b010, 0b011, 0b100]
+        table = [max(bin(i & x).count("1") for i in indep) for x in range(1 << 3)]
+        M = K.Matroid(3, table, validate=False)
+        res = K.validate_axioms(M, "independence")
+        assert literal_independence_violation(3, M.table) == ("I3", (0b100, 0b011))
+        assert (res.ok, res.axiom, res.witness) == (False, "I3", (0b100, 0b011))
 
     def test_spike_circuits_pass_c1_c3(self, z4):
         nonspanning = [c for c in z4.enumerate("circuits") if z4.rank(c) < 4]
@@ -325,4 +345,81 @@ def test_rank_validation_matches_literal_loops(mat, edits):
         table[x] = min(max(table[x] + step, 0), M.m)
     res = validate_rank_table(M.m, table.astype(np.uint8))
     expected = literal_rank_violation(M.m, table)
+    assert (None if res.ok else (res.axiom, res.witness)) == expected
+
+
+@st.composite
+def perturbed_word_tables(draw):
+    """A GF(2) or GF(3) matroid on 8..10 elements with up to three ranks
+    moved by up to 2, so inc_e >= 2 occurs and R3 can first fail at f >= 7,
+    whose partner bits lie in another 64-bit word of the packed planes.
+
+    A move may be clamped to keep r(X) <= |X| and monotonicity at X, so
+    that only R3 can fail there; edits at masks with no bit below 7 make
+    the first R3 failure more often one between words (at f >= 7).
+    """
+    p = draw(st.sampled_from([2, 3]))
+    rows, m = draw(st.integers(2, 4)), draw(st.integers(8, 10))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * m,
+                            max_size=rows * m))
+    M = K.from_matrix(K.MatrixGFp(p, rows, m, tuple(entries)))
+    masks = st.one_of(st.integers(0, (1 << m) - 1),
+                      st.integers(0, (1 << (m - 7)) - 1).map(lambda h: h << 7))
+    table = M.table.astype(np.int16)
+    for x in draw(st.lists(masks, min_size=1, max_size=3)):
+        lo, hi = 0, m
+        if draw(st.integers(0, 3)):
+            lo = max((table[x ^ 1 << e] for e in range(m) if x >> e & 1), default=0)
+            hi = min([bin(x).count("1")] + [table[x | 1 << e] for e in range(m)
+                                            if not x >> e & 1])
+        table[x] = min(max(table[x] + draw(st.integers(-2, 2)), lo), hi)
+    return m, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_word_tables())
+def test_rank_validation_matches_literal_loops_across_words(case):
+    m, table = case
+    res = validate_rank_table(m, table.astype(np.uint8))
+    expected = literal_rank_violation(m, table)
+    assert (None if res.ok else (res.axiom, res.witness)) == expected
+
+
+@pytest.mark.parametrize("k, m, x, value, witness", [
+    (3, 10, 0b1010000000, 1, (0b1000000001, 0b1010000000)),  # f = 7, next word
+    (2, 10, 0b1000000000, 0, (0b0000000001, 0b1000000000)),  # f = 9, 4 words up
+    (3, 8, 0b10000000, 0, (0b00000001, 0b10000000)),         # f = 7, m = 8
+])
+def test_r3_between_words_with_double_increment(k, m, x, value, witness):
+    # lowering r(x) leaves R1 and R2 intact, makes r(x + 0) - r(x) = 2 and
+    # first breaks R3 at (e, f) = (0, lowest element of x)
+    table = K.uniform(k, m).table.copy()
+    table[x] = value
+    assert int(table[x | 1]) - int(table[x]) == 2
+    res = validate_rank_table(m, table)
+    assert literal_rank_violation(m, table) == ("R3", witness)
+    assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
+
+
+@st.composite
+def independence_tables(draw):
+    """Rank tables of down-closed families (maximum independent subset
+    size), with one membership sometimes flipped so I2 can fail too."""
+    m = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    indep = [x for x in range(1 << m) if any(x & ~g == 0 for g in gens)]
+    flip = draw(st.one_of(st.none(), st.integers(0, (1 << m) - 1)))
+    if flip is not None:
+        indep = sorted(set(indep) ^ {flip})
+    table = [max((bin(i).count("1") for i in indep if i & ~x == 0), default=0)
+             if x not in indep else bin(x).count("1") for x in range(1 << m)]
+    return m, np.array(table, dtype=np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(independence_tables())
+def test_independence_validation_matches_literal_loops(case):
+    m, table = case
+    res = validate_independence_axioms(m, table)
+    expected = literal_independence_violation(m, table)
     assert (None if res.ok else (res.axiom, res.witness)) == expected

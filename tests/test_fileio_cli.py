@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import kinser as K
 from kinser.cli import main
 from kinser.engine import BadFamilyCertificate
+from kinser.fileio import format_elements
 
 from oracles import literal_rank_tokens
 
@@ -76,6 +78,25 @@ class TestMatroidFormat:
         )
         M = K.parse_matroid(text)
         assert M.rank(0b111) == 2
+
+    @pytest.mark.parametrize("p, error", [
+        (2 ** 61 - 1, None),
+        ((2 ** 31 - 1) ** 2, "not prime"),
+        (3317044064679887385961981, "not below"),
+    ])
+    def test_huge_modulus_decided_fast(self, p, error, tmp_path, capsys):
+        text = f"matroid v1\nelements 3\nrank 2\nmatrix p={p}\n1 0 1\n0 1 1\n"
+        t0 = time.perf_counter()
+        if error is None:
+            assert K.parse_matroid(text).table_equal(K.uniform(2, 3))
+        else:
+            with pytest.raises(K.MatroidError, match=error):
+                K.parse_matroid(text)
+            path = tmp_path / "m.mtr"
+            path.write_text(text)
+            assert main(["axioms", "-i", str(path)]) == 2
+            assert error in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_declared_rank_mismatch(self):
         text = "matroid v1\nelements 2\nrank 1\nranks\n0 1 1 2\n"
@@ -196,6 +217,19 @@ class TestCli:
         assert main(["enumerate", "--kind", "flats", "-i", str(mfile)]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 16 and out[0] == "-"
+
+    def test_enumerate_prints_literal_element_lists(self, kin6_relaxed, tmp_path, capsys):
+        # U(2,20) and Kin(6)^- flats hold elements in all three mask bytes
+        for M in (K.uniform(2, 20), kin6_relaxed):
+            mfile = tmp_path / "m.mtr"
+            mfile.write_text(K.write_matroid(M))
+            assert main(["enumerate", "--kind", "flats", "-i", str(mfile)]) == 0
+            literal = [",".join(str(e) for e in range(M.m) if x >> e & 1) or "-"
+                       for x in M.enumerate("flats")]
+            assert capsys.readouterr().out == "".join(line + "\n" for line in literal)
+            assert [format_elements(x) for x in M.enumerate("flats")] == literal
+        with pytest.raises(K.MatroidError):
+            format_elements(1 << 24)
 
     def test_bench_single_rank(self, capsys):
         assert main(["bench", "--spike-range", "4..4"]) == 0
