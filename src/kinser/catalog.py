@@ -17,10 +17,9 @@ import numpy as np
 
 from .core import (MAX_GROUND, InvalidSubsetError, Matroid, MatroidError,
                    NotAMatroidError, SizeCapError, cube_halves, hypercube,
-                   matroid_from_circuits, popcount_array, validate_circuit_axioms)
+                   matroid_from_circuits, popcount_array, rank_from_independent,
+                   subset_reduce, validate_circuit_axioms)
 from .transforms import relax, truncate
-
-RADO_FAMILY_LIMIT = 12  # above this, per-subset matching replaces the Rado scan
 
 
 def uniform(k: int, m: int, label: str | None = None) -> Matroid:
@@ -160,67 +159,29 @@ class SetSystem:
                 raise InvalidSubsetError(f"family member {a:#x} outside ground size {self.m}")
 
 
-def _matching_rank(x: int, family: tuple[int, ...]) -> int:
-    """Maximum matching of X's elements into family indices (augmenting paths)."""
-    match: dict[int, int] = {}  # family index -> element
-
-    def augment(e: int, seen: set[int]) -> bool:
-        for j, a in enumerate(family):
-            if a & (1 << e) and j not in seen:
-                seen.add(j)
-                if j not in match or augment(match[j], seen):
-                    match[j] = e
-                    return True
-        return False
-
-    size = 0
-    e = x
-    while e:
-        b = e & (-e)
-        if augment(b.bit_length() - 1, set()):
-            size += 1
-        e ^= b
-    return size
-
-
 def transversal(system: SetSystem, label: str | None = None) -> Matroid:
     """Transversal matroid M[A]: independent sets are partial transversals.
 
-    For small families the full table comes from the matching-duality
-    formula r(X) = min over S of (k - |S| + |X & union(S)|), evaluated
-    vectorized over all X once per distinct union U(S) with the largest
-    |S| giving it; large families fall back to one bipartite matching per
-    subset.
+    By Hall's theorem S is a partial transversal iff |N(T)| >= |T| for
+    every T within S, where N(T) = {j : A_j meets T}.  The members that
+    miss S are those within E - S, so |N(S)| = k - #{j : A_j within E - S}
+    = k - inside[E - S], where inside[Y] = #{j : A_j within Y} is a
+    histogram of the members summed over subsets, read at E - S through
+    inside[::-1].  The Hall violators, inside[E - S] + |S| > k, are passed
+    up to supersets; the other sets are independent, and r(X) is the size
+    of the largest independent set within X.  The counts use the narrowest
+    unsigned dtype that holds k + m, so a family of any size works.
     """
     m, fam = system.m, system.family
     if m > MAX_GROUND:
         raise SizeCapError(f"ground size {m} exceeds cap {MAX_GROUND}")
     k = len(fam)
-    n = 1 << m
-    if k <= RADO_FAMILY_LIMIT:
-        largest: dict[int, int] = {}  # union -> largest |S| with that union
-        for smask in range(1 << k):
-            u = 0
-            for j in range(k):
-                if (smask >> j) & 1:
-                    u |= fam[j]
-            largest[u] = max(largest.get(u, 0), smask.bit_count())
-        masks = np.arange(n, dtype=np.uint32)
-        rank = np.full(n, k, dtype=np.uint8)
-        shared = np.empty(n, dtype=np.uint32)
-        term = np.empty(n, dtype=np.uint8)
-        for u, s in largest.items():
-            np.bitwise_and(masks, u, out=shared)
-            np.bitwise_count(shared, out=term)
-            term += k - s
-            np.minimum(rank, term, out=rank)
-    else:
-        if m > 16:
-            raise SizeCapError("family too large for the Rado scan and ground too "
-                               "large for per-subset matching")
-        rank = np.fromiter((_matching_rank(x, fam) for x in range(n)),
-                           dtype=np.uint8, count=n)
-    return Matroid(m, rank, label=label or f"M[A], k={k}", validate=False)
+    inside = np.zeros(1 << m, dtype=np.min_scalar_type(k + m))
+    np.add.at(inside, np.array(fam, dtype=np.int64), 1)
+    subset_reduce(inside, np.add)
+    dependent = subset_reduce(inside[::-1] + popcount_array(m) > k, np.logical_or)
+    return Matroid(m, rank_from_independent(m, ~dependent),
+                   label=label or f"M[A], k={k}", validate=False)
 
 
 # -- Kinser matroids -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line front end: build, transform, eval, check, axioms, enumerate, bench.
+"""Command-line front end: build, transform, eval, check, axioms, enumerate.
 
 Exit codes: 0 success (and in-class for ``check``), 1 not-in-class, 2 bad
 input or usage.  All stdout output is deterministic for fixed inputs and
@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import catalog, transforms
-from .core import Matroid, MatroidError, validate_axioms
+from .core import MAX_GROUND, Matroid, MatroidError, SizeCapError, validate_axioms
 from .engine import Family, SearchConfig, evaluate, membership
 from .fileio import (FormatError, format_elements, parse_elements, parse_matroid,
                      write_certificate, write_matroid)
@@ -58,7 +58,14 @@ def _build(args) -> int:
     else:
         if not args.group.startswith("z"):
             raise MatroidError(f"unknown group {args.group!r}; use zN for cyclic")
-        M = catalog.dowling(catalog.cyclic_group(int(args.group[1:])), args.n)
+        order = int(args.group[1:])
+        # on n vertices the ground has at least g - 1 elements, so no
+        # Dowling geometry within MAX_GROUND has a larger group; refuse it
+        # before the group table (a cubic associativity check) is built
+        if order > MAX_GROUND + 1:
+            raise SizeCapError(f"group order {order} exceeds {MAX_GROUND + 1}: "
+                               f"its Dowling geometries exceed {MAX_GROUND} elements")
+        M = catalog.dowling(catalog.cyclic_group(order), args.n)
     text = write_matroid(M)
     if args.output:
         _save(args.output, text)
@@ -162,28 +169,6 @@ def _enumerate(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    lo, _, hi = args.spike_range.partition("..")
-    lo, hi = int(lo), int(hi or lo)
-    print("r,elements,circuit_hyperplanes,rank_queries_ingleton_check,seconds")
-    for r in range(lo, hi + 1):
-        if r % 2:
-            continue
-        M = catalog.binary_spike(r)
-        # the 2^{r-1} transversal circuit-hyperplanes: the relaxation
-        # candidates an inequality oracle is forced to probe
-        chs = sum(1 for z in catalog.spike_transversals(r, "even")
-                  if M.classify(z).circuit_hyperplane)
-        t0 = time.perf_counter()
-        verdict = membership(M, 4, SearchConfig(parallel_width=args.parallel))
-        elapsed = time.perf_counter() - t0
-        if not verdict.in_class:
-            raise MatroidError(f"Z_{r} unexpectedly violates inequality 4")
-        print(f"{r},{M.m},{chs},{verdict.rank_queries},{elapsed:.3f}")
-        sys.stdout.flush()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kinser",
                                  description="Exact matroid computations and "
@@ -229,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--no-prune", action="store_true",
                    help="scan every tuple: disable both the symmetry rule and "
                         "the n=4 common-information rule")
-    c.add_argument("--parallel", type=int, default=1)
+    c.add_argument("--parallel", type=int, default=1,
+                   help="worker processes, at most the CPU count")
     c.add_argument("-o", "--output", default=None, help="certificate file")
     c.set_defaults(func=_check)
 
@@ -245,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("-i", "--input", required=True)
     en.set_defaults(func=_enumerate)
 
-    be = sub.add_parser("bench", help="spike query-count benchmark (CSV on stdout)")
-    be.add_argument("--spike-range", default="4..6", help="even ranks lo..hi, 4..8")
-    be.add_argument("--parallel", type=int, default=1)
-    be.set_defaults(func=_bench)
     return ap
 
 
@@ -259,10 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "bench":
-            lo, _, hi = args.spike_range.partition("..")
-            if not (4 <= int(lo) <= int(hi or lo) <= 8):
-                raise MatroidError("spike range must lie within 4..8")
+        if args.command == "check" and args.parallel < 1:
+            raise MatroidError(f"--parallel must be at least 1, got {args.parallel}")
         if args.command == "transform" and args.op == "direct-sum" and not args.second:
             raise MatroidError("direct-sum needs --with FILE")
         return args.func(args)

@@ -8,8 +8,10 @@ lookups, so the cost model is "one array access per rank query".
 Every scan over all 2^m subsets runs on the hypercube view
 ``table.reshape((2,) * m)``: in C order axis k holds element m-1-k, so
 the subsets without and with element e are two slice views (see
-``cube_halves``) and a per-element pass is one array operation.  Rank
-tables are validated exhaustively at every ground size.
+``cube_halves``) and a per-element pass is one array operation; folds
+over subsets (``subset_reduce``) take the same halves from
+``vec.reshape(-1, 2, 2**e)``.  Rank tables are validated exhaustively at
+every ground size.
 """
 
 from __future__ import annotations
@@ -86,15 +88,39 @@ def _insert_zero_bits(i: int, *positions: int) -> int:
     return i
 
 
+def subset_reduce(vec: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """In place, vec[X] becomes op folded over vec[Y] for every Y within X.
+
+    One pass per element e folds the masks without e into those with e:
+    in vec.reshape(-1, 2, 2^e) they are the rows [:, 0] and [:, 1].  With
+    np.add it counts, with np.logical_or it flags every superset of a
+    flagged mask, and with np.maximum it is a running subset maximum.
+    Returns vec.
+    """
+    for e in range(vec.size.bit_length() - 1):
+        halves = vec.reshape(-1, 2, 1 << e)
+        lo, hi = halves[:, 0], halves[:, 1]
+        if e < 4:
+            # runs of 2^e masks are too short for the inner loop: loop
+            # across them, one strided column at a time (at m = 22 the
+            # pass for e = 1 drops from about 10 ms to 0.8 ms)
+            lo, hi = lo.T, hi.T
+        op(hi, lo, out=hi, order="C")
+    return vec
+
+
 def _superset_vector(m: int, masks) -> np.ndarray:
     """Boolean vector over all 2^m masks: True on every superset of a given mask."""
     up = np.zeros(1 << m, dtype=bool)
     up[np.asarray(masks, dtype=np.int64)] = True
-    cube = hypercube(up)
-    for e in range(m):
-        lo, hi = cube_halves(cube, e)
-        hi |= lo
-    return up
+    return subset_reduce(up, np.logical_or)
+
+
+def rank_from_independent(m: int, indep: np.ndarray) -> np.ndarray:
+    """Rank table from the independence vector: r(X) is the size of the
+    largest independent I within X, as uint8."""
+    sizes = np.where(indep, popcount_array(m), 0).astype(np.uint8, copy=False)
+    return subset_reduce(sizes, np.maximum)
 
 
 def mask_of(elements) -> int:
@@ -594,13 +620,7 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
 
     pc = popcount_array(m)
     indep = (pc <= r) & ~_superset_vector(m, circuits)
-    # r(X) = largest |I| over independent I within X: a running maximum
-    # over subsets, taken one element at a time on the hypercube
-    table = np.where(indep, pc, 0).astype(np.uint8)
-    cube = hypercube(table)
-    for e in range(m):
-        lo, hi = cube_halves(cube, e)
-        np.maximum(hi, lo, out=hi)
+    table = rank_from_independent(m, indep)
     if int(table[-1]) != r:
         raise NotAMatroidError(
             f"declared rank {r} but circuits force rank {int(table[-1])}", "R1",

@@ -43,6 +43,7 @@ pruning changes neither the verdict nor the lex-first certificate.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -111,7 +112,7 @@ class BadFamilyCertificate:
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
     symmetry_pruning: bool = True   # both rules: symmetry and common information
-    parallel_width: int = 1
+    parallel_width: int = 1         # worker processes, at most os.cpu_count()
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,7 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     cfg = cfg or SearchConfig()
     masks = _space_masks(M, cfg)
     F = len(masks)
-    width = max(1, cfg.parallel_width)
+    width = max(1, min(cfg.parallel_width, os.cpu_count() or 1))
     if width == 1 or F < 2 * width:
         chunks = [(0, F)]
     else:

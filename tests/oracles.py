@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes quantities from first principles by a route
-different from the package's (subset-sum spans, recursive matchings,
-literal definitions), so agreement is evidence and not tautology.
+different from the package's (subset-sum spans, matchings grown member
+by member, literal definitions), so agreement is evidence and not
+tautology.
 """
 
 import itertools
@@ -32,19 +33,16 @@ def gf2_span_closure(mask: int) -> int:
 
 
 def brute_matching_rank(x: int, family: tuple[int, ...]) -> int:
-    """Largest partial transversal of X by trying every assignment."""
-    els = elements_of(x)
-
-    def best(i: int, used: int) -> int:
-        if i == len(els):
-            return 0
-        top = best(i + 1, used)  # leave els[i] unmatched
-        for j, a in enumerate(family):
-            if not (used >> j) & 1 and (a >> els[i]) & 1:
-                top = max(top, 1 + best(i + 1, used | (1 << j)))
-        return top
-
-    return best(0, 0)
+    """Largest partial transversal of X, from the definition: the subsets of
+    X whose elements get distinct members containing them, grown one member
+    at a time (member j either stays unused or takes one new element)."""
+    matched = {0}
+    for a in family:
+        a &= x
+        matched |= {s | (1 << e) for s in matched for e in elements_of(a & ~s)}
+        if x in matched:
+            break
+    return max(s.bit_count() for s in matched)
 
 
 def ingleton_sides(r, x1, x2, x3, x4):

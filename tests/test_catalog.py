@@ -1,5 +1,5 @@
 """Catalog constructions against the paper's structural facts and
-independent oracles (matching recursion, GF(p) elimination, bias rank)."""
+independent oracles (matchings grown member by member, GF(p) elimination, bias rank)."""
 
 import itertools
 
@@ -103,13 +103,34 @@ class TestTransversal:
 
     def test_matches_matching_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            m = int(rng.integers(2, 6))
-            k = int(rng.integers(0, 5))
+        for _ in range(200):
+            m = int(rng.integers(2, 9))
+            k = int(rng.integers(0, 21))
             fam = tuple(int(rng.integers(0, 1 << m)) for _ in range(k))
             M = K.transversal(K.SetSystem(m, fam))
-            for x in range(1 << m):
-                assert M.rank(x) == brute_matching_rank(x, fam)
+            oracle = [brute_matching_rank(x, fam) for x in range(1 << m)]
+            assert M.table.tolist() == oracle, fam
+
+    def test_family_beyond_narrow_counts(self):
+        # 293 members, so counts of members inside a set exceed 255, while
+        # elements 2..5 lie in three members only and Hall's condition binds
+        fam = (0b000001,) * 250 + (0b000011,) * 40 + (0b001100, 0b001000, 0b110000)
+        M = K.transversal(K.SetSystem(6, fam))
+        assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(64)]
+        assert (M.rank(0b111100), M.rank_total) == (3, 5)
+
+    def test_large_family_on_large_ground(self):
+        rng = np.random.default_rng(20)
+        m = 20
+        fam = tuple(int(rng.integers(0, 1 << m)) & int(rng.integers(0, 1 << m))
+                    for _ in range(14))
+        M = K.transversal(K.SetSystem(m, fam))
+        assert K.validate_axioms(M, "rank")
+        for _ in range(300):
+            x = 0
+            for e in rng.choice(m, size=int(rng.integers(0, 9)), replace=False):
+                x |= 1 << int(e)
+            assert M.rank(x) == brute_matching_rank(x, fam), hex(x)
 
     def test_full_transversal_gives_full_rank(self):
         fam = (0b0011, 0b0110, 0b1100)

@@ -1,11 +1,13 @@
 """Inequality evaluation, reductions, canonical families, exhaustive search."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 import kinser as K
+from kinser import engine
 from kinser.engine import _balanced_chunks, _search_generic_chunk, _search_n4_chunk
 
 from oracles import ingleton_sides, ingleton_value, kinser_value
@@ -196,6 +198,17 @@ class TestSearch:
         c = K.search_bad_family(vamos, 4, K.SearchConfig(symmetry_pruning=False))
         d = K.search_bad_family(vamos, 4, K.SearchConfig(parallel_width=2))
         assert a == b == c == d
+
+    @pytest.mark.parametrize("width", [2, 64])
+    def test_parallel_width_capped_by_cpu_count(self, width, vamos, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        wide = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
+        assert wide == K.membership(vamos, 4)
+        assert not wide.in_class and wide.certificate is not None
 
     def test_vamos_lex_first_matches_brute_force(self, vamos):
         flats = vamos.enumerate("flats")

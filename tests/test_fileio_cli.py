@@ -231,13 +231,23 @@ class TestCli:
         with pytest.raises(K.MatroidError):
             format_elements(1 << 24)
 
-    def test_bench_single_rank(self, capsys):
-        assert main(["bench", "--spike-range", "4..4"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("r,elements,circuit_hyperplanes")
-        r, elements, chs, queries, _ = lines[1].split(",")
-        assert (r, elements, chs) == ("4", "8", "8")
-        assert int(queries) > 0
+    def test_bench_subcommand_removed(self):
+        assert main(["bench"]) == 2
+        assert main(["bench", "--spike-range", "4..4"]) == 2
+
+    @pytest.mark.parametrize("group", ["z26", "z800"])
+    def test_oversized_dowling_group_refused_fast(self, group, capsys):
+        t0 = time.perf_counter()
+        assert main(["build", "dowling", "--group", group, "--n", "1"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "group order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, width, tmp_path, capsys):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        assert main(["check", "-n", "4", "-i", str(mfile), "--parallel", width]) == 2
+        assert "--parallel must be at least 1" in capsys.readouterr().err
 
     def test_invalid_input_exits_2(self, tmp_path):
         assert main(["check", "-n", "4", "-i", str(tmp_path / "nope.mtr")]) == 2
