@@ -39,6 +39,16 @@ r(cl X3) + r(cl X4) = r(X3 u X4) + r(cl X3 n cl X4), so only non-modular
 
 A pruned tuple either cannot violate or is not the least of its orbit, so
 pruning changes neither the verdict nor the lex-first certificate.
+
+Closure (n = 4 precompute):  r(A u B) = r(A u cl B) for any sets, since
+A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
+So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 array
+
+    GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j]
+
+is read off the pair ranks PR[i][j] = r(Xi u Xj) and one rank row
+RU[u][j] = r(U_u u Xj) per distinct closure, without touching the 2^m
+table per entry.
 """
 
 from __future__ import annotations
@@ -53,8 +63,10 @@ from .core import Matroid, MatroidError, SizeCapError, content_fingerprint
 from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
-TENSOR_BYTES_LIMIT = 1 << 29  # fall back to row gathers above ~512 MiB
-SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan block
+# n=4 GP bytes held at once (512 MiB); above it GP is rebuilt in cached
+# blocks of X2 rows, an eighth of the limit each (64 MiB), for every X1
+TENSOR_BYTES_LIMIT = 1 << 29
+SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan or build block
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,9 @@ class Verdict:
     ``tuples_examined`` counts the candidate tuples (those the pruning rules
     keep) in lex order up to and including the lex-first violator, or all of
     them when there is none; it does not depend on the parallel width.
-    ``rank_queries`` counts rank-table lookups summed over all workers.
+    ``rank_queries`` counts reads of the 2^m rank table, summed over all
+    workers; tables built from those reads (the n = 4 pair ranks PR and
+    closure rows RU) count when built, not when read.
     ``space_size`` is F, the number of sets in the search space, and
     ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
     n >= 5).
@@ -275,7 +289,7 @@ def _space_masks(M: Matroid, cfg: SearchConfig) -> np.ndarray:
 
 
 def _closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """cl X for every mask X, read off the rank table (2^m entries)."""
+    """cl X for every mask X, read off the rank table (m + 1 reads per mask)."""
     rank = table[masks]
     out = masks.copy()
     for e in range(table.size.bit_length() - 1):
@@ -298,9 +312,21 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: in
     so a block of X2 rows is two precomputed-array adds and a compare.
     GP entries lie in [-r, 0] and every sum stays within int8 (r <= 24).
 
+    GP is read off small tables instead of the 2^m rank table.  For any sets
+    r(A u B) = r(A u cl B), since A u B <= A u cl B <= cl(A u B).  So with
+    U the distinct closures cl(X3 u X4), RU[u][j] = r(U_u u Xj) and the
+    pair ranks PR[i][j] = r(Xi u Xj) (symmetric),
+
+        GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
+
+    built by contiguous row gathers over blocks of pairs, each block
+    transposed into the row-major GP.  U comes from np.unique on the
+    closures, so ``masks`` need not be closed under closure.
+
     Returns (lex-first hit or None, tuples examined, rank queries, |P|).
     """
     F = len(masks)
+    m = table.size.bit_length() - 1
     rank8 = table.view(np.int8)          # ranks are at most 24
     rank_f = rank8[masks]
     PR = rank8[masks[:, None] | masks[None, :]]
@@ -309,54 +335,69 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: in
     if pruning:
         cl = _closures(table, masks)
         meet = table[cl[:, None] & cl[None, :]]
-        queries += (table.size.bit_length() - 1) * F + F * F
+        queries += (m + 1) * F + F * F
         P3, P4 = np.nonzero(np.triu(base34 > meet))
     else:
         P3, P4 = np.nonzero(np.ones((F, F), dtype=bool))
     width = len(P3)
     if width == 0:
         return None, 0, queries, 0
-    union = masks[P3] | masks[P4]
-    rows = max(1, SCAN_BLOCK // width)
-    i3_runs, run_len = np.unique(P3, return_counts=True)  # P3 is sorted
-
-    def g_rows(a: int, b: int) -> np.ndarray:
-        T = np.take(rank8, masks[a:b, None] | union)
-        T -= np.repeat(PR[a:b, i3_runs], run_len, axis=1)
-        T -= np.take(PR[a:b], P4, axis=1)
-        return T
-
     # rows j >= i1_lo suffice with pruning, since then i2 >= i1
     base = i1_lo if pruning else 0
-    GP = None
+    unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
+    U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
+    U_of = closure_of[union_of]
+    RU = rank8[U[:, None] | masks[None, base:]]
+    queries += (m + 1) * len(unions) + len(U) * (F - base)
+
+    def g_rows(a: int, b: int) -> np.ndarray:
+        out = np.empty((b - a, width), dtype=np.int8)
+        ru, pr = RU[:, a - base:b - base], PR[:, a:b]
+        step = max(1, SCAN_BLOCK // (b - a))
+        for s in range(0, width, step):
+            t = slice(s, s + step)
+            T = ru.take(U_of[t], axis=0)
+            T -= pr.take(P3[t], axis=0)
+            T -= pr.take(P4[t], axis=0)
+            out[:, t] = T.T
+        return out
+
+    # GP rows in blocks on a fixed grid from base: one block when it fits the
+    # limit, else blocks of an eighth of it; the block holding row i1 stays
+    # cached while later blocks are rebuilt for each i1
     if (F - base) * width <= TENSOR_BYTES_LIMIT:
-        GP = np.empty((F - base, width), dtype=np.int8)
-        for a in range(base, F, rows):
-            b = min(F, a + rows)
-            GP[a - base:b - base] = g_rows(a, b)
-        queries += (F - base) * width
+        block_rows = F - base
+    else:
+        block_rows = max(1, TENSOR_BYTES_LIMIT // 8 // width)
+    cache: dict[int, np.ndarray] = {}
 
-    def gp(a: int, b: int) -> np.ndarray:
-        nonlocal queries
-        if GP is not None:
-            return GP[a - base:b - base]
-        queries += (b - a) * width
-        return g_rows(a, b)
+    def block(row: int, keep: int | None) -> tuple[int, np.ndarray]:
+        lo = row - (row - base) % block_rows
+        if lo not in cache:
+            for k in [k for k in cache if k != keep]:
+                del cache[k]
+            cache[lo] = g_rows(lo, min(F, lo + block_rows))
+        return lo, cache[lo]
 
+    rows = max(1, SCAN_BLOCK // width)
     c34 = base34[P3, P4]
     tuples = 0
     for i1 in range(i1_lo, i1_hi):
-        c1 = gp(i1, i1 + 1)[0] + c34
+        home, G = block(i1, None)
+        c1 = G[i1 - home] + c34
         floor = -PR[i1, :, None]
-        for a in range(i1 if pruning else 0, F, rows):
-            b = min(F, a + rows)
-            hits = gp(a, b) + c1 > floor[a:b]
+        a = i1 if pruning else 0
+        while a < F:
+            lo, G = block(a, home)
+            b = min(F, a + rows, lo + len(G))
+            hits = G[a - lo:b - lo] + c1 > floor[a:b]
             k = int(hits.argmax())
             if hits.flat[k]:
                 tuples += k + 1
                 j = k % width
                 return (i1, a + k // width, int(P3[j]), int(P4[j])), tuples, queries, width
             tuples += (b - a) * width
+            a = b
     return None, tuples, queries, width
 
 

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine
@@ -277,6 +279,20 @@ class TestSearch:
         got = _search_n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
         assert got == tup
 
+    def test_rank_queries_count_table_reads(self, fano):
+        # F7 has 16 flats (empty, 7 points, 7 lines, E) on m = 7 elements.
+        # Every search reads r(X) for each flat (16) and r(X u Y) for each
+        # ordered pair of flats (256).  With pruning each closure reads
+        # r(X) and r(X + e) for e = 0..6 (8 * 16 = 128) and each meet of
+        # closures one entry (256); F7 is modular, so no pair is left.
+        assert K.membership(fano, 4).rank_queries == 16 + 256 + 128 + 256
+        # Without pruning the 256 pairs have 86 distinct unions: empty, 7
+        # points, 7 lines, E, 21 point pairs, 28 line + off-line point and
+        # 21 unions of two lines; their closures (8 reads each) are the 16
+        # flats, and each gets one rank row over the 16 flats.
+        off = K.membership(fano, 4, K.SearchConfig(symmetry_pruning=False))
+        assert off.rank_queries == 16 + 256 + 8 * 86 + 16 * 16
+
     def test_parallel_chunks_balanced_by_tuples(self, fano_sum):
         # with pruning i2 >= i1, so equal i1 ranges would give the first of
         # two chunks three quarters of the F7 (+) F7^- scan
@@ -362,6 +378,72 @@ class TestPruningGate:
         assert on.in_class == off.in_class
         assert on.certificate == off.certificate
         assert on.in_class == K.membership(M, 4).in_class
+
+
+# With a zero limit every GP block is one X2 row; the pruning-off scans of
+# F7 (+) F7^- and the relaxed Z6 (F = 288 and 572) would rebuild F^2 |P|
+# entries one row at a time, over a minute in all, so those four run with
+# pruning on only.
+OVER_LIMIT_CASES = [(name, M, pruning) for name, M in GATE_CASES
+                    for pruning in (True, False)
+                    if pruning or len(M.enumerate("flats")) <= 100]
+
+
+class TestOverLimitPath:
+    """GP rebuilt in blocks above TENSOR_BYTES_LIMIT must give the verdict,
+    certificate and counters of the in-memory GP."""
+
+    @pytest.mark.parametrize("M,pruning", [(M, p) for _, M, p in OVER_LIMIT_CASES],
+                             ids=[f"{name}-{'on' if p else 'off'}"
+                                  for name, _, p in OVER_LIMIT_CASES])
+    def test_matches_in_memory(self, M, pruning, monkeypatch):
+        cfg = K.SearchConfig(symmetry_pruning=pruning)
+        in_memory = K.membership(M, 4, cfg)
+        monkeypatch.setattr(engine, "TENSOR_BYTES_LIMIT", 0)
+        # equal verdicts: in_class, certificate, tuples_examined, rank_queries
+        assert K.membership(M, 4, cfg) == in_memory
+
+
+# No matroid on at most 7 elements violates inequality 4, so Vamos and a
+# relaxed Z4 (m = 8) join the small linear matroids, each with the family
+# the paper proves violating, so that some lists hold a violator.
+def _mask_list_matroids():
+    z4 = K.binary_spike(4)
+    Z = z4.parts("a1", "a2", "b3", "b4")
+    vamos, relaxed = K.kinser_relaxed(4), K.relax(z4, Z)
+    fano, nonfano = K.fano_pair()
+    cases = [(M, ()) for M in (fano, nonfano, K.uniform(2, 5), K.uniform(3, 6),
+                               K.dowling(K.cyclic_group(2), 3))]
+    cases.append((vamos, K.canonical_family(vamos, "kinser").sets))
+    cases.append((relaxed, K.canonical_family(relaxed, "spike", Z).sets))
+    return cases
+
+
+MASK_LIST_MATROIDS = _mask_list_matroids()
+
+
+@st.composite
+def mask_lists(draw):
+    """A matroid and a list of masks in any order, repeats allowed: some or
+    all of its violating family, flats, two-element sets and arbitrary
+    subsets, so closures of unions often lie outside the list and many
+    members are not flats."""
+    M, family = draw(st.sampled_from(MASK_LIST_MATROIDS))
+    pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
+    member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
+                       st.integers(0, (1 << M.m) - 1))
+    masks = list(family) if draw(st.booleans()) else []
+    masks += draw(st.lists(member, min_size=1, max_size=8 - len(masks)))
+    return M, draw(st.permutations(masks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask_lists())
+def test_n4_chunk_on_arbitrary_mask_lists(case):
+    M, masks = case
+    tup, _ = brute_force_lex_first(M, 4, masks)
+    arr = np.array(masks, dtype=np.int64)
+    assert _search_n4_chunk(M.table, arr, 0, len(arr), False)[0] == tup
 
 
 class TestCommonInformationLemma:
