@@ -2,7 +2,8 @@
 
 from .core import (AxiomResult, InvalidSubsetError, Matroid, MatroidError,
                    NotAMatroidError, SetClass, SizeCapError, content_fingerprint,
-                   elements_of, mask_of, matroid_from_circuits, validate_axioms)
+                   elements_of, mask_of, matroid_from_circuits,
+                   validate_circuit_axioms, validate_rank_table)
 from .catalog import (GainEdge, GainGraph, GroupTable, MatrixGFp, SetSystem,
                       binary_spike, cyclic_group, dowling, dowling_bias_rank_table,
                       dowling_gain_graph, fano_pair, from_matrix, kinser,
@@ -34,6 +35,7 @@ __all__ = [
     "kinser_base", "kinser_relaxed", "mask_of", "matroid_from_circuits",
     "membership", "minor", "parse_certificate", "parse_matroid", "reduce_family",
     "relax", "search_bad_family", "spike_transversals", "term_members",
-    "tighten", "transversal", "truncate", "uniform", "validate_axioms",
+    "tighten", "transversal", "truncate", "uniform",
+    "validate_circuit_axioms", "validate_rank_table",
     "verify_certificate", "write_certificate", "write_matroid",
 ]

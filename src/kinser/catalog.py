@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (MAX_GROUND, InvalidSubsetError, Matroid, MatroidError,
-                   NotAMatroidError, SizeCapError, cube_halves, hypercube,
-                   matroid_from_circuits, popcount_array, rank_from_independent,
-                   subset_reduce, validate_circuit_axioms)
+                   NotAMatroidError, SizeCapError, halves, matroid_from_circuits,
+                   popcount_array, rank_from_independent, subset_reduce,
+                   validate_circuit_axioms)
 from .transforms import relax, truncate
 
 
@@ -402,7 +402,7 @@ def dowling_bias_rank_table(graph: GainGraph) -> np.ndarray:
 
     V(X) is the set of vertices X touches and b(X) counts the components
     of (V(X), X) whose edges are balanced.  Every table pass is a
-    hypercube pass (see core.cube_halves):
+    per-element pass over the halves of a mask vector (see core.halves):
 
     - an edge set is balanced iff it lies in the consistent set
       B_phi = {tail -> head edges with phi(head) = phi(tail) * label} of
@@ -426,21 +426,21 @@ def dowling_bias_rank_table(graph: GainGraph) -> np.ndarray:
                 if not e.is_loop and phi[e.head] == group.mul(phi[e.tail], e.label))] = True
     touched = np.zeros(size, dtype=np.uint8)
     comp = [np.full(size, v, dtype=np.uint8) for v in range(n)]
-    bal_cube, touched_cube = hypercube(bal), hypercube(touched)
-    comp_cubes = [hypercube(c) for c in comp]
     for i, e in enumerate(edges):
-        lo, hi = cube_halves(bal_cube, i)
-        lo |= hi
-        touched_with = cube_halves(touched_cube, i)[1]
-        touched_with |= (1 << e.tail) | (1 << e.head)
+        lo, hi = halves(bal, i)
+        np.logical_or(lo, hi, out=lo, order="C")
+        _, touched_with = halves(touched, i)
+        np.bitwise_or(touched_with, (1 << e.tail) | (1 << e.head), out=touched_with,
+                      order="C")
     for _ in range(n - 1):
         for i, e in enumerate(edges):
             if e.is_loop:
                 continue
-            tail = cube_halves(comp_cubes[e.tail], i)[1]
-            head = cube_halves(comp_cubes[e.head], i)[1]
-            np.minimum(tail, head, out=tail)
-            head[...] = tail
+            # both ends take the smaller label: the second minimum copies it
+            _, tail = halves(comp[e.tail], i)
+            _, head = halves(comp[e.head], i)
+            np.minimum(tail, head, out=tail, order="C")
+            np.minimum(tail, head, out=head, order="C")
     inside = np.array([sum(1 << i for i, e in enumerate(edges)
                            if (s >> e.tail) & (s >> e.head) & 1)
                        for s in range(1 << n)], dtype=np.uint32)  # E(C) by vertex set C

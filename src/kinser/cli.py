@@ -1,7 +1,9 @@
-"""Command-line front end: build, transform, eval, check, axioms, enumerate.
+"""Command-line front end: build, transform, eval, check, enumerate.
 
 Exit codes: 0 success (and in-class for ``check``), 1 not-in-class, 2 bad
-input or usage.  All stdout output is deterministic for fixed inputs and
+input or usage.  Every subcommand that reads a matroid file validates it
+on load (the exhaustive rank-axiom check), so a file that is not a
+matroid exits 2.  All stdout output is deterministic for fixed inputs and
 flags; progress and statistics go to stderr.
 """
 
@@ -12,7 +14,7 @@ import sys
 import time
 
 from . import catalog, transforms
-from .core import MAX_GROUND, Matroid, MatroidError, SizeCapError, validate_axioms
+from .core import MAX_GROUND, Matroid, MatroidError, SizeCapError
 from .engine import Family, SearchConfig, evaluate, membership
 from .fileio import (FormatError, format_elements, parse_elements, parse_matroid,
                      write_certificate, write_matroid)
@@ -144,23 +146,6 @@ def _check(args) -> int:
     return 1
 
 
-def _axioms(args) -> int:
-    M = _load(args.input)
-    if args.which == "circuits":
-        nonspanning = [c for c in M.enumerate("circuits")
-                       if M.rank(c) < M.rank_total]
-        res = validate_axioms((M.m, nonspanning), "circuits")
-    else:
-        res = validate_axioms(M, args.which)
-    if res.ok:
-        print(f"ok {args.which}")
-        return 0
-    witness = ",".join(f"{w:#x}" if isinstance(w, int) else str(w)
-                       for w in (res.witness or ()))
-    print(f"violation {res.axiom} witness {witness}: {res.message}")
-    return 1
-
-
 def _enumerate(args) -> int:
     M = _load(args.input)
     masks = M.enumerate(args.kind)
@@ -218,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, at most the CPU count")
     c.add_argument("-o", "--output", default=None, help="certificate file")
     c.set_defaults(func=_check)
-
-    a = sub.add_parser("axioms", help="validate axiom families on a matroid file")
-    a.add_argument("-i", "--input", required=True)
-    a.add_argument("--which", choices=("rank", "closure", "circuits", "independence"),
-                   default="rank")
-    a.set_defaults(func=_axioms)
 
     en = sub.add_parser("enumerate", help="list flats, circuits, bases, ...")
     en.add_argument("--kind", choices=("flats", "circuits", "bases", "hyperplanes",

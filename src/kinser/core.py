@@ -5,13 +5,16 @@ ranks, indexed by subset mask (element i <-> bit i).  Everything else --
 closure, flats, circuits, axiom validation -- is derived from table
 lookups, so the cost model is "one array access per rank query".
 
-Every scan over all 2^m subsets runs on the hypercube view
-``table.reshape((2,) * m)``: in C order axis k holds element m-1-k, so
-the subsets without and with element e are two slice views (see
-``cube_halves``) and a per-element pass is one array operation; folds
-over subsets (``subset_reduce``) take the same halves from
-``vec.reshape(-1, 2, 2**e)``.  Rank tables are validated exhaustively at
-every ground size.
+Every scan over all 2^m subsets is a sequence of per-element passes.
+The pass for element e is one array operation on two views of a mask
+vector, the masks without and with e, and ``halves`` alone decides where
+those lie and how a pass loops over them; folds over subsets
+(``subset_reduce``), the flat and circuit vectors, rank validation, the
+Dowling table and deletion and contraction all take their halves from
+it.  Rank tables are validated exhaustively (R1-R3) at every ground
+size.  The closure and independence axioms are equivalent to them, so
+no table is scanned for those; ``validate_circuit_axioms`` checks a
+circuit list as given, before any table is built from it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GROUND = 24
-CLOSURE_SCAN_LIMIT = 16  # closure and independence axiom scans refuse above this
 
 ENUM_KINDS = ("flats", "circuits", "bases", "hyperplanes", "circuit_hyperplanes")
 
@@ -62,49 +64,44 @@ def popcount_array(m: int) -> np.ndarray:
     return pc
 
 
-def hypercube(vec: np.ndarray) -> np.ndarray:
-    """View of a vector over all 2^m masks as a (2,) * m array."""
-    return vec.reshape((2,) * (vec.size.bit_length() - 1))
+def halves(vec: np.ndarray, e: int, parts: int = 2) -> tuple[np.ndarray, ...]:
+    """Views of a mask vector at the masks without and with element e.
 
+    In vec.reshape(-1, 2, 2^e) they are [:, 0] and [:, 1]: rows of 2^e
+    masks, in mask order.  For e < 4 those rows are too short for numpy's
+    inner loop, so both views come transposed and a pass over them must
+    run with order="C": it then loops across the rows, one strided column
+    at a time (at m = 22 the pass for e = 1 drops from about 10 ms to
+    0.8 ms).  Every pass runs with order="C", at every e.
 
-def cube_halves(cube: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a mask hypercube at the masks without and with element e.
-
-    Axis k holds element ndim-1-k, so each half is again a hypercube over
-    the remaining elements, in increasing mask order.  The halves are
-    always views, 0-d ones for a 1-d cube, so in-place passes write through.
+    With parts=1, vec holds only the masks without e (2^(m-1) entries in
+    mask order) and comes back as one view laid out like the halves: the
+    out= array of a pass whose result is read flat, in mask order (argmax,
+    packing, a table).  The views always write through to vec.
     """
-    pre = (slice(None),) * (cube.ndim - 1 - e)
-    return cube[pre + (0, ...)], cube[pre + (1, ...)]
+    runs = vec.reshape(-1, parts, 1 << e)
+    return tuple(runs.transpose(1, 2, 0) if e < 4 else runs.transpose(1, 0, 2))
 
 
-def _insert_zero_bits(i: int, *positions: int) -> int:
-    """Mask whose bits at `positions` are 0 and whose other bits, in order, are i.
+def _insert_zero_bit(i: int, p: int) -> int:
+    """Mask whose bit p is 0 and whose other bits, in order, are i.
 
-    Maps a flat index into a sub-cube (see cube_halves) back to a mask.
+    Maps an index into a vector over the masks without element p, in mask
+    order (see halves), back to a mask.
     """
-    for p in sorted(positions):
-        i = ((i >> p) << (p + 1)) | (i & ((1 << p) - 1))
-    return i
+    return ((i >> p) << (p + 1)) | (i & ((1 << p) - 1))
 
 
 def subset_reduce(vec: np.ndarray, op: np.ufunc) -> np.ndarray:
     """In place, vec[X] becomes op folded over vec[Y] for every Y within X.
 
-    One pass per element e folds the masks without e into those with e:
-    in vec.reshape(-1, 2, 2^e) they are the rows [:, 0] and [:, 1].  With
-    np.add it counts, with np.logical_or it flags every superset of a
+    One pass per element e folds the masks without e into those with e.
+    With np.add it counts, with np.logical_or it flags every superset of a
     flagged mask, and with np.maximum it is a running subset maximum.
     Returns vec.
     """
     for e in range(vec.size.bit_length() - 1):
-        halves = vec.reshape(-1, 2, 1 << e)
-        lo, hi = halves[:, 0], halves[:, 1]
-        if e < 4:
-            # runs of 2^e masks are too short for the inner loop: loop
-            # across them, one strided column at a time (at m = 22 the
-            # pass for e = 1 drops from about 10 ms to 0.8 ms)
-            lo, hi = lo.T, hi.T
+        lo, hi = halves(vec, e)
         op(hi, lo, out=hi, order="C")
     return vec
 
@@ -276,21 +273,19 @@ class Matroid:
     def _flat_mask_vector(self) -> np.ndarray:
         """Boolean vector over all masks: True where the mask is a flat."""
         is_flat = np.ones(1 << self.m, dtype=bool)
-        flat_cube, tab_cube = hypercube(is_flat), hypercube(self.table)
         for e in range(self.m):
-            without, _ = cube_halves(flat_cube, e)
-            lo, hi = cube_halves(tab_cube, e)
-            without &= hi > lo
+            lo, hi = halves(self.table, e)
+            without, _ = halves(is_flat, e)
+            np.logical_and(without, np.less(lo, hi, order="C"), out=without, order="C")
         return is_flat
 
     def _circuit_mask_vector(self) -> np.ndarray:
         """Boolean vector over all masks: dependent with every X - e independent."""
         dep = self.table < self._pc
-        is_circ = dep.copy()
-        circ_cube, indep_cube = hypercube(is_circ), hypercube(~dep)
+        is_circ, indep = dep.copy(), ~dep
         for e in range(self.m):
-            _, with_e = cube_halves(circ_cube, e)
-            with_e &= cube_halves(indep_cube, e)[0]
+            _, with_e = halves(is_circ, e)
+            np.logical_and(with_e, halves(indep, e)[0], out=with_e, order="C")
         return is_circ
 
     def enumerate(self, kind: str) -> list[int]:
@@ -372,7 +367,7 @@ def _first_increase(planes: list[np.ndarray], k: int) -> int | None:
 
     For k < 6 the partner bit lies in the same word, 2^k places up; for
     k >= 6 it lies in the word 2^(k-6) places up, and the words are split
-    into halves like a mask hypercube.
+    into halves like a mask vector.
     """
     if k < 6:
         shift = np.uint64(1 << k)
@@ -382,14 +377,16 @@ def _first_increase(planes: list[np.ndarray], k: int) -> int | None:
         viol &= np.uint64(_LOW_HALF_BITS[k])
     else:
         viol = np.zeros(planes[0].size // 2, dtype=np.uint64)
+        (out,) = halves(viol, k - 6, parts=1)
         for p in planes:
-            lo, hi = cube_halves(hypercube(p), k - 6)
-            viol |= (hi & ~lo).reshape(-1)
+            lo, hi = halves(p, k - 6)
+            gain = np.bitwise_and(hi, np.invert(lo, order="C"), order="C")
+            np.bitwise_or(out, gain, out=out, order="C")
     if not viol.any():
         return None
     i = int((viol != 0).argmax())
     word = int(viol[i])
-    w = i if k < 6 else _insert_zero_bits(i, k - 6)
+    w = i if k < 6 else _insert_zero_bit(i, k - 6)
     return 64 * w + (word & -word).bit_length() - 1
 
 
@@ -402,8 +399,9 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     instance of the literal axiom.
 
     The table is uint8, as Matroid stores it.  One pass per element e
-    takes inc_e(X) = r(X + e) - r(X) as a uint8 hypercube over the masks X
-    without e; a value that wrapped below zero (above m) is an R2 failure.
+    writes inc_e(X) = r(X + e) - r(X) as a uint8 vector over the masks X
+    without e, in mask order; a value that wrapped below zero (above m) is
+    an R2 failure.
     R2 failures come first, so once an R3 failure is found it is kept
     while the pass goes on looking for R2 failures only.  R3 at (e, f) says
     inc_e(X + f) <= inc_e(X) for every X without f.  It runs on packed
@@ -421,14 +419,14 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     if bad.size:
         x = int(bad[0])
         return AxiomResult(False, "R1", (x,), f"r(X)={int(table[x])} > |X|={int(pc[x])} for X={x:#x}")
-    cube = hypercube(table)
     first_r3 = None
+    inc = np.empty(table.size // 2, dtype=np.uint8)
     for e in range(m):
-        lo, hi = cube_halves(cube, e)
-        inc = hi - lo
+        lo, hi = halves(table, e)
+        np.subtract(hi, lo, out=halves(inc, e, parts=1)[0], order="C")
         top = int(inc.max())
         if top > m:
-            x = _insert_zero_bits(int((hi < lo).argmax()), e)
+            x = _insert_zero_bit(int((inc > m).argmax()), e)
             return AxiomResult(False, "R2", (x, x | (1 << e)),
                                f"r decreases from X={x:#x} to X+{{{e}}}")
         if first_r3 is not None or not top:
@@ -437,60 +435,13 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
         for f in range(e + 1, m):
             i = _first_increase(planes, f - 1)
             if i is not None:
-                x = _insert_zero_bits(i, e)
+                x = _insert_zero_bit(i, e)
                 be, bf = 1 << e, 1 << f
                 first_r3 = AxiomResult(
                     False, "R3", (x | be, x | bf),
                     f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
                 break
     return AxiomResult(True) if first_r3 is None else first_r3
-
-
-def validate_closure_axioms(matroid: Matroid) -> AxiomResult:
-    """Check CL1-CL4 for every subset (exhaustive).
-
-    cl(X) is read off the rank table: X plus every e with r(X + e) = r(X).
-    """
-    m = matroid.m
-    masks = np.arange(1 << m, dtype=np.int64)
-    cl = masks.copy()
-    cl_cube, tab_cube, mask_cube = hypercube(cl), hypercube(matroid.table), hypercube(masks)
-    for e in range(m):
-        lo, hi = cube_halves(tab_cube, e)
-        without, _ = cube_halves(cl_cube, e)
-        np.bitwise_or(without, 1 << e, out=without, where=hi == lo)
-    bad = np.nonzero((cl & masks) != masks)[0]
-    if bad.size:
-        x = int(bad[0])
-        return AxiomResult(False, "CL1", (x,), f"X not contained in cl(X) for X={x:#x}")
-    for e in range(m):
-        lo, hi = cube_halves(cl_cube, e)
-        bad = (lo & ~hi) != 0
-        if bad.any():
-            x = _insert_zero_bits(int(bad.argmax()), e)
-            return AxiomResult(False, "CL2", (x, x | (1 << e)),
-                               f"cl not monotone from X={x:#x} to X+{{{e}}}")
-    bad = np.nonzero(cl[cl] != cl)[0]
-    if bad.size:
-        x = int(bad[0])
-        return AxiomResult(False, "CL3", (x,), f"cl(cl(X)) != cl(X) for X={x:#x}")
-    for x_bit in range(m):
-        bx = 1 << x_bit
-        cl_lo, cl_hi = cube_halves(cl_cube, x_bit)
-        gained = cl_hi & ~cl_lo & ~(cube_halves(mask_cube, x_bit)[0] | bx)
-        for y_bit in range(m):
-            if y_bit == x_bit:
-                continue
-            by = 1 << y_bit
-            y_axis = y_bit if y_bit < x_bit else y_bit - 1
-            gained_lo = cube_halves(gained, y_axis)[0]
-            cl_y = cube_halves(cl_lo, y_axis)[1]
-            bad = ((gained_lo & by) != 0) & ((cl_y & bx) == 0)
-            if bad.any():
-                x = _insert_zero_bits(int(bad.argmax()), x_bit, y_bit)
-                return AxiomResult(False, "CL4", (x, x_bit, y_bit),
-                                   f"exchange fails for X={x:#x}, x={x_bit}, y={y_bit}")
-    return AxiomResult(True)
 
 
 def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
@@ -533,65 +484,6 @@ def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
     return AxiomResult(True)
 
 
-def validate_independence_axioms(m: int, table: np.ndarray) -> AxiomResult:
-    """Check I1-I3 on the independence system derived from a rank table."""
-    pc = popcount_array(m)
-    indep = np.asarray(table) == pc
-    if not indep[0]:
-        return AxiomResult(False, "I1", (0,), "empty set is dependent")
-    cube = hypercube(indep)
-    for e in range(m):
-        lo, hi = cube_halves(cube, e)
-        bad = hi & ~lo
-        if bad.any():
-            x = _insert_zero_bits(int(bad.argmax()), e) | (1 << e)
-            return AxiomResult(False, "I2", (x, x ^ (1 << e)),
-                               f"subset of independent {x:#x} dependent")
-    # I3 with |J| = |I| + 1 (equivalent to the general form by induction);
-    # aug[I] holds the elements e outside I with I + e independent
-    aug = np.zeros(1 << m, dtype=np.uint32)
-    aug_cube = hypercube(aug)
-    for e in range(m):
-        without, _ = cube_halves(aug_cube, e)
-        np.bitwise_or(without, 1 << e, out=without, where=cube_halves(cube, e)[1])
-    ind_masks = np.flatnonzero(indep).astype(np.uint32)
-    sizes = pc[ind_masks]
-    for k in range(m):
-        smaller, larger = ind_masks[sizes == k], ind_masks[sizes == k + 1]
-        if larger.size == 0:
-            continue
-        for i in smaller.tolist():
-            stuck = (larger & aug[i]) == 0
-            if stuck.any():
-                j = int(larger[stuck.argmax()])
-                return AxiomResult(False, "I3", (i, j), f"no augmentation of {i:#x} from {j:#x}")
-    return AxiomResult(True)
-
-
-def validate_axioms(matroid_or_input, which: str) -> AxiomResult:
-    """Dispatch an axiom scan by family name.
-
-    `which` is one of rank | closure | circuits | independence.  The input
-    is a Matroid for rank/closure/independence, or an (m, circuit list)
-    pair for circuits.  The rank scan runs at every ground size; the
-    closure and independence scans refuse beyond m = CLOSURE_SCAN_LIMIT.
-    """
-    if which == "circuits":
-        m, circuits = matroid_or_input
-        return validate_circuit_axioms(m, circuits)
-    M = matroid_or_input
-    if which == "rank":
-        return validate_rank_table(M.m, M.table)
-    if which in ("closure", "independence") and M.m > CLOSURE_SCAN_LIMIT:
-        raise SizeCapError(
-            f"exhaustive {which} axiom scan refused for m={M.m} > {CLOSURE_SCAN_LIMIT}")
-    if which == "closure":
-        return validate_closure_axioms(M)
-    if which == "independence":
-        return validate_independence_axioms(M.m, M.table)
-    raise MatroidError(f"unknown axiom family {which!r}")
-
-
 # -- construction from circuits ----------------------------------------------
 
 
@@ -625,8 +517,4 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
         raise NotAMatroidError(
             f"declared rank {r} but circuits force rank {int(table[-1])}", "R1",
             ((1 << m) - 1,))
-    res = validate_rank_table(m, table)
-    if not res:
-        raise NotAMatroidError(f"circuit input yields invalid rank table: {res.message}",
-                               axiom=res.axiom, witness=res.witness)
-    return Matroid(m, table, label=label, layout=layout, validate=False)
+    return Matroid(m, table, label=label, layout=layout)

@@ -125,7 +125,7 @@ class TestTransversal:
         fam = tuple(int(rng.integers(0, 1 << m)) & int(rng.integers(0, 1 << m))
                     for _ in range(14))
         M = K.transversal(K.SetSystem(m, fam))
-        assert K.validate_axioms(M, "rank")
+        assert K.validate_rank_table(M.m, M.table)
         for _ in range(300):
             x = 0
             for e in rng.choice(m, size=int(rng.integers(0, 9)), replace=False):

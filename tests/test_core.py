@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser.cli import main
-from kinser.core import validate_independence_axioms, validate_rank_table
+from kinser.core import halves, validate_circuit_axioms, validate_rank_table
 
 from oracles import (definition_closure, definition_flats, definition_is_circuit,
                      gf2_span_closure, literal_independence_violation,
@@ -129,7 +129,7 @@ class TestEnumerate:
         assert len(u24.enumerate("bases")) == 6  # C(4,2)
 
     def test_one_element_ground(self):
-        # the halves of a 1-d cube are 0-d views, so the passes write through
+        # the halves of a 2-entry vector are 1x1 views, and the passes write through
         loop, coloop = K.Matroid(1, [0, 0]), K.Matroid(1, [0, 1])
         assert loop.enumerate("flats") == definition_flats(loop) == [1]
         assert coloop.enumerate("flats") == definition_flats(coloop) == [0, 1]
@@ -138,9 +138,37 @@ class TestEnumerate:
         assert K.parse_matroid("matroid v1\nelements 1\nrank 0\ncircuits\n0\n").table_equal(loop)
 
 
+class TestHalves:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_halves_match_literal_mask_lists(self, m):
+        vec = np.arange(1 << m)
+        flat = np.empty(1 << (m - 1), dtype=vec.dtype)
+        for e in range(m):
+            lo, hi = halves(vec, e)
+            # below e = 4 the views come transposed: C order then runs
+            # along the long axis, across the rows of 2^e masks
+            rows, run = 1 << (m - 1 - e), 1 << e
+            assert lo.shape == hi.shape == ((run, rows) if e < 4 else (rows, run))
+            # the parts=1 view of a vector over the masks without e writes
+            # through to it in mask order
+            (out,) = halves(flat, e, parts=1)
+            for half, bit in ((lo, 0), (hi, 1)):
+                np.copyto(out, half)
+                assert flat.tolist() == [x for x in range(1 << m) if x >> e & 1 == bit]
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6])
+    def test_writes_reach_the_vector(self, m):
+        for e in range(m):
+            vec = np.arange(1 << m)
+            lo, hi = halves(vec, e)
+            np.add(lo, 1000, out=lo, order="C")
+            np.negative(hi, out=hi, order="C")
+            assert vec.tolist() == [-x if x >> e & 1 else x + 1000 for x in range(1 << m)]
+
+
 class TestValidateAxioms:
     def test_uniform_rank_ok(self, u24):
-        assert K.validate_axioms(u24, "rank").ok
+        assert validate_rank_table(u24.m, u24.table).ok
 
     def test_r1_violation_detected(self):
         table = K.uniform(2, 4).table.copy()
@@ -166,42 +194,26 @@ class TestValidateAxioms:
     def test_c3_violation_witness(self):
         # U(2,4) without the circuit {1,2,3}: eliminating 0 from {0,1,2} and
         # {0,1,3} leaves {1,2,3}, which holds no listed circuit
-        res = K.validate_axioms((4, [0b0111, 0b1011, 0b1101]), "circuits")
+        res = validate_circuit_axioms(4, [0b0111, 0b1011, 0b1101])
         assert (res.ok, res.axiom, res.witness) == (False, "C3", (0b0111, 0b1011, 0))
 
     def test_i3_violation_witness(self):
         # independent sets: the subsets of {0,1} and {2}; {2} cannot be
-        # augmented from {0,1}, while I1 and I2 hold
+        # augmented from {0,1}, while I1 and I2 hold; the rank table of this
+        # system is refused, since I1-I3 hold exactly when R1-R3 do
         indep = [0b000, 0b001, 0b010, 0b011, 0b100]
-        table = [max(bin(i & x).count("1") for i in indep) for x in range(1 << 3)]
-        M = K.Matroid(3, table, validate=False)
-        res = K.validate_axioms(M, "independence")
-        assert literal_independence_violation(3, M.table) == ("I3", (0b100, 0b011))
-        assert (res.ok, res.axiom, res.witness) == (False, "I3", (0b100, 0b011))
+        table = np.array([max(bin(i & x).count("1") for i in indep)
+                          for x in range(1 << 3)], dtype=np.uint8)
+        assert literal_independence_violation(3, table) == ("I3", (0b100, 0b011))
+        assert not validate_rank_table(3, table).ok
 
     def test_spike_circuits_pass_c1_c3(self, z4):
         nonspanning = [c for c in z4.enumerate("circuits") if z4.rank(c) < 4]
-        assert K.validate_axioms((8, nonspanning), "circuits").ok
+        assert validate_circuit_axioms(8, nonspanning).ok
 
     def test_nested_circuits_fail_c2(self):
-        res = K.validate_axioms((3, [0b001, 0b011]), "circuits")
+        res = validate_circuit_axioms(3, [0b001, 0b011])
         assert not res.ok and res.axiom == "C2"
-
-    def test_closure_axioms_on_catalog(self, fano, u24, z4):
-        for M in (fano, u24, z4):
-            assert K.validate_axioms(M, "closure").ok
-
-    def test_independence_axioms(self, u24, fano):
-        for M in (u24, fano):
-            assert K.validate_axioms(M, "independence").ok
-
-    def test_size_cap_refused(self, kin6_relaxed):
-        # the rank scan is exhaustive at every ground size; the closure and
-        # independence scans still refuse above m = 16
-        assert K.validate_axioms(kin6_relaxed, "rank").ok
-        for which in ("closure", "independence"):
-            with pytest.raises(K.SizeCapError):
-                K.validate_axioms(kin6_relaxed, which)
 
     def test_broken_kin6_table_refused(self, kin6_relaxed, tmp_path, capsys):
         table = broken_kin6_table(kin6_relaxed)
@@ -279,6 +291,18 @@ class TestFromCircuits:
         with pytest.raises(K.NotAMatroidError):
             K.matroid_from_circuits(3, 2, [0b011, 0b101, 0b110])
 
+    def test_elimination_failure_rejected_with_witness(self):
+        # eliminating 0 from {0,1,2} and {0,1,3} leaves the independent
+        # {1,2,3}; the table this list gives breaks submodularity
+        circuits = [0b0111, 0b1011]
+        indep = [x for x in range(16)
+                 if bin(x).count("1") <= 3 and all(x & c != c for c in circuits)]
+        table = [max(bin(i).count("1") for i in indep if i & ~x == 0) for x in range(16)]
+        axiom, witness = literal_rank_violation(4, table)
+        with pytest.raises(K.NotAMatroidError) as err:
+            K.matroid_from_circuits(4, 3, circuits)
+        assert axiom == "R3" and (err.value.axiom, err.value.witness) == (axiom, witness)
+
     @pytest.mark.parametrize("r", [4, 6])
     def test_nonspanning_circuits_round_trip(self, r):
         M = K.binary_spike(r)
@@ -294,8 +318,10 @@ class TestCatalogAxiomSweep:
                                            z4, dowling_z2, dowling_z3, fano_sum):
         for M in (fano, nonfano, u24, kin4, vamos, z4, dowling_z2, dowling_z3,
                   fano_sum, K.uniform(0, 3), K.uniform(3, 3), K.uniform(3, 6)):
-            assert K.validate_axioms(M, "rank").ok, M.label
-            assert K.validate_axioms(M, "closure").ok, M.label
+            # the closure axioms follow from R1-R3; the circuit axioms are
+            # checked on the enumerated circuits, as a second cryptomorphism
+            assert validate_rank_table(M.m, M.table).ok, M.label
+            assert validate_circuit_axioms(M.m, M.enumerate("circuits")).ok, M.label
 
     def test_closure_rank_invariants_m14(self, fano_sum):
         # exhaustive closure idempotence / rank preservation at m = 14
@@ -321,7 +347,7 @@ def gf2_matrices(draw):
 @given(gf2_matrices())
 def test_linear_matroids_satisfy_axioms(mat):
     M = K.from_matrix(mat)
-    assert K.validate_axioms(M, "rank").ok
+    assert validate_rank_table(M.m, M.table).ok
     assert M.enumerate("flats") == definition_flats(M)
 
 
@@ -401,6 +427,18 @@ def test_r3_between_words_with_double_increment(k, m, x, value, witness):
     assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
 
 
+def test_r3_first_found_on_the_lower_plane_between_words():
+    # inc_0({9}) = 2 adds a second bit plane at e = 0, but the first R3
+    # failure, at (e, f) = (0, 7), is an increase from 0 to 1
+    table = K.uniform(8, 10).table.copy()
+    table[0b0001111111] = 6
+    table[0b1000000000] = 0
+    witness = (0b0001111111, 0b0011111110)
+    assert literal_rank_violation(10, table) == ("R3", witness)
+    res = validate_rank_table(10, table)
+    assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
+
+
 @st.composite
 def independence_tables(draw):
     """Rank tables of down-closed families (maximum independent subset
@@ -419,7 +457,6 @@ def independence_tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(independence_tables())
 def test_independence_validation_matches_literal_loops(case):
+    # I1-I3 hold on the independent sets of a table exactly when R1-R3 hold
     m, table = case
-    res = validate_independence_axioms(m, table)
-    expected = literal_independence_violation(m, table)
-    assert (None if res.ok else (res.axiom, res.witness)) == expected
+    assert validate_rank_table(m, table).ok == (literal_independence_violation(m, table) is None)

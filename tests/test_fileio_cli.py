@@ -94,7 +94,7 @@ class TestMatroidFormat:
                 K.parse_matroid(text)
             path = tmp_path / "m.mtr"
             path.write_text(text)
-            assert main(["axioms", "-i", str(path)]) == 2
+            assert main(["enumerate", "--kind", "flats", "-i", str(path)]) == 2
             assert error in capsys.readouterr().err
         assert time.perf_counter() - t0 < 1.0
 
@@ -204,13 +204,6 @@ class TestCli:
         M = K.parse_matroid(c.read_text())
         assert (M.m, M.rank_total) == (14, 6)
 
-    def test_axioms_subcommand(self, tmp_path, capsys):
-        mfile = tmp_path / "z4.mtr"
-        main(["build", "spike", "--r", "4", "-o", str(mfile)])
-        for which in ("rank", "closure", "circuits", "independence"):
-            assert main(["axioms", "-i", str(mfile), "--which", which]) == 0
-            assert capsys.readouterr().out.startswith("ok")
-
     def test_enumerate_flats(self, tmp_path, capsys):
         mfile = tmp_path / "f7.mtr"
         main(["build", "fano", "-o", str(mfile)])
@@ -235,6 +228,13 @@ class TestCli:
         assert main(["bench"]) == 2
         assert main(["bench", "--spike-range", "4..4"]) == 2
 
+    def test_axioms_subcommand_removed(self, tmp_path):
+        # every subcommand that reads a file validates it on load
+        mfile = tmp_path / "z4.mtr"
+        main(["build", "spike", "--r", "4", "-o", str(mfile)])
+        assert main(["axioms", "-i", str(mfile)]) == 2
+        assert main(["axioms", "-i", str(mfile), "--which", "closure"]) == 2
+
     @pytest.mark.parametrize("group", ["z26", "z800"])
     def test_oversized_dowling_group_refused_fast(self, group, capsys):
         t0 = time.perf_counter()
@@ -254,7 +254,7 @@ class TestCli:
         assert main(["build", "uniform", "--k", "9", "--m", "3"]) == 2
         bad = tmp_path / "bad.mtr"
         bad.write_text("not a matroid file\n")
-        assert main(["axioms", "-i", str(bad)]) == 2
+        assert main(["enumerate", "--kind", "flats", "-i", str(bad)]) == 2
         assert main(["frobnicate"]) == 2
 
     @pytest.mark.parametrize("value", ["300", "-1"])
@@ -418,7 +418,7 @@ class TestParserFuzz:
             M = K.parse_matroid(text)
         except K.MatroidError:
             return
-        assert isinstance(M, K.Matroid) and K.validate_axioms(M, "rank").ok
+        assert isinstance(M, K.Matroid) and K.validate_rank_table(M.m, M.table).ok
 
     @FUZZ
     @given(fuzzed_texts())
@@ -433,7 +433,7 @@ class TestParserFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(fuzzed_texts(), st.sampled_from([
         ["check", "-n", "4"], ["enumerate", "--kind", "flats"],
-        ["axioms", "--which", "rank"], ["transform", "dual"]]))
+        ["transform", "dual"]]))
     def test_cli_exits_0_1_or_2(self, text, command):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "in.mtr")
