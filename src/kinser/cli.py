@@ -107,10 +107,10 @@ def _transform(args) -> int:
 
 def _eval(args) -> int:
     M = _load(args.input)
-    sets = tuple(parse_set_spec(M, tok) for tok in args.family.split(";"))
-    value = evaluate(M, Family(len(sets), sets))
+    fam = Family(args.n, tuple(parse_set_spec(M, tok) for tok in args.family.split(";")))
+    value = evaluate(M, fam)
     print(f"matroid {M.label or '?'}")
-    print(f"n {len(sets)}")
+    print(f"n {fam.n}")
     print(f"lhs {value.lhs}")
     print(f"rhs {value.rhs}")
     print(f"satisfied {'true' if value.satisfied else 'false'}")
@@ -133,7 +133,8 @@ def _check(args) -> int:
     pairs = ("" if verdict.pairs is None
              else f" pairs={verdict.pairs}/{verdict.space_size ** 2}")
     print(f"search statistics: tuples={verdict.tuples_examined} "
-          f"rank_queries={verdict.rank_queries}{pairs} seconds={elapsed:.2f}",
+          f"rank_queries={verdict.rank_queries}{pairs} "
+          f"x1={verdict.x1_rows}/{verdict.space_size} seconds={elapsed:.2f}",
           file=sys.stderr)
     if verdict.in_class:
         print(f"in-class n={args.n} matroid={M.label or '?'}")
@@ -197,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dual", action="store_true", help="check the dual matroid")
     c.add_argument("--space", choices=("flats", "all"), default="flats")
     c.add_argument("--no-prune", action="store_true",
-                   help="scan every tuple: disable both the symmetry rule and "
-                        "the n=4 common-information rule")
+                   help="scan every tuple: disable the slot-symmetry rule, the "
+                        "automorphism-orbit rule on X1 and the n=4 "
+                        "common-information rule")
     c.add_argument("--parallel", type=int, default=1,
                    help="worker processes, at most the CPU count")
     c.add_argument("-o", "--output", default=None, help="certificate file")

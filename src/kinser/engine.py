@@ -37,6 +37,36 @@ Z = cl X3 n cl X4 qualifies exactly when (cl X3, cl X4) is a modular pair,
 r(cl X3) + r(cl X4) = r(X3 u X4) + r(cl X3 n cl X4), so only non-modular
 (X3, X4) pairs are scanned.
 
+Automorphisms (every n):  a permutation sigma of the ground set is kept
+only when it maps the search-space masks onto themselves with equal ranks.
+For ``all_subsets`` that is r(sigma X) = r(X) for every X.  For flats it is
+the same: cl S is the intersection of the flats containing S, and sigma
+permutes the flats, so sigma(cl S) = cl(sigma S); then
+r(sigma S) = r(cl sigma S) = r(sigma cl S) = r(cl S) = r(S) for every set S.
+So sigma maps every violating tuple to a violating tuple, and with t* the
+lex-first violator, t* <= sigma t* gives X1* <= sigma X1*: X1* is the least
+member of its orbit under the group the kept sigma generate.  Only those
+orbit-least X1 rows are scanned.  The rule holds for any subgroup, so the
+generator search need not be complete.  At n >= 5 it combines with the
+reversal of (X3, ..., Xn), which leaves X1 fixed, and at n = 4 with the
+two swaps and the common-information rule below, since each rule is a case
+of "t* <= g t*" for g in the group generated by Aut(M) and the slot
+symmetries, or says that a tuple cannot violate.
+
+Generators come from individualization and refinement on the incidence of
+elements and hyperplanes (the search-space masks of rank r - 1, or every
+mask when there are none).  Colours are refined by 64-bit multiset
+hashes: a hyperplane's colour is its rank plus the sum of the weights of
+its elements' colours, an element's colour is its old colour together
+with the sum of the weights of its hyperplanes' colours, and weights are
+splitmix64 of the colour index.  The first path individualizes the least
+element of the first non-singleton cell down to a discrete colouring; at
+each level, deepest first, every other member of that cell not yet in an
+orbit of the first one's is individualized in its place and followed down
+the first path below it.  Each pair of leaves gives a candidate sigma, kept
+only after the check above (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).
+
 A pruned tuple either cannot violate or is not the least of its orbit, so
 pruning changes neither the verdict nor the lex-first certificate.
 
@@ -66,6 +96,12 @@ ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # n=4 GP bytes held at once (512 MiB); above it GP is rebuilt in cached
 # blocks of X2 rows, an eighth of the limit each (64 MiB), for every X1
 TENSOR_BYTES_LIMIT = 1 << 29
+# n=4 scans of at least this many candidate tuples, F(F+1)/2 (X1, X2) rows
+# times |P| pairs, search for automorphisms and scan only orbit-least X1
+# rows.  The search takes 1.5-5 ms and the scan about 0.25 ns a tuple on a
+# 2-core x86 host (Python 3.11, numpy 2.4), so below 2^24 tuples the search
+# costs more than it can save
+ORBIT_SCAN_MIN = 1 << 24
 SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan or build block
 
 
@@ -123,7 +159,7 @@ class BadFamilyCertificate:
 @dataclass(frozen=True)
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
-    symmetry_pruning: bool = True   # both rules: symmetry and common information
+    symmetry_pruning: bool = True   # slot symmetry, automorphisms, common information
     parallel_width: int = 1         # worker processes, at most os.cpu_count()
 
 
@@ -132,14 +168,17 @@ class Verdict:
     """Outcome of one search.
 
     ``tuples_examined`` counts the candidate tuples (those the pruning rules
-    keep) in lex order up to and including the lex-first violator, or all of
-    them when there is none; it does not depend on the parallel width.
+    keep, so with automorphisms only those whose X1 is orbit-least) in lex
+    order up to and including the lex-first violator, or all of them when
+    there is none; it does not depend on the parallel width.
     ``rank_queries`` counts reads of the 2^m rank table, summed over all
     workers; tables built from those reads (the n = 4 pair ranks PR and
-    closure rows RU) count when built, not when read.
-    ``space_size`` is F, the number of sets in the search space, and
+    closure rows RU, the ranks the automorphism search reads) count when
+    built, not when read.
+    ``space_size`` is F, the number of sets in the search space,
     ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
-    n >= 5).
+    n >= 5) and ``x1_rows`` the number of X1 rows scanned: the orbit-least
+    rows when automorphisms were searched, else F.
     """
 
     in_class: bool
@@ -149,6 +188,7 @@ class Verdict:
     certificate: BadFamilyCertificate | None = None
     space_size: int = 0
     pairs: int | None = None
+    x1_rows: int = 0
 
 
 def term_members(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -274,6 +314,115 @@ def corank_term_report(M: Matroid, fam: Family) -> list[TermReport]:
     return out
 
 
+# -- automorphisms ---------------------------------------------------------------
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each entry: a 64-bit weight per colour index."""
+    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _split(cells: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Split colour cells by a key: colours 0.. in (old colour, key) order."""
+    order = np.lexsort((key, cells))
+    c, k = cells[order], key[order]
+    new = np.empty_like(cells)
+    new[order] = np.cumsum(np.concatenate(([0], (c[1:] != c[:-1]) | (k[1:] != k[:-1]))))
+    return new
+
+
+def _mask_permutation(masks: np.ndarray, ranks: np.ndarray, sigma: np.ndarray
+                      ) -> np.ndarray | None:
+    """pi with masks[pi[i]] = sigma(masks[i]) when sigma maps the sorted masks
+    onto themselves and keeps every rank (ranks[pi] == ranks), else None."""
+    image = np.zeros_like(masks)
+    for e, f in enumerate(sigma):
+        image |= ((masks >> e) & 1) << int(f)
+    pi = np.minimum(np.searchsorted(masks, image), len(masks) - 1)
+    if np.array_equal(masks[pi], image) and np.array_equal(ranks[pi], ranks):
+        return pi
+    return None
+
+
+def _automorphisms(table: np.ndarray, masks: np.ndarray
+                   ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Verified automorphism generators of the search space (see the module
+    docstring), found by individualization and refinement.
+
+    ``masks`` must be sorted and distinct.  Returns the pairs (sigma, pi):
+    sigma[e] is the image of element e and pi[i] the index of sigma(masks[i])
+    in ``masks``; and the number of rank-table reads.
+    """
+    m = table.size.bit_length() - 1
+    ranks = table[masks]
+    hyper = ranks == int(table[-1]) - 1
+    if not hyper.any():
+        hyper[:] = True
+    inc = ((masks[hyper, None] >> np.arange(m)) & 1).astype(np.uint64)
+    inc_t = np.ascontiguousarray(inc.T)
+    h_rank = ranks[hyper].astype(np.uint64)
+    weight = _splitmix64(np.arange(max(len(inc), m)))
+
+    def refine(cells: np.ndarray) -> np.ndarray:
+        while True:
+            h_col = np.unique(h_rank + inc @ weight[cells], return_inverse=True)[1]
+            new = _split(cells, inc_t @ weight[h_col])
+            if new.max() == cells.max():
+                return cells
+            cells = new
+
+    def individualize(cells: np.ndarray, v: int) -> np.ndarray:
+        return refine(_split(cells, np.arange(m) == v))
+
+    def first_path(cells: np.ndarray) -> tuple[np.ndarray, list]:
+        """The leaf below ``cells`` and the (colouring, target cell) above it."""
+        path = []
+        while True:
+            sizes = np.bincount(cells)
+            if sizes.max() == 1:
+                return cells, path
+            cell = np.flatnonzero(cells == int(np.argmax(sizes > 1)))
+            path.append((cells, cell))
+            cells = individualize(cells, int(cell[0]))
+
+    leaf0, path = first_path(refine(np.zeros(m, dtype=np.int64)))
+    orbit = list(range(m))
+
+    def find(e: int) -> int:
+        while orbit[e] != e:
+            orbit[e] = e = orbit[orbit[e]]
+        return e
+
+    gens = []
+    for cells, cell in reversed(path):
+        for w in cell[1:]:
+            if find(int(w)) == find(int(cell[0])):
+                continue
+            leaf, _ = first_path(individualize(cells, int(w)))
+            sigma = np.argsort(leaf)[leaf0]
+            pi = _mask_permutation(masks, ranks, sigma)
+            if pi is not None:
+                gens.append((sigma, pi))
+                for e in range(m):
+                    orbit[find(e)] = find(int(sigma[e]))
+    return gens, len(masks)
+
+
+def _orbit_least(F: int, perms: list[np.ndarray]) -> np.ndarray:
+    """Indices i < F that are least in their orbit under the permutations."""
+    least = np.arange(F)
+    while True:
+        new = least
+        for pi in perms:
+            new = np.minimum(new, new[pi])
+        if np.array_equal(new, least):
+            return np.flatnonzero(least == np.arange(F))
+        least = new
+
+
 # -- exhaustive search ----------------------------------------------------------
 
 
@@ -298,39 +447,21 @@ def _closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: int,
-                     pruning: bool) -> tuple[tuple[int, ...] | None, int, int, int]:
-    """Scan inequality 4 for i1 in [i1_lo, i1_hi), lex order, first hit wins.
+def _n4_pairs(table: np.ndarray, masks: np.ndarray, pruning: bool
+              ) -> tuple[tuple[np.ndarray, ...], int]:
+    """The (X3, X4) pairs of the n = 4 scan and the rank reads they took.
 
-    The (X3, X4) pairs scanned form the lex-ordered list P: every pair, or
-    with pruning only the non-modular pairs with i3 <= i4.  For fixed
-    (X1, X2) the margin over P decomposes as
-
-        margin = r(X1 u X2) + GP[X1] + GP[X2] + (r(X3) + r(X4) - r(X3 u X4))
-
-    with GP[j][p] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4),
-    so a block of X2 rows is two precomputed-array adds and a compare.
-    GP entries lie in [-r, 0] and every sum stays within int8 (r <= 24).
-
-    GP is read off small tables instead of the 2^m rank table.  For any sets
-    r(A u B) = r(A u cl B), since A u B <= A u cl B <= cl(A u B).  So with
-    U the distinct closures cl(X3 u X4), RU[u][j] = r(U_u u Xj) and the
-    pair ranks PR[i][j] = r(Xi u Xj) (symmetric),
-
-        GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
-
-    built by contiguous row gathers over blocks of pairs, each block
-    transposed into the row-major GP.  U comes from np.unique on the
-    closures, so ``masks`` need not be closed under closure.
-
-    Returns (lex-first hit or None, tuples examined, rank queries, |P|).
+    Returns (PR, P3, P4, C34): the pair ranks PR[i][j] = r(Xi u Xj), the
+    lex-ordered pair list P as index arrays (every pair, or with pruning
+    only the non-modular pairs with i3 <= i4), and
+    C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
     rank8 = table.view(np.int8)          # ranks are at most 24
     rank_f = rank8[masks]
     PR = rank8[masks[:, None] | masks[None, :]]
-    base34 = rank_f[:, None] + rank_f[None, :] - PR    # I(X3; X4)
+    base34 = rank_f[:, None] + rank_f[None, :] - PR
     queries = F + F * F
     if pruning:
         cl = _closures(table, masks)
@@ -339,16 +470,55 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: in
         P3, P4 = np.nonzero(np.triu(base34 > meet))
     else:
         P3, P4 = np.nonzero(np.ones((F, F), dtype=bool))
+    return (PR, P3, P4, base34[P3, P4]), queries
+
+
+def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarray, ...],
+                     i1_lo: int, i1_hi: int, pruning: bool, rows: np.ndarray | None = None
+                     ) -> tuple[tuple[int, ...] | None, int, int]:
+    """Scan inequality 4 for i1 in [i1_lo, i1_hi), lex order, first hit wins.
+
+    ``pairs`` is ``_n4_pairs(table, masks, pruning)[0]``; ``rows``, when
+    given, holds the only X1 rows to scan (the orbit-least ones).  For fixed
+    (X1, X2) the margin over the pair list P decomposes as
+
+        margin = r(X1 u X2) + GP[X1] + GP[X2] + (r(X3) + r(X4) - r(X3 u X4))
+
+    with GP[j][p] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4),
+    so a block of X2 rows is one precomputed-array add and a row maximum
+    compared with -r(X1 u X2); only a row whose maximum passes is searched
+    for its first pair.  GP entries lie in [-r, 0] and every sum stays
+    within int8 (r <= 24).
+
+    GP is read off small tables instead of the 2^m rank table.  For any sets
+    r(A u B) = r(A u cl B), since A u B <= A u cl B <= cl(A u B).  So with
+    U the distinct closures cl(X3 u X4), RU[u][j] = r(U_u u Xj) and the
+    pair ranks PR,
+
+        GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
+
+    built by contiguous row gathers over blocks of pairs, each block
+    transposed into the row-major GP.  U comes from np.unique on the
+    closures, so ``masks`` need not be closed under closure.
+
+    Returns (lex-first hit or None, tuples examined, rank queries of the
+    chunk beyond ``pairs``).
+    """
+    PR, P3, P4, c34 = pairs
+    F = len(masks)
+    m = table.size.bit_length() - 1
     width = len(P3)
-    if width == 0:
-        return None, 0, queries, 0
-    # rows j >= i1_lo suffice with pruning, since then i2 >= i1
-    base = i1_lo if pruning else 0
+    i1s = range(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
+    if width == 0 or len(i1s) == 0:
+        return None, 0, 0
+    # rows j >= the first i1 suffice with pruning, since then i2 >= i1
+    base = int(i1s[0]) if pruning else 0
+    rank8 = table.view(np.int8)
     unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
     U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
     U_of = closure_of[union_of]
     RU = rank8[U[:, None] | masks[None, base:]]
-    queries += (m + 1) * len(unions) + len(U) * (F - base)
+    queries = (m + 1) * len(unions) + len(U) * (F - base)
 
     def g_rows(a: int, b: int) -> np.ndarray:
         out = np.empty((b - a, width), dtype=np.int8)
@@ -379,36 +549,40 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, i1_lo: int, i1_hi: in
             cache[lo] = g_rows(lo, min(F, lo + block_rows))
         return lo, cache[lo]
 
-    rows = max(1, SCAN_BLOCK // width)
-    c34 = base34[P3, P4]
+    rows_per_scan = max(1, SCAN_BLOCK // width)
+    buf = np.empty((min(rows_per_scan, F), width), dtype=np.int8)
     tuples = 0
-    for i1 in range(i1_lo, i1_hi):
+    for i1 in i1s:
+        i1 = int(i1)
         home, G = block(i1, None)
         c1 = G[i1 - home] + c34
-        floor = -PR[i1, :, None]
+        floor = -PR[i1]
         a = i1 if pruning else 0
         while a < F:
             lo, G = block(a, home)
-            b = min(F, a + rows, lo + len(G))
-            hits = G[a - lo:b - lo] + c1 > floor[a:b]
-            k = int(hits.argmax())
-            if hits.flat[k]:
-                tuples += k + 1
-                j = k % width
-                return (i1, a + k // width, int(P3[j]), int(P4[j])), tuples, queries, width
+            b = min(F, a + rows_per_scan, lo + len(G))
+            margin = np.add(G[a - lo:b - lo], c1, out=buf[:b - a])
+            hit = margin.max(axis=1) > floor[a:b]
+            k = int(hit.argmax())
+            if hit[k]:
+                j = int((margin[k] > floor[a + k]).argmax())
+                tuples += k * width + j + 1
+                return (i1, a + k, int(P3[j]), int(P4[j])), tuples, queries
             tuples += (b - a) * width
             a = b
-    return None, tuples, queries, width
+    return None, tuples, queries
 
 
 def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
-                          i1_lo: int, i1_hi: int,
-                          pruning: bool) -> tuple[tuple[int, ...] | None, int, int]:
+                          i1_lo: int, i1_hi: int, pruning: bool,
+                          rows: np.ndarray | None = None
+                          ) -> tuple[tuple[int, ...] | None, int, int]:
     """Depth-first scan for n >= 5, vectorized over the last family slot.
 
     Constants accumulate along the prefix; the X_n axis needs two fresh
     union-rank gathers plus three precomputed pair-rank rows.  Reversal
     canonicality (X3..Xn) <= reversed is applied on the final axis.
+    ``rows``, when given, holds the only X1 rows to scan.
     """
     F = len(masks)
     rank_f = table[masks].astype(np.int32)
@@ -416,6 +590,8 @@ def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
     state = {"queries": F + F * F, "tuples": 0}
     idxs = [0] * (n + 1)  # 1-based slots 1..n
     found: list[tuple[int, ...]] = []
+    x1s = [int(j) for j in (range(i1_lo, i1_hi) if rows is None
+                            else rows[(rows >= i1_lo) & (rows < i1_hi)])]
 
     def mid_reversed_cmp() -> int:
         """Compare (j4..j_{n-1}) with its reverse; settles jn == j3 ties."""
@@ -445,8 +621,7 @@ def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
             if nz.size:
                 found.append(tuple(idxs[1:n]) + (int(nz[0]),))
             return
-        lo, hi = (i1_lo, i1_hi) if d == 1 else (0, F)
-        for j in range(lo, hi):
+        for j in (x1s if d == 1 else range(F)):
             idxs[d] = j
             delta = 0
             if d == 2:
@@ -469,14 +644,18 @@ def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
     return best, state["tuples"], state["queries"]
 
 
-def _balanced_chunks(F: int, width: int, triangular: bool) -> list[tuple[int, int]]:
+def _balanced_chunks(F: int, width: int, triangular: bool,
+                     rows: np.ndarray | None = None) -> list[tuple[int, int]]:
     """Split i1 over [0, F) into runs of about equal tuple counts.
 
     A row i1 scans F - i1 rows of X2 when the n=4 search is pruned
-    (i2 >= i1), and F rows otherwise, so cuts go where the cumulative
-    per-i1 tuple count crosses each multiple of total / width.
+    (i2 >= i1), and F rows otherwise; with ``rows`` given only those X1
+    rows are scanned and the others weigh nothing.  Cuts go where the
+    cumulative per-i1 tuple count crosses each multiple of total / width.
     """
     work = np.arange(F, 0, -1) if triangular else np.full(F, F)
+    if rows is not None:
+        work = np.where(np.isin(np.arange(F), rows), work, 0)
     before = np.concatenate(([0], np.cumsum(work)))
     cuts = np.searchsorted(before, before[-1] * np.arange(1, width) / width)
     bounds = [0, *(int(c) for c in cuts), F]
@@ -484,10 +663,10 @@ def _balanced_chunks(F: int, width: int, triangular: bool) -> list[tuple[int, in
 
 
 def _chunk_worker(args):
-    table, masks, n, lo, hi, pruning = args
+    table, masks, n, pairs, lo, hi, pruning, rows = args
     if n == 4:
-        return _search_n4_chunk(table, masks, lo, hi, pruning)
-    return _search_generic_chunk(table, masks, n, lo, hi, pruning) + (None,)
+        return _search_n4_chunk(table, masks, pairs, lo, hi, pruning, rows)
+    return _search_generic_chunk(table, masks, n, lo, hi, pruning, rows)
 
 
 def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
@@ -503,36 +682,49 @@ def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
 def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     """Decide membership in Kinser class n over the configured space."""
     cfg = cfg or SearchConfig()
+    if n < 4:
+        raise MatroidError(f"inequality index must be >= 4, got {n}")
     masks = _space_masks(M, cfg)
     F = len(masks)
+    pruning = cfg.symmetry_pruning
+    pairs, queries, orbits = None, 0, pruning
+    if n == 4:
+        pairs, queries = _n4_pairs(M.table, masks, pruning)
+        orbits = pruning and F * (F + 1) // 2 * len(pairs[1]) >= ORBIT_SCAN_MIN
+    rows = None
+    if orbits:
+        gens, reads = _automorphisms(M.table, masks)
+        rows = _orbit_least(F, [pi for _, pi in gens])
+        queries += reads
     width = max(1, min(cfg.parallel_width, os.cpu_count() or 1))
     if width == 1 or F < 2 * width:
         chunks = [(0, F)]
     else:
-        chunks = _balanced_chunks(F, width, n == 4 and cfg.symmetry_pruning)
-    jobs = [(M.table, masks, n, lo, hi, cfg.symmetry_pruning) for lo, hi in chunks]
+        chunks = _balanced_chunks(F, width, n == 4 and pruning, rows)
+    jobs = [(M.table, masks, n, pairs, lo, hi, pruning, rows) for lo, hi in chunks]
     if len(jobs) == 1:
         results = [_chunk_worker(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
             results = list(pool.map(_chunk_worker, jobs))
-    queries = sum(r[2] for r in results)
-    pairs = results[0][3]
+    queries += sum(r[2] for r in results)
+    stats = {"space_size": F, "pairs": None if pairs is None else len(pairs[1]),
+             "x1_rows": F if rows is None else len(rows)}
     # chunks run in i1 order, so the first chunk with a hit holds the
     # lex-first violator and the tuples of later chunks do not count
     tuples = 0
-    for best, chunk_tuples, _, _ in results:
+    for best, chunk_tuples, _ in results:
         tuples += chunk_tuples
         if best is not None:
             break
     else:
-        return Verdict(True, n, tuples, queries, None, F, pairs)
+        return Verdict(True, n, tuples, queries, None, **stats)
     fam = Family(n, tuple(int(masks[j]) for j in best))
     value = evaluate(M, fam)
     assert value.lhs > value.rhs
     cert = BadFamilyCertificate(M.label, content_fingerprint(M), fam,
                                 value.lhs, value.rhs)
-    return Verdict(False, n, tuples, queries, cert, F, pairs)
+    return Verdict(False, n, tuples, queries, cert, **stats)
 
 
 def dual_membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:

@@ -244,3 +244,35 @@ def literal_independence_violation(m: int, table) -> tuple[str, tuple] | None:
                            for e in range(m)):
                     return "I3", (i, j)
     return None
+
+
+def brute_force_automorphisms(M) -> list[tuple[int, ...]]:
+    """Every permutation sigma of the ground set (m <= 8) with
+    r(sigma X) = r(X) for all 2^m sets X, by trying all m! of them.
+
+    sigma[e] is the image of element e; sigma X is built bit by bit.
+    """
+    assert M.m <= 8
+    xs = np.arange(1 << M.m)
+    bits = [(xs >> e) & 1 for e in range(M.m)]
+    table = np.asarray(M.table)
+    out = []
+    perms = list(itertools.permutations(range(M.m)))
+    for start in range(0, len(perms), 720):
+        batch = np.array(perms[start:start + 720])
+        image = sum(bits[e][None, :] << batch[:, e, None] for e in range(M.m))
+        keep = (table[image] == table[None, :]).all(axis=1)
+        out.extend(perms[start + i] for i in np.flatnonzero(keep))
+    return out
+
+
+def permuted_mask(sigma, x: int) -> int:
+    """sigma X for a mask X: element e goes to sigma[e]."""
+    return sum(1 << int(sigma[e]) for e in elements_of(x))
+
+
+def orbit_minima(group, masks: list[int]) -> list[int]:
+    """Indices of the masks that come first in their orbit under the group."""
+    index = {x: i for i, x in enumerate(masks)}
+    return [i for i, x in enumerate(masks)
+            if all(index[permuted_mask(g, x)] >= i for g in group)]

@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine
-from kinser.engine import _balanced_chunks, _search_generic_chunk, _search_n4_chunk
+from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, _n4_pairs,
+                           _orbit_least, _search_generic_chunk, _search_n4_chunk)
 
-from oracles import ingleton_sides, ingleton_value, kinser_value
+from oracles import (brute_force_automorphisms, ingleton_sides, ingleton_value,
+                     kinser_value, orbit_minima, permuted_mask)
+
+
+def n4_chunk(table, masks, lo, hi, pruning, rows=None):
+    return _search_n4_chunk(table, masks, _n4_pairs(table, masks, pruning)[0],
+                            lo, hi, pruning, rows)
 
 
 def random_linear_matroid(rng, rows=4, cols=8):
@@ -276,7 +283,7 @@ class TestSearch:
         masks = vamos.enumerate("flats")[:25]
         arr = np.array(masks, dtype=np.int64)
         tup, _ = brute_force_lex_first(vamos, 4, masks)
-        got = _search_n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
+        got = n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
         assert got == tup
 
     def test_rank_queries_count_table_reads(self, fano):
@@ -301,11 +308,32 @@ class TestSearch:
         chunks = _balanced_chunks(F, 2, True)
         assert chunks[0][0] == 0 and chunks[-1][1] == F
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        tuples = [_search_n4_chunk(fano_sum.table, masks, lo, hi, True)[1]
+        tuples = [n4_chunk(fano_sum.table, masks, lo, hi, True)[1]
                   for lo, hi in chunks]
         assert max(tuples) < 0.51 * sum(tuples)
 
-    def test_verdict_statistics_populated(self, fano, vamos):
+    def test_parallel_chunks_balanced_over_orbit_rows(self, fano_sum):
+        # the orbit-least rows of F7 (+) F7^- bunch at low i1, so cuts that
+        # weigh every row would hand the first of two chunks 77% of the scan
+        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
+        F = len(masks)
+        rows = _orbit_least(F, [pi for _, pi in _automorphisms(fano_sum.table, masks)[0]])
+        chunks = _balanced_chunks(F, 2, True, rows)
+        assert chunks[0][0] == 0 and chunks[-1][1] == F
+        tuples = [n4_chunk(fano_sum.table, masks, lo, hi, True, rows)[1]
+                  for lo, hi in chunks]
+        assert sum(tuples) == n4_chunk(fano_sum.table, masks, 0, F, True, rows)[1]
+        assert max(tuples) < 0.55 * sum(tuples)
+
+    def test_orbit_rows_at_n5(self, fano):
+        # F7 has 16 flats in 4 orbits: 4 X1 rows of 16^4 tuples each
+        on = K.membership(fano, 5)
+        off = K.membership(fano, 5, K.SearchConfig(symmetry_pruning=False))
+        assert on.in_class and off.in_class
+        assert (on.x1_rows, on.tuples_examined) == (4, 4 * 16 ** 4)
+        assert (off.x1_rows, off.tuples_examined) == (16, 16 ** 5)
+
+    def test_verdict_statistics_populated(self, fano, vamos, monkeypatch):
         # F7 is modular: the common-information rule prunes every (X3, X4)
         flats = len(fano.enumerate("flats"))
         verdict = K.membership(fano, 4)
@@ -330,6 +358,16 @@ class TestSearch:
             off = K.membership(vamos, 4, K.SearchConfig(symmetry_pruning=False,
                                                         parallel_width=width))
             assert off.tuples_examined == expected_off
+        # with orbits on, only X1 rows least in their Aut(Vamos) orbit count
+        reps = orbit_minima(brute_force_automorphisms(vamos), flats)
+        assert i1 in reps
+        before = sum(F - a for a in reps if a < i1) + (i2 - i1)
+        expected_orbits = before * len(P) + P.index((i3, i4)) + 1
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        for width in (1, 2):
+            on = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
+            assert (on.tuples_examined, on.pairs) == (expected_orbits, len(P))
+            assert (on.x1_rows, on.space_size) == (len(reps), F)
 
 
 def _relaxed(M, *Zs):
@@ -357,6 +395,80 @@ def _gate_cases():
 GATE_CASES = _gate_cases()
 
 
+def _aut_cases():
+    fano, nonfano = K.fano_pair()
+    z4 = K.binary_spike(4)
+    cases = [("F7", fano), ("F7-", nonfano), ("Z4", z4), ("Vamos", K.kinser_relaxed(4)),
+             ("U36", K.uniform(3, 6))]
+    return cases + [(f"Z4-{Z:x}", K.relax(z4, Z)) for Z in K.spike_transversals(4, "even")]
+
+
+AUT_CASES = _aut_cases()
+
+
+def generated_group(m, sigmas):
+    """Closure of the permutations under composition, by breadth-first search."""
+    identity = tuple(range(m))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        reached = []
+        for g in frontier:
+            for s in sigmas:
+                h = tuple(int(s[g[e]]) for e in range(m))
+                if h not in group:
+                    group.add(h)
+                    reached.append(h)
+        frontier = reached
+    return group
+
+
+class TestAutomorphisms:
+    """Discovered generators against every permutation tried on the table."""
+
+    @pytest.mark.parametrize("space", ["flats", "all_subsets"])
+    @pytest.mark.parametrize("M", [M for _, M in AUT_CASES],
+                             ids=[name for name, _ in AUT_CASES])
+    def test_group_and_orbits_match_brute_force(self, M, space):
+        masks = search_masks(M, space)
+        gens, reads = _automorphisms(M.table, np.array(masks, dtype=np.int64))
+        assert reads == len(masks)
+        oracle = set(brute_force_automorphisms(M))
+        for sigma, pi in gens:
+            assert tuple(int(e) for e in sigma) in oracle
+            assert [masks[i] for i in pi] == [permuted_mask(sigma, x) for x in masks]
+        assert generated_group(M.m, [s for s, _ in gens]) == oracle
+        rows = _orbit_least(len(masks), [pi for _, pi in gens])
+        assert rows.tolist() == orbit_minima(oracle, masks)
+
+    @pytest.mark.parametrize("space", ["flats", "all_subsets"])
+    def test_non_automorphisms_refused(self, vamos, space):
+        # every set maps into all_subsets, so there only the ranks refuse
+        masks = np.array(search_masks(vamos, space), dtype=np.int64)
+        oracle = set(brute_force_automorphisms(vamos))
+        kept = 0
+        for e, f in itertools.combinations(range(vamos.m), 2):
+            sigma = np.arange(vamos.m)
+            sigma[[e, f]] = sigma[[f, e]]
+            pi = _mask_permutation(masks, vamos.table[masks], sigma)
+            assert (pi is not None) == (tuple(sigma.tolist()) in oracle)
+            kept += pi is not None
+        assert 0 < kept < 28
+
+    def test_permutation_leaving_the_masks_refused(self):
+        # {0} -> {1} keeps every rank of the list ({0}, {2}) but leaves it
+        masks = np.array([0b001, 0b100], dtype=np.int64)
+        ranks = np.array([1, 1], dtype=np.uint8)
+        assert _mask_permutation(masks, ranks, np.array([1, 0, 2])) is None
+        assert _mask_permutation(masks, ranks, np.array([2, 1, 0])).tolist() == [1, 0]
+
+    def test_direct_sum_orbits_multiply(self, fano, nonfano, fano_sum):
+        counts = [len(orbit_minima(brute_force_automorphisms(M), M.enumerate("flats")))
+                  for M in (fano, nonfano)]
+        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
+        gens, _ = _automorphisms(fano_sum.table, masks)
+        assert len(_orbit_least(len(masks), [pi for _, pi in gens])) == counts[0] * counts[1] == 24
+
+
 class TestPruningGate:
     """Both pruning rules together must not move the verdict or certificate."""
 
@@ -378,6 +490,28 @@ class TestPruningGate:
         assert on.in_class == off.in_class
         assert on.certificate == off.certificate
         assert on.in_class == K.membership(M, 4).in_class
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
+                             ids=[name for name, _ in GATE_CASES])
+    def test_orbits_forced_on_agree_with_pruning_off(self, M, width, monkeypatch):
+        off = K.membership(M, 4, K.SearchConfig(symmetry_pruning=False))
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        on = K.membership(M, 4, K.SearchConfig(parallel_width=width))
+        assert on.x1_rows < off.x1_rows == on.space_size
+        assert on.in_class == off.in_class
+        assert on.certificate == off.certificate
+
+    @pytest.mark.parametrize("M", [M for _, M in GATE_CASES if M.m <= 8],
+                             ids=[name for name, M in GATE_CASES if M.m <= 8])
+    def test_all_subsets_orbits_forced_on_agree(self, M, monkeypatch):
+        off = K.membership(M, 4, K.SearchConfig(space="all_subsets",
+                                                symmetry_pruning=False))
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        on = K.membership(M, 4, K.SearchConfig(space="all_subsets"))
+        assert on.x1_rows < off.x1_rows
+        assert on.in_class == off.in_class
+        assert on.certificate == off.certificate
 
 
 # With a zero limit every GP block is one X2 row; the pruning-off scans of
@@ -402,6 +536,14 @@ class TestOverLimitPath:
         monkeypatch.setattr(engine, "TENSOR_BYTES_LIMIT", 0)
         # equal verdicts: in_class, certificate, tuples_examined, rank_queries
         assert K.membership(M, 4, cfg) == in_memory
+
+    @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
+                             ids=[name for name, _ in GATE_CASES])
+    def test_orbits_forced_on_match_in_memory(self, M, monkeypatch):
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        in_memory = K.membership(M, 4)
+        monkeypatch.setattr(engine, "TENSOR_BYTES_LIMIT", 0)
+        assert K.membership(M, 4) == in_memory
 
 
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a
@@ -443,7 +585,7 @@ def test_n4_chunk_on_arbitrary_mask_lists(case):
     M, masks = case
     tup, _ = brute_force_lex_first(M, 4, masks)
     arr = np.array(masks, dtype=np.int64)
-    assert _search_n4_chunk(M.table, arr, 0, len(arr), False)[0] == tup
+    assert n4_chunk(M.table, arr, 0, len(arr), False)[0] == tup
 
 
 class TestCommonInformationLemma:

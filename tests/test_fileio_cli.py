@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kinser as K
+from kinser import engine
 from kinser.cli import main
 from kinser.engine import BadFamilyCertificate
 from kinser.fileio import format_elements
@@ -241,6 +242,42 @@ class TestCli:
         assert main(["build", "dowling", "--group", group, "--n", "1"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "group order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-2", "0", "1", "2", "3"])
+    def test_check_index_below_four_exits_2_before_searching(self, n, tmp_path, capsys,
+                                                             monkeypatch):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+
+        def no_search(*args):
+            raise AssertionError("the search space was built")
+
+        monkeypatch.setattr(engine, "_space_masks", no_search)
+        assert main(["check", "-n", n, "-i", str(mfile)]) == 2
+        assert f"inequality index must be >= 4, got {n}" in capsys.readouterr().err
+
+    def test_eval_index_must_match_family(self, tmp_path, capsys):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        capsys.readouterr()
+        assert main(["eval", "-n", "7", "-i", str(mfile), "--family", "0;1;2;3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "family needs 7 sets, got 4" in captured.err
+
+    def test_check_reports_x1_rows_on_stderr_only(self, tmp_path, capsys, monkeypatch):
+        # Vamos: 79 flats in 14 automorphism orbits
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        capsys.readouterr()
+        outs = []
+        for extra, x1 in (([], "x1=14/79"), (["--no-prune"], "x1=79/79")):
+            assert main(["check", "-n", "4", "-i", str(mfile)] + extra) == 1
+            captured = capsys.readouterr()
+            assert x1 in captured.err
+            outs.append(captured.out)
+        assert outs[0] == outs[1] and outs[0].startswith("not-in-class n=4")
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_parallel_below_one_exits_2(self, width, tmp_path, capsys):
