@@ -70,15 +70,37 @@ J. Algorithms 1998).
 A pruned tuple either cannot violate or is not the least of its orbit, so
 pruning changes neither the verdict nor the lex-first certificate.
 
+Live pairs (n = 4):  with I(A;B|C) = r(A u C) + r(B u C) - r(A u B u C) - r(C)
+and I(A;B) = I(A;B|empty set), put d1 = I(X3;X4) - I(X3;X4|X1).  Then
+
+    margin = lhs - rhs = d1 - I(X1;X2) - I(X3;X4|X2).
+
+Proof: writing rS for the rank of the union of the X_i with i in S, the
+right-hand side is (r3 + r4 - r34) - (r13 + r14 - r134 - r1)
+- (r1 + r2 - r12) - (r23 + r24 - r234 - r2), and after r1 and r2 cancel
+it is r3 + r4 + r12 + r134 + r234 - r13 - r14 - r23 - r24 - r34, the
+Ingleton margin term by term.  Every I(A;B|C) is >= 0: submodularity on
+A u C and B u C, whose intersection contains C, gives r(A u C) + r(B u C)
+>= r(A u B u C) + r(C) by monotonicity.  So margin <= d1 - I(X1;X2) <= d1,
+and a pair (X3, X4) with d1 <= 0 violates with no X2: only the pairs with
+d1 > 0, the live pairs of X1, are scanned for X1.  An X1 whose largest d1
+is at most its least I(X1;X2) over the X2 to scan is skipped; so is every
+X1 with no live pair, such as X1 = cl of the empty set, where d1 = 0 for
+every pair.  Both rules say that a tuple cannot violate, so they change
+neither the verdict nor the lex-first certificate, nor which tuples count
+as examined.
+
 Closure (n = 4 precompute):  r(A u B) = r(A u cl B) for any sets, since
 A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
 So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 array
 
-    GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j]
+    GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j]
 
 is read off the pair ranks PR[i][j] = r(Xi u Xj) and one rank row
 RU[u][j] = r(U_u u Xj) per distinct closure, without touching the 2^m
-table per entry.
+table per entry.  GP is pair-major: one row per (X3, X4) pair p, one
+column per X2, so each row is written by contiguous row gathers and the
+scan reduces over pairs for each X2 column.
 """
 
 from __future__ import annotations
@@ -94,13 +116,15 @@ from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # n=4 GP bytes held at once (512 MiB); above it GP is rebuilt in cached
-# blocks of X2 rows, an eighth of the limit each (64 MiB), for every X1
+# blocks of X2 columns, an eighth of the limit each (64 MiB), for every
+# group of X1 rows
 TENSOR_BYTES_LIMIT = 1 << 29
 # n=4 scans of at least this many candidate tuples, F(F+1)/2 (X1, X2) rows
 # times |P| pairs, search for automorphisms and scan only orbit-least X1
-# rows.  The search takes 1.5-5 ms and the scan about 0.25 ns a tuple on a
-# 2-core x86 host (Python 3.11, numpy 2.4), so below 2^24 tuples the search
-# costs more than it can save
+# rows.  The search takes 1.5-5 ms; the scan takes about 0.2 ns a tuple on
+# all 288 rows of F7 (+) F7^- and more where X2 rows are short (0.6 ns on
+# Kin(4), F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so below
+# 2^24 tuples, 3-10 ms of scan, the search costs more than it can save
 ORBIT_SCAN_MIN = 1 << 24
 SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan or build block
 
@@ -473,6 +497,52 @@ def _n4_pairs(table: np.ndarray, masks: np.ndarray, pruning: bool
     return (PR, P3, P4, base34[P3, P4]), queries
 
 
+def _n4_closure_rows(table: np.ndarray, masks: np.ndarray, P3: np.ndarray,
+                     P4: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The closure rows of the n = 4 GP array for the columns j >= base.
+
+    Returns (RU, U_of, rank reads): with U the distinct closures
+    cl(X3 u X4) of the pairs, U_of[p] is the index in U of pair p's closure
+    and RU[u][j - base] = r(U_u u Xj).  U comes from np.unique on the
+    closures, so ``masks`` need not be closed under closure.
+    """
+    m = table.size.bit_length() - 1
+    unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
+    U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
+    RU = table.view(np.int8)[U[:, None] | masks[None, base:]]
+    return RU, closure_of[union_of], (m + 1) * len(unions) + len(U) * (len(masks) - base)
+
+
+def _n4_d1(pairs: tuple[np.ndarray, ...], RU: np.ndarray, U_of: np.ndarray, base: int,
+           x1s: np.ndarray) -> np.ndarray:
+    """d1[k][p] = I(X3;X4) - I(X3;X4|X1) for the X1 rows ``x1s`` (all >= base).
+
+    That is C34[p] + GP[p][X1] + r(X1), gathered pair-major from the rows of
+    PR and RU as GP is, then laid out one row per X1; only the pairs with
+    d1 > 0 can violate with X1 (module docstring, "Live pairs").
+    """
+    PR, P3, P4, c34 = pairs
+    pr = np.ascontiguousarray(PR[:, x1s])
+    d1 = np.ascontiguousarray(RU[:, x1s - base]).take(U_of, axis=0)
+    d1 -= pr.take(P3, axis=0)
+    d1 -= pr.take(P4, axis=0)
+    d1 += c34[:, None]
+    d1 += PR[x1s, x1s]
+    return np.ascontiguousarray(d1.T)
+
+
+def _max_over_pairs(T: np.ndarray) -> np.ndarray:
+    """T[:, 0] after folding each T[r] onto its first row by elementwise
+    maxima of its two halves: each step is one pass over contiguous rows,
+    so short rows cost no more per entry than long ones."""
+    n = T.shape[1]
+    while n > 1:
+        h = n // 2
+        np.maximum(T[:, :h], T[:, n - h:n], out=T[:, :h])
+        n -= h
+    return T[:, 0]
+
+
 def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarray, ...],
                      i1_lo: int, i1_hi: int, pruning: bool, rows: np.ndarray | None = None
                      ) -> tuple[tuple[int, ...] | None, int, int]:
@@ -482,94 +552,148 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     given, holds the only X1 rows to scan (the orbit-least ones).  For fixed
     (X1, X2) the margin over the pair list P decomposes as
 
-        margin = r(X1 u X2) + GP[X1] + GP[X2] + (r(X3) + r(X4) - r(X3 u X4))
+        margin = r(X1 u X2) + GP[p][X1] + GP[p][X2] + (r(X3) + r(X4) - r(X3 u X4))
 
-    with GP[j][p] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4),
-    so a block of X2 rows is one precomputed-array add and a row maximum
-    compared with -r(X1 u X2); only a row whose maximum passes is searched
-    for its first pair.  GP entries lie in [-r, 0] and every sum stays
-    within int8 (r <= 24).
+    with GP[p][j] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4).
+    GP is pair-major, one row of X2 columns per pair; its entries lie in
+    [-r, 0] and every sum below stays within int8 (r <= 24).
+
+    Live pairs (module docstring): with d1[p] = I(X3;X4) - I(X3;X4|X1)
+    = C34[p] + GP[p][X1] + r(X1), margin = d1[p] - I(X1;X2) - I(X3;X4|X2)
+    and both subtracted terms are >= 0, so only the pairs with d1 > 0 can
+    violate with X1.  In those terms margin > 0 reads
+
+        d1[p] + GP[p][X2] > r(X1) - r(X1 u X2).
+
+    d1, I(X1;X2) and the right-hand thresholds are computed for a batch of
+    X1 rows in one array pass (``_n4_d1``); a row whose largest d1 is at
+    most its least I(X1;X2) is skipped (margin <= d1 - I(X1;X2)), and so is
+    every row without a live pair.  The others are scanned in groups whose (X1, pair, X2) block fits SCAN_BLOCK
+    entries, over the union of the group's live pairs (a pair that is not
+    live for a row cannot pass for it): the GP rows of those pairs are
+    gathered, d1 is added per X1 row, and the maximum over pairs of each X2
+    column (``_max_over_pairs``) is compared with the threshold.  Only the
+    first passing column of the first passing row is searched for its first
+    pair.
 
     GP is read off small tables instead of the 2^m rank table.  For any sets
     r(A u B) = r(A u cl B), since A u B <= A u cl B <= cl(A u B).  So with
     U the distinct closures cl(X3 u X4), RU[u][j] = r(U_u u Xj) and the
-    pair ranks PR,
+    pair ranks PR (``_n4_closure_rows``),
 
-        GP[j][p] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
+        GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
 
-    built by contiguous row gathers over blocks of pairs, each block
-    transposed into the row-major GP.  U comes from np.unique on the
-    closures, so ``masks`` need not be closed under closure.
+    built by contiguous row gathers over blocks of pairs, each written
+    straight into its rows of GP.
 
     Returns (lex-first hit or None, tuples examined, rank queries of the
     chunk beyond ``pairs``).
     """
     PR, P3, P4, c34 = pairs
     F = len(masks)
-    m = table.size.bit_length() - 1
     width = len(P3)
-    i1s = range(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
+    i1s = np.arange(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
     if width == 0 or len(i1s) == 0:
         return None, 0, 0
-    # rows j >= the first i1 suffice with pruning, since then i2 >= i1
+    # columns j >= the first i1 suffice with pruning, since then i2 >= i1
     base = int(i1s[0]) if pruning else 0
-    rank8 = table.view(np.int8)
-    unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
-    U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
-    U_of = closure_of[union_of]
-    RU = rank8[U[:, None] | masks[None, base:]]
-    queries = (m + 1) * len(unions) + len(U) * (F - base)
+    RU, U_of, queries = _n4_closure_rows(table, masks, P3, P4, base)
 
-    def g_rows(a: int, b: int) -> np.ndarray:
-        out = np.empty((b - a, width), dtype=np.int8)
-        ru, pr = RU[:, a - base:b - base], PR[:, a:b]
+    def g_cols(a: int, b: int) -> np.ndarray:
+        out = np.empty((width, b - a), dtype=np.int8)
+        ru = np.ascontiguousarray(RU[:, a - base:b - base])
+        pr = np.ascontiguousarray(PR[:, a:b])
         step = max(1, SCAN_BLOCK // (b - a))
         for s in range(0, width, step):
-            t = slice(s, s + step)
-            T = ru.take(U_of[t], axis=0)
-            T -= pr.take(P3[t], axis=0)
-            T -= pr.take(P4[t], axis=0)
-            out[:, t] = T.T
+            o = out[s:s + step]
+            ru.take(U_of[s:s + step], axis=0, out=o, mode="clip")
+            o -= pr.take(P3[s:s + step], axis=0)
+            o -= pr.take(P4[s:s + step], axis=0)
         return out
 
-    # GP rows in blocks on a fixed grid from base: one block when it fits the
-    # limit, else blocks of an eighth of it; the block holding row i1 stays
-    # cached while later blocks are rebuilt for each i1
+    # GP columns in blocks on a fixed grid from base: one block when it fits
+    # the limit, else blocks of an eighth of it; the block where a group's
+    # scan starts stays cached while later blocks are rebuilt for each group
     if (F - base) * width <= TENSOR_BYTES_LIMIT:
-        block_rows = F - base
+        block_cols = F - base
     else:
-        block_rows = max(1, TENSOR_BYTES_LIMIT // 8 // width)
+        block_cols = max(1, TENSOR_BYTES_LIMIT // 8 // width)
     cache: dict[int, np.ndarray] = {}
 
-    def block(row: int, keep: int | None) -> tuple[int, np.ndarray]:
-        lo = row - (row - base) % block_rows
+    def block(lo: int, keep: int) -> np.ndarray:
         if lo not in cache:
             for k in [k for k in cache if k != keep]:
                 del cache[k]
-            cache[lo] = g_rows(lo, min(F, lo + block_rows))
-        return lo, cache[lo]
+            cache[lo] = g_cols(lo, min(F, lo + block_cols))
+        return cache[lo]
 
-    rows_per_scan = max(1, SCAN_BLOCK // width)
-    buf = np.empty((min(rows_per_scan, F), width), dtype=np.int8)
+    # the gathered GP rows and their sums with d1, at most SCAN_BLOCK
+    # entries each (or one row of F columns)
+    bufs = np.empty((2, max(SCAN_BLOCK, F)), dtype=np.int8)
+
+    def scan(rows: np.ndarray, d: np.ndarray, floor: np.ndarray
+             ) -> tuple[int, int, int] | None:
+        """Lex-first hit (index into ``rows``, X2 column, pair) of the X1
+        ``rows`` with d1 rows ``d`` and thresholds ``floor``, scanned
+        together over the union of their live pairs."""
+        live = (d > 0).any(axis=0).nonzero()[0]
+        a = int(rows[0]) if pruning else 0
+        hits = np.zeros(floor.shape, dtype=bool)
+        first = a - (a - base) % block_cols
+        for lo in range(first, F, block_cols):
+            G = block(lo, first)
+            s, e = max(a, lo), lo + G.shape[1]
+            step = max(1, SCAN_BLOCK // (len(rows) * G.shape[1]))
+            top = np.full((len(rows), e - s), -128, dtype=np.int8)
+            for q in range(0, len(live), step):
+                p = live[q:q + step]
+                t = G.take(p, axis=0, mode="clip",
+                           out=bufs[0, :len(p) * G.shape[1]].reshape(len(p), -1))
+                sums = np.add(t[:, s - lo:], d.take(p, axis=1)[:, :, None],
+                              out=bufs[1, :len(rows) * len(p) * (e - s)].reshape(len(rows), len(p), -1))
+                np.maximum(top, _max_over_pairs(sums), out=top)
+            hits[:, s:e] = top > floor[:, s:e]
+            if hits[0].any():   # later rows wait for every block; row 0 is done
+                break
+        if not hits.any():
+            return None
+        r = int(hits.any(axis=1).argmax())
+        c = int(hits[r].argmax())
+        lo = c - (c - base) % block_cols
+        col = block(lo, first)[live, c - lo] + d[r, live]
+        return r, c, int(live[(col > floor[r, c]).argmax()])
+
+    def work(x1: np.ndarray) -> int:
+        """Tuples of whole X1 rows: F - i1 X2 rows each with pruning, else F."""
+        return (int((F - x1).sum()) if pruning else len(x1) * F) * width
+
+    # d1, I(X1;X2) and the thresholds r(X1) - r(X1 u X2) = I(X1;X2) - r(X2)
+    # for a batch of X1 rows in one pass, I(X1;X2) set to 127 (more than
+    # any d1) below i1 when pruning.  Since margin <= d1 - I(X1;X2), a row
+    # whose largest d1 is at most its least I(X1;X2) cannot violate, and a
+    # row with no live pair is one of them; the others are scanned in groups
+    # whose (X1, pair, X2) block fits SCAN_BLOCK
+    batch = max(1, SCAN_BLOCK // width)
+    group = max(1, SCAN_BLOCK // (width * block_cols))
+    r2 = PR.diagonal()
     tuples = 0
-    for i1 in i1s:
-        i1 = int(i1)
-        home, G = block(i1, None)
-        c1 = G[i1 - home] + c34
-        floor = -PR[i1]
-        a = i1 if pruning else 0
-        while a < F:
-            lo, G = block(a, home)
-            b = min(F, a + rows_per_scan, lo + len(G))
-            margin = np.add(G[a - lo:b - lo], c1, out=buf[:b - a])
-            hit = margin.max(axis=1) > floor[a:b]
-            k = int(hit.argmax())
-            if hit[k]:
-                j = int((margin[k] > floor[a + k]).argmax())
-                tuples += k * width + j + 1
-                return (i1, a + k, int(P3[j]), int(P4[j])), tuples, queries
-            tuples += (b - a) * width
-            a = b
+    for k0 in range(0, len(i1s), batch):
+        x1 = i1s[k0:k0 + batch]
+        d1 = _n4_d1(pairs, RU, U_of, base, x1)
+        i12 = PR[x1, x1][:, None] + r2 - PR[x1]
+        if pruning:
+            i12[np.arange(F) < x1[:, None]] = 127
+        floor = i12 - r2
+        scan_rows = (d1.max(axis=1) > i12.min(axis=1)).nonzero()[0]
+        for g0 in range(0, len(scan_rows), group):
+            g = scan_rows[g0:g0 + group]
+            found = scan(x1[g], d1[g], floor[g])
+            if found is not None:
+                r, c, j = found
+                i1 = int(x1[g[r]])
+                tuples += work(x1[:g[r]]) + (c - (i1 if pruning else 0)) * width + j + 1
+                return (i1, c, int(P3[j]), int(P4[j])), tuples, queries
+        tuples += work(x1)
     return None, tuples, queries
 
 

@@ -128,59 +128,64 @@ def _meaningful_lines(text: str):
                 yield pos, line
 
 
-def _newline_text(text: str) -> str:
-    """text with every str.splitlines line break written as one newline."""
+def _newline_text(text: str, start: int) -> tuple[str, int]:
+    """(src, offset) with src[offset:] equal to text[start:] once every
+    str.splitlines line break is written as one newline; text itself when
+    it has no other line breaks, so the common case copies nothing."""
     if text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
-        return text
-    return "\n".join(text.splitlines())
+        return text, start
+    return "\n".join(text[start:].splitlines()), 0
 
 
-def _cut_lines(rest: str) -> tuple[str, list[str]]:
-    """Split off the comment and layout lines of newline-separated lines.
+def _cut_lines(src: str, start: int) -> tuple[list[tuple[int, int]], list[str]]:
+    """Split off the comment and layout lines of the newline-separated
+    lines of src[start:].
 
-    Returns the other lines as one text and the stripped layout lines in
-    order.  Only the lines holding a '#' or 'layout' are looked at.
+    Returns the spans (lo, hi) of src holding the other lines, in order and
+    cut only after newlines, and the stripped layout lines in order.  Only
+    the lines holding a '#' or 'layout' are looked at, and no text is copied.
     """
     cuts: dict[int, int] = {}
     for needle in ("#", "layout"):
-        i = rest.find(needle)
+        i = src.find(needle, start)
         while i >= 0:
-            start = rest.rfind("\n", 0, i) + 1
-            end = rest.find("\n", i)
-            end = len(rest) if end < 0 else end
-            if not rest[start:i].strip():
-                cuts[start] = end
-            i = rest.find(needle, end)
-    kept, layout, at = [], [], 0
-    for start in sorted(cuts):
-        kept.append(rest[at:start])
-        line = rest[start:cuts[start]].strip()
+            lo = max(start, src.rfind("\n", start, i) + 1)
+            end = src.find("\n", i) + 1 or len(src)
+            if not src[lo:i].strip():
+                cuts[lo] = end
+            i = src.find(needle, end)
+    spans, layout, at = [], [], start
+    for lo in sorted(cuts):
+        spans.append((at, lo))
+        line = src[lo:cuts[lo]].strip()
         if not line.startswith("#"):
             layout.append(line)
-        at = cuts[start]
-    kept.append(rest[at:])
-    return "".join(kept), layout
+        at = cuts[lo]
+    spans.append((at, len(src)))
+    return [(lo, hi) for lo, hi in spans if hi > lo], layout
 
 
 INT64_DIGITS = 18      # decimal digits that always fit in an int64
-RANKS_CHUNK = 1 << 20  # characters of a ranks body converted per array pass
+RANKS_CHUNK = 1 << 18  # characters of a ranks body converted per array pass
 ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
-def _rank_values(body: str, m: int) -> np.ndarray:
-    """The 2^m whitespace-separated decimal ranks of a body, as uint8.
+def _rank_values(src: str, spans: list[tuple[int, int]], m: int) -> np.ndarray:
+    """The 2^m whitespace-separated decimal ranks in the spans of src, as uint8.
 
-    The body is converted in chunks of about RANKS_CHUNK characters, cut
-    at whitespace, so the temporaries stay small.  Raises FormatError for
-    a non-decimal token, a wrong count or a value outside [0, m].
+    Each span is converted in chunks of about RANKS_CHUNK characters, cut
+    at whitespace, so the temporaries stay small and the text is never
+    copied whole.  Raises FormatError for a non-decimal token, a wrong
+    count or a value outside [0, m].
     """
-    parts, at = [], 0
-    while at < len(body):
-        end = at + RANKS_CHUNK
-        while end < len(body) and body[end] not in ASCII_SPACE:
-            end += 1
-        parts.append(_decimal_values(body[at:end], m))
-        at = end
+    parts = []
+    for at, hi in spans:
+        while at < hi:
+            end = min(hi, at + RANKS_CHUNK)
+            while end < hi and src[end] not in ASCII_SPACE:
+                end += 1
+            parts.append(_decimal_values(src[at:end], m))
+            at = end
     count = sum(p.size for p in parts)
     if count != 1 << m:
         raise FormatError(f"ranks body has {count} values, expected {1 << m}")
@@ -261,12 +266,14 @@ def parse_matroid(text: str) -> Matroid:
     after, section = next(lines, (0, None))
     if section is None:
         raise FormatError("missing body section")
-    body, layout_lines = _cut_lines(_newline_text(text[after:]))
+    src, start = _newline_text(text, after)
+    spans, layout_lines = _cut_lines(src, start)
     layout = dict(_parse_layout_line(ln) for ln in layout_lines)
-    rows = [] if section == "ranks" else [s for ln in body.splitlines() if (s := ln.strip())]
+    rows = [] if section == "ranks" else [
+        s for lo, hi in spans for ln in src[lo:hi].splitlines() if (s := ln.strip())]
 
     if section == "ranks":
-        table = _rank_values(body, m)
+        table = _rank_values(src, spans, m)
         res = validate_rank_table(m, table)
         if not res:
             raise FormatError(f"rank table violates {res.axiom} "

@@ -57,6 +57,12 @@ def ingleton_value(M, x1, x2, x3, x4):
     return ingleton_sides(M.rank, x1, x2, x3, x4)
 
 
+def conditional_information(r, a, b, c=0):
+    """I(A;B|C) = r(A u C) + r(B u C) - r(A u B u C) - r(C), written out
+    literally for any rank function r; I(A;B) is the case C = empty set."""
+    return r(a | c) + r(b | c) - r(a | b | c) - r(c)
+
+
 def kinser_value(M, sets):
     """Inequality n from the displayed formula, 1-based summation indices."""
     n = len(sets)

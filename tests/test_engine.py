@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine
-from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, _n4_pairs,
-                           _orbit_least, _search_generic_chunk, _search_n4_chunk)
+from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation,
+                           _n4_closure_rows, _n4_d1, _n4_pairs, _orbit_least,
+                           _search_generic_chunk, _search_n4_chunk)
 
-from oracles import (brute_force_automorphisms, ingleton_sides, ingleton_value,
-                     kinser_value, orbit_minima, permuted_mask)
+from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
+                     ingleton_value, kinser_value, orbit_minima, permuted_mask)
 
 
 def n4_chunk(table, masks, lo, hi, pruning, rows=None):
@@ -514,13 +515,13 @@ class TestPruningGate:
         assert on.certificate == off.certificate
 
 
-# With a zero limit every GP block is one X2 row; the pruning-off scans of
-# F7 (+) F7^- and the relaxed Z6 (F = 288 and 572) would rebuild F^2 |P|
-# entries one row at a time, over a minute in all, so those four run with
-# pruning on only.
+# With a zero limit every GP block is one X2 column; the pruning-off scan
+# of F7 (+) F7^- (F = 288, |P| = F^2, in class) rebuilds the whole GP,
+# F^3 entries, for each group of X1 rows, over a minute in all, so it runs
+# with pruning on only.
 OVER_LIMIT_CASES = [(name, M, pruning) for name, M in GATE_CASES
                     for pruning in (True, False)
-                    if pruning or len(M.enumerate("flats")) <= 100]
+                    if pruning or name != "F7+F7-"]
 
 
 class TestOverLimitPath:
@@ -616,6 +617,113 @@ class TestCommonInformationLemma:
         assert violators > 0
         # the rule needs the right pair: (X1, X2) is modular on some violators
         assert modular_12 > 0
+
+
+# Families on F7^- (in class), Vamos and a relaxed Z4 (both out of class),
+# half the time near the family the paper proves violating.
+def _identity_matroids():
+    z4 = K.binary_spike(4)
+    Z = z4.parts("a1", "a2", "b3", "b4")
+    vamos, relaxed = K.kinser_relaxed(4), K.relax(z4, Z)
+    return [(K.fano_pair()[1], None), (vamos, K.canonical_family(vamos, "kinser").sets),
+            (relaxed, K.canonical_family(relaxed, "spike", Z).sets)]
+
+
+IDENTITY_MATROIDS = _identity_matroids()
+
+
+@st.composite
+def ingleton_families(draw):
+    M, violating = draw(st.sampled_from(IDENTITY_MATROIDS))
+    member = st.one_of(st.sampled_from(M.enumerate("flats")), st.integers(0, (1 << M.m) - 1))
+    sets = list(draw(st.tuples(member, member, member, member)))
+    if violating is not None and draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        sets = [v if k else x for v, x, k in zip(violating, sets, keep)]
+    return M, tuple(sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ingleton_families())
+def test_margin_is_d1_minus_two_informations(case):
+    """margin = d1 - I(X1;X2) - I(X3;X4|X2) with d1 = I(X3;X4) - I(X3;X4|X1),
+    everything from the literal formulas, and both subtracted terms >= 0."""
+    M, (x1, x2, x3, x4) = case
+    r = M.rank
+    lhs, rhs = ingleton_value(M, x1, x2, x3, x4)
+    d1 = conditional_information(r, x3, x4) - conditional_information(r, x3, x4, x1)
+    i12, i34_2 = conditional_information(r, x1, x2), conditional_information(r, x3, x4, x2)
+    assert lhs - rhs == d1 - i12 - i34_2
+    assert i12 >= 0 and i34_2 >= 0
+
+
+class TestLivePairs:
+    """The n = 4 scan keeps, per X1 row, the pairs with d1 > 0 only."""
+
+    @staticmethod
+    def table_rank(M):
+        return lambda x: M.table[x].astype(np.int64)
+
+    def lex_first_by_rows(self, M, flats):
+        """Lex-first violator by the literal formula, one X1 row at a time."""
+        r = self.table_rank(M)
+        x2, x3, x4 = flats[:, None, None], flats[None, :, None], flats[None, None, :]
+        for i1, x1 in enumerate(flats):
+            lhs, rhs = ingleton_sides(r, x1, x2, x3, x4)
+            bad = np.argwhere(lhs > rhs)
+            if len(bad):
+                return (i1, *(int(i) for i in bad[0]))
+        return None
+
+    def test_d1_matches_literal_information(self, vamos):
+        masks = np.array(vamos.enumerate("flats"), dtype=np.int64)
+        pairs = _n4_pairs(vamos.table, masks, True)[0]
+        RU, U_of, _ = _n4_closure_rows(vamos.table, masks, pairs[1], pairs[2], 0)
+        d1 = _n4_d1(pairs, RU, U_of, 0, np.arange(len(masks)))
+        r = self.table_rank(vamos)
+        x1, x3, x4 = masks[:, None], masks[pairs[1]][None], masks[pairs[2]][None]
+        expected = conditional_information(r, x3, x4) - conditional_information(r, x3, x4, x1)
+        assert np.array_equal(d1, expected)
+        assert 0 < (d1 > 0).sum() < d1.size
+
+    def test_certificate_pair_has_d1_one(self, vamos):
+        # Vamos's lex-first violator has margin 1 with I(X1;X2) = 0 and
+        # I(X3;X4|X2) = 0, so its pair is live with d1 = 1 exactly: a live
+        # test of d1 > 1 would lose it
+        flats = np.array(vamos.enumerate("flats"), dtype=np.int64)
+        tup = self.lex_first_by_rows(vamos, flats)
+        cert = K.search_bad_family(vamos, 4)
+        assert cert.family.sets == tuple(int(flats[i]) for i in tup)
+        x1, x2, x3, x4 = cert.family.sets
+        r = vamos.rank
+        assert cert.lhs - cert.rhs == 1
+        assert conditional_information(r, x3, x4) - conditional_information(r, x3, x4, x1) == 1
+        for width in (1, 2):
+            cfg = K.SearchConfig(parallel_width=width)
+            assert K.membership(vamos, 4, cfg).certificate == cert
+            cfg = K.SearchConfig(symmetry_pruning=False, parallel_width=width)
+            assert K.membership(vamos, 4, cfg).certificate == cert
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_empty_closure_row_has_no_live_pair(self, vamos, pruning):
+        # X1 = cl(empty set) gives d1 = 0 on every pair; the scan skips that
+        # row, counts its tuples, and still finds the hit in a later row
+        masks = np.array(vamos.enumerate("flats"), dtype=np.int64)
+        F = len(masks)
+        assert masks[0] == vamos.closure(0)
+        i1, i2, i3, i4 = tup = self.lex_first_by_rows(vamos, masks)
+        pairs = _n4_pairs(vamos.table, masks, pruning)[0]
+        RU, U_of, _ = _n4_closure_rows(vamos.table, masks, pairs[1], pairs[2], 0)
+        d1 = _n4_d1(pairs, RU, U_of, 0, np.array([0, i1]))
+        assert not (d1[0] > 0).any()
+        P = list(zip(pairs[1].tolist(), pairs[2].tolist()))
+        assert d1[1][P.index((i3, i4))] == 1
+        rows = np.array([0, i1])
+        got, tuples, _ = _search_n4_chunk(vamos.table, masks, pairs, 0, F, pruning, rows)
+        assert got == tup
+        # row 0 counts all F rows of X2, with pruning or without
+        before = i2 - i1 if pruning else i2
+        assert tuples == (F + before) * len(P) + P.index((i3, i4)) + 1
 
 
 class TestClassProperties:

@@ -5,6 +5,7 @@ import io
 import os
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kinser as K
-from kinser import engine
+from kinser import engine, fileio
 from kinser.cli import main
 from kinser.engine import BadFamilyCertificate
 from kinser.fileio import format_elements
@@ -390,6 +391,27 @@ class TestParserProperties:
         again = K.parse_matroid(head + "\n".join(noisy + tail) + "\n")
         assert again.table.tolist() == literal_rank_tokens("\n".join(noisy))
         assert again.table_equal(M)
+        assert (again.label, again.layout) == (M.label, M.layout)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids(), st.integers(1, 9), st.data())
+    def test_small_chunks_match_literal_reader(self, M, chunk, data):
+        # chunks of a few characters cut the body next to every token and
+        # every comment or layout line placed between its lines; zeros in
+        # front of the ranks make tokens longer than a chunk
+        head, body, tail = ranks_lines(K.write_matroid(M), M.m)
+        zeros = "0" * data.draw(st.integers(0, 3))
+        lines = [" ".join(zeros + tok for tok in ln.split()) for ln in body] + tail
+        for line in data.draw(st.lists(COMMENTS, max_size=3)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        for line in tail:
+            lines.remove(line)
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        text = head + "\n".join(lines) + data.draw(st.sampled_from(["\n", "", "\r\n"]))
+        with mock.patch.object(fileio, "RANKS_CHUNK", chunk):
+            again = K.parse_matroid(text)
+        kept = [ln for ln in lines if not ln.startswith(("#", "layout"))]
+        assert again.table.tolist() == literal_rank_tokens("\n".join(kept))
         assert (again.label, again.layout) == (M.label, M.layout)
 
 
