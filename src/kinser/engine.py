@@ -90,22 +90,23 @@ every pair.  Both rules say that a tuple cannot violate, so they change
 neither the verdict nor the lex-first certificate, nor which tuples count
 as examined.
 
-Closure (n = 4 precompute):  r(A u B) = r(A u cl B) for any sets, since
+Closure (n = 4 scan):  r(A u B) = r(A u cl B) for any sets, since
 A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
-So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 array
+So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 term
 
     GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j]
 
 is read off the pair ranks PR[i][j] = r(Xi u Xj) and one rank row
 RU[u][j] = r(U_u u Xj) per distinct closure, without touching the 2^m
-table per entry.  GP is pair-major: one row per (X3, X4) pair p, one
-column per X2, so each row is written by contiguous row gathers and the
-scan reduces over pairs for each X2 column.
+table per entry.  GP is never stored: the scan computes the rows of one
+run of live pairs (X3, X4) at a time, one column per X2, by contiguous
+row gathers, and reduces over those pairs for each X2 column.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -115,18 +116,14 @@ from .core import Matroid, MatroidError, SizeCapError, content_fingerprint
 from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
-# n=4 GP bytes held at once (512 MiB); above it GP is rebuilt in cached
-# blocks of X2 columns, an eighth of the limit each (64 MiB), for every
-# group of X1 rows
-TENSOR_BYTES_LIMIT = 1 << 29
 # n=4 scans of at least this many candidate tuples, F(F+1)/2 (X1, X2) rows
 # times |P| pairs, search for automorphisms and scan only orbit-least X1
-# rows.  The search takes 1.5-5 ms; the scan takes about 0.2 ns a tuple on
-# all 288 rows of F7 (+) F7^- and more where X2 rows are short (0.6 ns on
-# Kin(4), F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so below
-# 2^24 tuples, 3-10 ms of scan, the search costs more than it can save
+# rows.  The search takes 2.5-5 ms; the scan takes about 0.4 ns a tuple on
+# all 288 rows of F7 (+) F7^- and more where X2 rows are short (0.7-1.1 ns
+# on Kin(4), F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so
+# below 2^24 tuples, 6-18 ms of scan, the search costs about what it can save
 ORBIT_SCAN_MIN = 1 << 24
-SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan or build block
+SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan block
 
 
 @dataclass(frozen=True)
@@ -499,12 +496,14 @@ def _n4_pairs(table: np.ndarray, masks: np.ndarray, pruning: bool
 
 def _n4_closure_rows(table: np.ndarray, masks: np.ndarray, P3: np.ndarray,
                      P4: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The closure rows of the n = 4 GP array for the columns j >= base.
+    """The closure rows RU of the n = 4 term GP for the columns j >= base.
 
     Returns (RU, U_of, rank reads): with U the distinct closures
     cl(X3 u X4) of the pairs, U_of[p] is the index in U of pair p's closure
     and RU[u][j - base] = r(U_u u Xj).  U comes from np.unique on the
-    closures, so ``masks`` need not be closed under closure.
+    closures, so ``masks`` need not be closed under closure.  The scan
+    computes the GP rows of each run of live pairs from RU and PR
+    (``_n4_gp``); no GP array is kept.
     """
     m = table.size.bit_length() - 1
     unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
@@ -513,19 +512,28 @@ def _n4_closure_rows(table: np.ndarray, masks: np.ndarray, P3: np.ndarray,
     return RU, closure_of[union_of], (m + 1) * len(unions) + len(U) * (len(masks) - base)
 
 
+def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j] for the pairs p
+    with U_of[p], P3[p], P4[p] = ``u``, ``p3``, ``p4``, over the columns j
+    that ``ru`` and ``pr`` hold of RU and PR (module docstring, "Closure")."""
+    out = ru.take(u, axis=0, out=out, mode="clip")
+    out -= pr.take(p3, axis=0)
+    out -= pr.take(p4, axis=0)
+    return out
+
+
 def _n4_d1(pairs: tuple[np.ndarray, ...], RU: np.ndarray, U_of: np.ndarray, base: int,
            x1s: np.ndarray) -> np.ndarray:
     """d1[k][p] = I(X3;X4) - I(X3;X4|X1) for the X1 rows ``x1s`` (all >= base).
 
-    That is C34[p] + GP[p][X1] + r(X1), gathered pair-major from the rows of
-    PR and RU as GP is, then laid out one row per X1; only the pairs with
+    That is C34[p] + GP[p][X1] + r(X1), computed pair-major from the rows
+    of PR and RU, then laid out one row per X1; only the pairs with
     d1 > 0 can violate with X1 (module docstring, "Live pairs").
     """
     PR, P3, P4, c34 = pairs
-    pr = np.ascontiguousarray(PR[:, x1s])
-    d1 = np.ascontiguousarray(RU[:, x1s - base]).take(U_of, axis=0)
-    d1 -= pr.take(P3, axis=0)
-    d1 -= pr.take(P4, axis=0)
+    d1 = _n4_gp(np.ascontiguousarray(RU[:, x1s - base]), np.ascontiguousarray(PR[:, x1s]),
+                U_of, P3, P4)
     d1 += c34[:, None]
     d1 += PR[x1s, x1s]
     return np.ascontiguousarray(d1.T)
@@ -555,8 +563,8 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
         margin = r(X1 u X2) + GP[p][X1] + GP[p][X2] + (r(X3) + r(X4) - r(X3 u X4))
 
     with GP[p][j] = r(Xj u X3 u X4) - r(Xj u X3) - r(Xj u X4) for p = (i3, i4).
-    GP is pair-major, one row of X2 columns per pair; its entries lie in
-    [-r, 0] and every sum below stays within int8 (r <= 24).
+    GP entries lie in [-r, 0] and every sum below stays within int8
+    (r <= 24).
 
     Live pairs (module docstring): with d1[p] = I(X3;X4) - I(X3;X4|X1)
     = C34[p] + GP[p][X1] + r(X1), margin = d1[p] - I(X1;X2) - I(X3;X4|X2)
@@ -568,23 +576,19 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     d1, I(X1;X2) and the right-hand thresholds are computed for a batch of
     X1 rows in one array pass (``_n4_d1``); a row whose largest d1 is at
     most its least I(X1;X2) is skipped (margin <= d1 - I(X1;X2)), and so is
-    every row without a live pair.  The others are scanned in groups whose (X1, pair, X2) block fits SCAN_BLOCK
-    entries, over the union of the group's live pairs (a pair that is not
-    live for a row cannot pass for it): the GP rows of those pairs are
-    gathered, d1 is added per X1 row, and the maximum over pairs of each X2
-    column (``_max_over_pairs``) is compared with the threshold.  Only the
-    first passing column of the first passing row is searched for its first
-    pair.
+    every row without a live pair.  The others are scanned in groups whose
+    (X1, pair, X2) block fits SCAN_BLOCK entries, over the union of the
+    group's live pairs (a pair that is not live for a row cannot pass for
+    it) and the X2 columns from the group's first row on.  For each run of
+    those pairs the GP rows are computed (``_n4_gp``), d1 is added per X1
+    row, and the maximum over pairs of each X2 column (``_max_over_pairs``)
+    is compared with the threshold.  Only the first passing column of the
+    first passing row is searched for its first pair, from the same formula.
 
-    GP is read off small tables instead of the 2^m rank table.  For any sets
-    r(A u B) = r(A u cl B), since A u B <= A u cl B <= cl(A u B).  So with
-    U the distinct closures cl(X3 u X4), RU[u][j] = r(U_u u Xj) and the
-    pair ranks PR (``_n4_closure_rows``),
-
-        GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j],
-
-    built by contiguous row gathers over blocks of pairs, each written
-    straight into its rows of GP.
+    GP is never stored: each group computes the rows of its live pairs from
+    contiguous copies of its columns of the closure rows RU and the pair
+    ranks PR (module docstring, "Closure"; ``_n4_closure_rows``), so working
+    memory is O(SCAN_BLOCK + |U| F + F^2), not F |P|.
 
     Returns (lex-first hit or None, tuples examined, rank queries of the
     chunk beyond ``pairs``).
@@ -599,69 +603,39 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     base = int(i1s[0]) if pruning else 0
     RU, U_of, queries = _n4_closure_rows(table, masks, P3, P4, base)
 
-    def g_cols(a: int, b: int) -> np.ndarray:
-        out = np.empty((width, b - a), dtype=np.int8)
-        ru = np.ascontiguousarray(RU[:, a - base:b - base])
-        pr = np.ascontiguousarray(PR[:, a:b])
-        step = max(1, SCAN_BLOCK // (b - a))
-        for s in range(0, width, step):
-            o = out[s:s + step]
-            ru.take(U_of[s:s + step], axis=0, out=o, mode="clip")
-            o -= pr.take(P3[s:s + step], axis=0)
-            o -= pr.take(P4[s:s + step], axis=0)
-        return out
-
-    # GP columns in blocks on a fixed grid from base: one block when it fits
-    # the limit, else blocks of an eighth of it; the block where a group's
-    # scan starts stays cached while later blocks are rebuilt for each group
-    if (F - base) * width <= TENSOR_BYTES_LIMIT:
-        block_cols = F - base
-    else:
-        block_cols = max(1, TENSOR_BYTES_LIMIT // 8 // width)
-    cache: dict[int, np.ndarray] = {}
-
-    def block(lo: int, keep: int) -> np.ndarray:
-        if lo not in cache:
-            for k in [k for k in cache if k != keep]:
-                del cache[k]
-            cache[lo] = g_cols(lo, min(F, lo + block_cols))
-        return cache[lo]
-
-    # the gathered GP rows and their sums with d1, at most SCAN_BLOCK
-    # entries each (or one row of F columns)
+    # the GP rows of one run of live pairs and their sums with d1, at most
+    # SCAN_BLOCK entries each (or one pair's row of F columns)
     bufs = np.empty((2, max(SCAN_BLOCK, F)), dtype=np.int8)
 
     def scan(rows: np.ndarray, d: np.ndarray, floor: np.ndarray
              ) -> tuple[int, int, int] | None:
         """Lex-first hit (index into ``rows``, X2 column, pair) of the X1
         ``rows`` with d1 rows ``d`` and thresholds ``floor``, scanned
-        together over the union of their live pairs."""
+        together over the union of their live pairs and the columns from
+        the first row on."""
         live = (d > 0).any(axis=0).nonzero()[0]
+        u, p3, p4 = U_of[live], P3[live], P4[live]
         a = int(rows[0]) if pruning else 0
-        hits = np.zeros(floor.shape, dtype=bool)
-        first = a - (a - base) % block_cols
-        for lo in range(first, F, block_cols):
-            G = block(lo, first)
-            s, e = max(a, lo), lo + G.shape[1]
-            step = max(1, SCAN_BLOCK // (len(rows) * G.shape[1]))
-            top = np.full((len(rows), e - s), -128, dtype=np.int8)
-            for q in range(0, len(live), step):
-                p = live[q:q + step]
-                t = G.take(p, axis=0, mode="clip",
-                           out=bufs[0, :len(p) * G.shape[1]].reshape(len(p), -1))
-                sums = np.add(t[:, s - lo:], d.take(p, axis=1)[:, :, None],
-                              out=bufs[1, :len(rows) * len(p) * (e - s)].reshape(len(rows), len(p), -1))
-                np.maximum(top, _max_over_pairs(sums), out=top)
-            hits[:, s:e] = top > floor[:, s:e]
-            if hits[0].any():   # later rows wait for every block; row 0 is done
-                break
+        # contiguous copies: a take on the strided views copies them whole
+        ru = np.ascontiguousarray(RU[:, a - base:])
+        pr = np.ascontiguousarray(PR[:, a:])
+        cols = F - a
+        step = max(1, SCAN_BLOCK // (len(rows) * cols))
+        top = np.full((len(rows), cols), -128, dtype=np.int8)
+        for q in range(0, len(live), step):
+            p = live[q:q + step]
+            t = _n4_gp(ru, pr, u[q:q + step], p3[q:q + step], p4[q:q + step],
+                       out=bufs[0, :len(p) * cols].reshape(len(p), -1))
+            sums = np.add(t, d.take(p, axis=1)[:, :, None],
+                          out=bufs[1, :len(rows) * len(p) * cols].reshape(len(rows), len(p), -1))
+            np.maximum(top, _max_over_pairs(sums), out=top)
+        hits = top > floor[:, a:]
         if not hits.any():
             return None
         r = int(hits.any(axis=1).argmax())
         c = int(hits[r].argmax())
-        lo = c - (c - base) % block_cols
-        col = block(lo, first)[live, c - lo] + d[r, live]
-        return r, c, int(live[(col > floor[r, c]).argmax()])
+        col = _n4_gp(ru[:, c], pr[:, c], u, p3, p4) + d[r, live]
+        return r, a + c, int(live[(col > floor[r, a + c]).argmax()])
 
     def work(x1: np.ndarray) -> int:
         """Tuples of whole X1 rows: F - i1 X2 rows each with pruning, else F."""
@@ -674,7 +648,7 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     # row with no live pair is one of them; the others are scanned in groups
     # whose (X1, pair, X2) block fits SCAN_BLOCK
     batch = max(1, SCAN_BLOCK // width)
-    group = max(1, SCAN_BLOCK // (width * block_cols))
+    group = max(1, SCAN_BLOCK // (width * (F - base)))
     r2 = PR.diagonal()
     tuples = 0
     for k0 in range(0, len(i1s), batch):
@@ -808,6 +782,11 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     cfg = cfg or SearchConfig()
     if n < 4:
         raise MatroidError(f"inequality index must be >= 4, got {n}")
+    # the n >= 5 scan recurses once per family slot; half the recursion
+    # limit is left to the caller and to a worker's start-up frames
+    if n > sys.getrecursionlimit() // 2:
+        raise MatroidError(f"inequality index {n} needs a search {n} calls deep, over half "
+                           f"the recursion limit {sys.getrecursionlimit()}")
     masks = _space_masks(M, cfg)
     F = len(masks)
     pruning = cfg.symmetry_pruning

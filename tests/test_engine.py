@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,36 +516,49 @@ class TestPruningGate:
         assert on.certificate == off.certificate
 
 
-# With a zero limit every GP block is one X2 column; the pruning-off scan
-# of F7 (+) F7^- (F = 288, |P| = F^2, in class) rebuilds the whole GP,
-# F^3 entries, for each group of X1 rows, over a minute in all, so it runs
-# with pruning on only.
-OVER_LIMIT_CASES = [(name, M, pruning) for name, M in GATE_CASES
-                    for pruning in (True, False)
-                    if pruning or name != "F7+F7-"]
+# SCAN_BLOCK = 1 gives runs of one live pair, and batches and groups of one
+# X1 row.  The pruning-off scan of F7 (+) F7^- (F = 288, |P| = F^2, in
+# class) then computes and reduces its 288-column GP rows one pair at a time,
+# over a minute in all, so it runs with pruning on only.
+BLOCK_CASES = [(name, M, pruning) for name, M in GATE_CASES
+               for pruning in (True, False)
+               if pruning or name != "F7+F7-"]
 
 
-class TestOverLimitPath:
-    """GP rebuilt in blocks above TENSOR_BYTES_LIMIT must give the verdict,
-    certificate and counters of the in-memory GP."""
+class TestScanBlockIndependence:
+    """The n = 4 scan's block sizes must not move the verdict, certificate
+    or any counter."""
 
-    @pytest.mark.parametrize("M,pruning", [(M, p) for _, M, p in OVER_LIMIT_CASES],
+    @pytest.mark.parametrize("M,pruning", [(M, p) for _, M, p in BLOCK_CASES],
                              ids=[f"{name}-{'on' if p else 'off'}"
-                                  for name, _, p in OVER_LIMIT_CASES])
-    def test_matches_in_memory(self, M, pruning, monkeypatch):
+                                  for name, _, p in BLOCK_CASES])
+    def test_matches_default_block(self, M, pruning, monkeypatch):
         cfg = K.SearchConfig(symmetry_pruning=pruning)
-        in_memory = K.membership(M, 4, cfg)
-        monkeypatch.setattr(engine, "TENSOR_BYTES_LIMIT", 0)
-        # equal verdicts: in_class, certificate, tuples_examined, rank_queries
-        assert K.membership(M, 4, cfg) == in_memory
+        default = K.membership(M, 4, cfg)
+        monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
+        assert K.membership(M, 4, cfg) == default
 
     @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
                              ids=[name for name, _ in GATE_CASES])
-    def test_orbits_forced_on_match_in_memory(self, M, monkeypatch):
+    def test_orbits_forced_on_match_default_block(self, M, monkeypatch):
         monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
-        in_memory = K.membership(M, 4)
-        monkeypatch.setattr(engine, "TENSOR_BYTES_LIMIT", 0)
-        assert K.membership(M, 4) == in_memory
+        default = K.membership(M, 4)
+        monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
+        assert K.membership(M, 4) == default
+
+
+def test_z6_in_class_without_a_stored_gp(z6):
+    # Z6 is binary, so it satisfies every Kinser inequality; the scan holds
+    # the GP rows of one run of live pairs at a time, never F x |P| entries
+    tracemalloc.start()
+    try:
+        verdict = K.membership(z6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.in_class
+    assert (verdict.space_size, verdict.pairs) == (562, 51_266)
+    assert peak < verdict.space_size * verdict.pairs / 4
 
 
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a

@@ -257,6 +257,14 @@ class TestCli:
         assert main(["check", "-n", n, "-i", str(mfile)]) == 2
         assert f"inequality index must be >= 4, got {n}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["995", "100000"])
+    def test_check_index_past_recursion_limit_exits_2(self, n, tmp_path, capsys):
+        # the n >= 5 scan recurses once per family slot
+        mfile = tmp_path / "f.mtr"
+        main(["build", "fano", "-o", str(mfile)])
+        assert main(["check", "-n", n, "-i", str(mfile)]) == 2
+        assert "recursion limit" in capsys.readouterr().err
+
     def test_eval_index_must_match_family(self, tmp_path, capsys):
         mfile = tmp_path / "v.mtr"
         main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
