@@ -516,35 +516,37 @@ class TestPruningGate:
         assert on.certificate == off.certificate
 
 
-# SCAN_BLOCK = 1 gives runs of one live pair, and batches and groups of one
-# X1 row.  The pruning-off scan of F7 (+) F7^- (F = 288, |P| = F^2, in
-# class) then computes and reduces its 288-column GP rows one pair at a time,
-# over a minute in all, so it runs with pruning on only.
-BLOCK_CASES = [(name, M, pruning) for name, M in GATE_CASES
-               for pruning in (True, False)
-               if pruning or name != "F7+F7-"]
+# With SCAN_BLOCK = 1 every n = 4 scan block is over the limit: runs of one
+# live pair, and batches and groups of one X1 row.  The pruning-off scan of
+# F7 (+) F7^- (F = 288, |P| = F^2, in class) then computes and reduces its
+# 288-column GP rows one pair at a time, over a minute in all, so it runs
+# with pruning on only.
+OVER_LIMIT_CASES = [(name, M, pruning) for name, M in GATE_CASES
+                    for pruning in (True, False)
+                    if pruning or name != "F7+F7-"]
 
 
-class TestScanBlockIndependence:
-    """The n = 4 scan's block sizes must not move the verdict, certificate
-    or any counter."""
+class TestOverLimitPath:
+    """A scan split into blocks of SCAN_BLOCK = 1 entry must give the
+    verdict, certificate and counters of the default in-memory blocks."""
 
-    @pytest.mark.parametrize("M,pruning", [(M, p) for _, M, p in BLOCK_CASES],
+    @pytest.mark.parametrize("M,pruning", [(M, p) for _, M, p in OVER_LIMIT_CASES],
                              ids=[f"{name}-{'on' if p else 'off'}"
-                                  for name, _, p in BLOCK_CASES])
-    def test_matches_default_block(self, M, pruning, monkeypatch):
+                                  for name, _, p in OVER_LIMIT_CASES])
+    def test_matches_in_memory(self, M, pruning, monkeypatch):
         cfg = K.SearchConfig(symmetry_pruning=pruning)
-        default = K.membership(M, 4, cfg)
+        in_memory = K.membership(M, 4, cfg)
         monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
-        assert K.membership(M, 4, cfg) == default
+        # equal verdicts: in_class, certificate, tuples_examined, rank_queries
+        assert K.membership(M, 4, cfg) == in_memory
 
     @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
                              ids=[name for name, _ in GATE_CASES])
-    def test_orbits_forced_on_match_default_block(self, M, monkeypatch):
+    def test_orbits_forced_on_match_in_memory(self, M, monkeypatch):
         monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
-        default = K.membership(M, 4)
+        in_memory = K.membership(M, 4)
         monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
-        assert K.membership(M, 4) == default
+        assert K.membership(M, 4) == in_memory
 
 
 def test_z6_in_class_without_a_stored_gp(z6):
