@@ -198,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dual", action="store_true", help="check the dual matroid")
     c.add_argument("--space", choices=("flats", "all"), default="flats")
     c.add_argument("--no-prune", action="store_true",
-                   help="scan every tuple: disable the slot-symmetry rule, the "
-                        "automorphism-orbit rule on X1 and the n=4 "
-                        "common-information rule")
+                   help="scan every X1 row: disable the automorphism-orbit rule "
+                        "on X1 and, at n=4, the slot-symmetry and "
+                        "common-information rules")
     c.add_argument("--parallel", type=int, default=1,
                    help="worker processes, at most the CPU count")
     c.add_argument("-o", "--output", default=None, help="certificate file")

@@ -12,14 +12,14 @@ for violating families runs over the flats of the matroid (replacing each
 set by its closure changes no term rank, so this loses nothing), in
 lexicographic tuple order, with optional pruning by two rules.
 
-Symmetry:
-
-* for every n the inequality is invariant under reversing (X3, ..., Xn);
-* at n = 4 it is additionally invariant under swapping X1 with X2 and
-  under swapping X3 with X4 independently.
-
-A tuple is enumerated only if it is the lexicographically least member of
-its orbit; the least violating tuple overall is always canonical.
+Symmetry (n = 4 only):  inequality 4 is invariant under swapping X1 with
+X2 and under swapping X3 with X4 independently.  A tuple is enumerated
+only if it is the lexicographically least member of its orbit; the least
+violating tuple overall is always canonical.  For every n the inequality
+is also invariant under reversing (X3, ..., Xn), but that is not a pruning
+rule: the chain form (n >= 5, below) rebuilds the lex-first violator slot
+by slot without it.  Slot symmetry and common information apply at n = 4
+only.
 
 Common information (n = 4 only):  the Ingleton margin is
 
@@ -47,11 +47,11 @@ So sigma maps every violating tuple to a violating tuple, and with t* the
 lex-first violator, t* <= sigma t* gives X1* <= sigma X1*: X1* is the least
 member of its orbit under the group the kept sigma generate.  Only those
 orbit-least X1 rows are scanned.  The rule holds for any subgroup, so the
-generator search need not be complete.  At n >= 5 it combines with the
-reversal of (X3, ..., Xn), which leaves X1 fixed, and at n = 4 with the
-two swaps and the common-information rule below, since each rule is a case
-of "t* <= g t*" for g in the group generated by Aut(M) and the slot
-symmetries, or says that a tuple cannot violate.
+generator search need not be complete.  At n >= 5 it is the only rule;
+at n = 4 it combines with the two swaps and the common-information rule
+below, since each rule is a case of "t* <= g t*" for g in the group
+generated by Aut(M) and the slot symmetries, or says that a tuple cannot
+violate.
 
 Generators come from individualization and refinement on the incidence of
 elements and hyperplanes (the search-space masks of rank r - 1, or every
@@ -90,6 +90,43 @@ every pair.  Both rules say that a tuple cannot violate, so they change
 neither the verdict nor the lex-first certificate, nor which tuples count
 as examined.
 
+Chain form (n >= 5):  with I and rS as above, for every n >= 4
+
+    margin_n = I(X2;X3) - I(X1;X2) - I(X3;Xn|X1)
+               - sum_{i=4..n} I(X2; X_{i-1} | X_i).
+
+Proof, term by term from ``term_members(n)``: the terms that hold X1 are
+r12 + r13n on the left and r13 + r1n on the right, and
+r2 - I(X1;X2) - I(X3;Xn|X1) = r2 - (r1 + r2 - r12) - (r13 + r1n - r13n - r1)
+is r12 + r13n - r13 - r1n.  The others add up to
+sum_{i=3..n} (ri - r2i) + sum_{i=4..n} (r2,i-1,i - ri-1,i); since
+I(X2;X_{i-1}|X_i) = r2i + ri-1,i - r2,i-1,i - ri, adding the sum of those
+informations leaves r3 - r23 = I(X2;X3) - r2, and the two r2 cancel.  At
+n = 4 this is the "Live pairs" margin, because I(X2;X3) - I(X2;X3|X4) and
+I(X3;X4) - I(X3;X4|X2) both equal r2 + r3 + r4 - r23 - r24 - r34 + r234.
+
+Every subtracted term is >= 0.  For fixed X2 the chain X3 -> X4 -> ... -> Xn
+is a path of n - 3 steps, the step from Xa to Xc costing
+L[a][c] = I(X2; Xa | Xc) >= 0 with L[a][a] = 0.  So the least cost of the
+chain over X4..X_{n-1} is the (n-3)-hop min-plus distance
+dist_{n-3}(X3, Xn) (Kinser, JCTA 2011; Zwick, JACM 2002), and some
+X4..X_{n-1} completes (X1, X2, X3, Xn) to a violator exactly when
+
+    I(X2;X3) - I(X1;X2) - I(X3;Xn|X1) > dist_{n-3}(X3, Xn).
+
+A path may stay put at cost 0, so dist_{k+1} <= dist_k; once
+dist_{k+1} = dist_k, every later product repeats it, and that happens
+within F - 1 hops, since a least path can drop any cycle.  So each n costs
+at most F - 1 min-plus products per X2.  The lex-first violator is then
+rebuilt slot by slot: the least scanned X1 with a completion, the least X2 for
+it, the least X3 with some Xn passing the test, and for i = 4..n the least
+Xi with cost so far + L[X_{i-1}][Xi] + dist_{n-i}(Xi, Xn) below the
+budget I(X2;X3) - I(X1;X2) - I(X3;Xn|X1) for some Xn (dist_0 is 0 at
+Xn = Xi and infinite elsewhere).  Each test says exactly whether a
+completion exists, so no rule on reversing (X3, ..., Xn) is needed.  Every
+triple rank r(Xx u Xa u Xb) is r(Xx u cl(Xa u Xb)) (see "Closure"), read
+off one closure row per distinct cl(Xa u Xb).
+
 Closure (n = 4 scan):  r(A u B) = r(A u cl B) for any sets, since
 A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
 So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 term
@@ -106,7 +143,6 @@ row gathers, and reduces over those pairs for each X2 column.
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -123,7 +159,7 @@ ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # on Kin(4), F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so
 # below 2^24 tuples, 6-18 ms of scan, the search costs about what it can save
 ORBIT_SCAN_MIN = 1 << 24
-SCAN_BLOCK = 1 << 18        # int8 entries per n=4 scan block
+SCAN_BLOCK = 1 << 18        # int8 entries per scan block (n=4 scan, n>=5 min-plus and X1 tests)
 
 
 @dataclass(frozen=True)
@@ -180,7 +216,7 @@ class BadFamilyCertificate:
 @dataclass(frozen=True)
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
-    symmetry_pruning: bool = True   # slot symmetry, automorphisms, common information
+    symmetry_pruning: bool = True   # automorphisms; at n=4 also slot symmetry, common information
     parallel_width: int = 1         # worker processes, at most os.cpu_count()
 
 
@@ -188,18 +224,24 @@ class SearchConfig:
 class Verdict:
     """Outcome of one search.
 
-    ``tuples_examined`` counts the candidate tuples (those the pruning rules
-    keep, so with automorphisms only those whose X1 is orbit-least) in lex
-    order up to and including the lex-first violator, or all of them when
-    there is none; it does not depend on the parallel width.
+    ``tuples_examined`` counts candidates in lex order up to and including
+    the lex-first violator, or all of them when there is none; it does not
+    depend on the parallel width.  At n = 4 the candidates are the tuples
+    the pruning rules keep (with automorphisms only those whose X1 is
+    orbit-least).  At n >= 5 they are the (X1, X2, X3, Xn) quadruples over
+    the scanned X1 rows, the slots the chain form enumerates: x1_rows F^3
+    in class, and k F^3 + i2 F^2 + i3 F + in + 1 for a violator
+    (i1, i2, i3, ..., in) with k scanned rows below i1.
     ``rank_queries`` counts reads of the 2^m rank table, summed over all
-    workers; tables built from those reads (the n = 4 pair ranks PR and
-    closure rows RU, the ranks the automorphism search reads) count when
-    built, not when read.
+    workers; tables built from those reads (the pair ranks PR and closure
+    rows RU, the ranks the automorphism search reads) count when built, not
+    when read.  At n >= 5 every worker builds PR and the closure rows of
+    all F^2 pairs.
     ``space_size`` is F, the number of sets in the search space,
     ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
-    n >= 5) and ``x1_rows`` the number of X1 rows scanned: the orbit-least
-    rows when automorphisms were searched, else F.
+    n >= 5, whose scan keeps no pair list) and ``x1_rows`` the number of X1
+    rows scanned: the orbit-least rows when automorphisms were searched,
+    else F.
     """
 
     in_class: bool
@@ -671,75 +713,99 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     return None, tuples, queries
 
 
-def _search_generic_chunk(table: np.ndarray, masks: np.ndarray, n: int,
-                          i1_lo: int, i1_hi: int, pruning: bool,
-                          rows: np.ndarray | None = None
-                          ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Depth-first scan for n >= 5, vectorized over the last family slot.
+def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
+    """[dist_1, dist_2, ...] from the ``rows`` of the step costs L (module
+    docstring, "Chain form"): dist_{h+1}[a][b] = min over c of
+    dist_h[a][c] + L[c][b], over blocks of c whose sums fit SCAN_BLOCK
+    entries, up to ``hops`` hops or until a hop changes nothing."""
+    out = [L[rows]]
+    step = max(1, SCAN_BLOCK // L.size)
+    while len(out) < hops:
+        D = out[-1]
+        nxt = (D[:, :step, None] + L[:step]).min(axis=1)
+        for c in range(step, len(L), step):
+            np.minimum(nxt, (D[:, c:c + step, None] + L[c:c + step]).min(axis=1), out=nxt)
+        if np.array_equal(nxt, D):
+            break
+        out.append(nxt)
+    return out
 
-    Constants accumulate along the prefix; the X_n axis needs two fresh
-    union-rank gathers plus three precomputed pair-rank rows.  Reversal
-    canonicality (X3..Xn) <= reversed is applied on the final axis.
-    ``rows``, when given, holds the only X1 rows to scan.
+
+def _search_chain_chunk(table: np.ndarray, masks: np.ndarray, n: int, i1_lo: int, i1_hi: int,
+                        pruning: bool, rows: np.ndarray | None = None
+                        ) -> tuple[tuple[int, ...] | None, int, int]:
+    """Scan inequality n >= 5 for i1 in [i1_lo, i1_hi) by its chain form
+    (module docstring, "Chain form"), lex order, first hit wins.
+
+    ``rows``, when given, holds the only X1 rows to scan (the orbit-least
+    ones); ``pruning`` acts only through them.  The triple ranks come from
+    the closure rows RU of all F^2 pairs (``_n4_closure_rows``).  Per X2,
+    only the rows X3 with I(X2;X3) above the least I(X1;X2) of the X1 rows
+    still to test get distances D = dist_{n-3}(X3, .); each X1 row is then
+    tested on the entries (X3, Xn) where W = I(X2;X3) - D exceeds that
+    least I(X1;X2), as W - I(X3;Xn|X1) > I(X1;X2).  After a hit only the
+    rows before it are tested.  Ranks are at most 24, so every int8 sum
+    below stays within [-48, 48].
+
+    Returns (lex-first hit or None, tuples examined, rank queries); the
+    tuples are the (X1, X2, X3, Xn) quadruples of the chunk's X1 rows in
+    lex order, up to and including the hit's.
     """
     F = len(masks)
-    rank_f = table[masks].astype(np.int32)
-    PR = table[masks[:, None] | masks[None, :]].astype(np.int32)
-    state = {"queries": F + F * F, "tuples": 0}
-    idxs = [0] * (n + 1)  # 1-based slots 1..n
-    found: list[tuple[int, ...]] = []
-    x1s = [int(j) for j in (range(i1_lo, i1_hi) if rows is None
-                            else rows[(rows >= i1_lo) & (rows < i1_hi)])]
+    (PR, P3, P4, c34), queries = _n4_pairs(table, masks, False)
+    RU, U_of, reads = _n4_closure_rows(table, masks, P3, P4, 0)
+    queries += reads
+    I, UF, r = c34.reshape(F, F), U_of.reshape(F, F), PR.diagonal()
+    x1s = np.arange(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
+    PX, RX, I1 = PR[x1s], np.ascontiguousarray(RU[:, x1s].T), I[x1s]
 
-    def mid_reversed_cmp() -> int:
-        """Compare (j4..j_{n-1}) with its reverse; settles jn == j3 ties."""
-        mid = [idxs[i] for i in range(4, n)]
-        rev = mid[::-1]
-        return (mid > rev) - (mid < rev)
+    def steps(j: int) -> np.ndarray:
+        """L[a][c] = I(X2;Xa|Xc) for X2 = Xj."""
+        return PR[j] + PR - r - RU[:, j][UF]
 
-    def rec(d: int, const: int):
-        if found:
-            return
-        if d == n:
-            m1, m2 = masks[idxs[1]], masks[idxs[2]]
-            m3, mprev = masks[idxs[3]], masks[idxs[n - 1]]
-            vec = (const + rank_f
-                   + table[(m1 | m3) | masks] + table[(m2 | mprev) | masks]
-                   - PR[idxs[1]] - PR[idxs[2]] - PR[idxs[n - 1]])
-            state["queries"] += 2 * F
-            state["tuples"] += F
-            hits = vec > 0
-            if pruning:
-                j3 = idxs[3]
-                allowed = np.arange(F) > j3
-                if mid_reversed_cmp() <= 0:
-                    allowed |= np.arange(F) == j3
-                hits &= allowed
-            nz = np.nonzero(hits)[0]
-            if nz.size:
-                found.append(tuple(idxs[1:n]) + (int(nz[0]),))
-            return
-        for j in (x1s if d == 1 else range(F)):
-            idxs[d] = j
-            delta = 0
-            if d == 2:
-                delta += PR[idxs[1]][j]
-            if d >= 3:
-                delta += int(rank_f[j]) - PR[idxs[2]][j]
-            if d == 3:
-                delta -= PR[idxs[1]][j]
-            if d >= 4:
-                prev = idxs[d - 1]
-                delta += int(table[masks[idxs[2]] | masks[prev] | masks[j]])
-                delta -= PR[prev][j]
-                state["queries"] += 1
-            rec(d + 1, const + delta)
-            if found:
-                return
+    def cond(k, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """I(Xa;Xb|X1) for the X1 rows x1s[k] and the entries (a, b)."""
+        return PX[k][:, a] + PX[k][:, b] - RX[k][:, UF[a, b]] - r[x1s[k]][:, None]
 
-    rec(1, 0)
-    best = found[0] if found else None
-    return best, state["tuples"], state["queries"]
+    best = None                    # (position in x1s, X2)
+    for j in range(F):
+        cand = len(x1s) if best is None else best[0]
+        if cand == 0:
+            break
+        floor = I1[:cand, j].min()
+        a = (I[j] > floor).nonzero()[0]
+        W = I[j, a][:, None] - _distances(steps(j), a, n - 3)[-1]
+        ai, b = (W > floor).nonzero()
+        if len(ai) == 0:
+            continue
+        w, a = W[ai, b], a[ai]
+        block = max(1, SCAN_BLOCK // len(w))
+        for k0 in range(0, cand, block):
+            k = slice(k0, min(k0 + block, cand))
+            hit = ((w - cond(k, a, b)).max(axis=1) > I1[k, j]).nonzero()[0]
+            if len(hit):
+                best = (k0 + int(hit[0]), j)
+                break
+    if best is None:
+        return None, len(x1s) * F ** 3, queries
+
+    # rebuild: each slot takes the least index whose step cost plus the
+    # distance of the hops left keeps the chain under the budget
+    k, i2 = best
+    L = steps(i2)
+    hops = _distances(L, slice(None), n - 3)
+    a, b = np.indices((F, F)).reshape(2, -1)
+    budget = (I[i2][:, None] - I1[k, i2] - cond([k], a, b).reshape(F, F)).astype(np.int64)
+    i3 = int((hops[-1] < budget).any(axis=1).argmax())
+    budget = budget[i3]
+    # G[h][c] = least dist_h(Xc, Xn) - budget(Xn) over Xn, dist_0 = 0 at Xn = Xc only
+    G = [-budget] + [(D - budget).min(axis=1) for D in hops]
+    tup, cost = [int(x1s[k]), i2, i3], 0
+    for i in range(4, n + 1):
+        c = int((cost + L[tup[-1]] + G[min(n - i, len(hops))] < 0).argmax())
+        cost += int(L[tup[-1], c])
+        tup.append(c)
+    return tuple(tup), k * F ** 3 + i2 * F ** 2 + i3 * F + tup[-1] + 1, queries
 
 
 def _balanced_chunks(F: int, width: int, triangular: bool,
@@ -764,7 +830,7 @@ def _chunk_worker(args):
     table, masks, n, pairs, lo, hi, pruning, rows = args
     if n == 4:
         return _search_n4_chunk(table, masks, pairs, lo, hi, pruning, rows)
-    return _search_generic_chunk(table, masks, n, lo, hi, pruning, rows)
+    return _search_chain_chunk(table, masks, n, lo, hi, pruning, rows)
 
 
 def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
@@ -782,11 +848,6 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     cfg = cfg or SearchConfig()
     if n < 4:
         raise MatroidError(f"inequality index must be >= 4, got {n}")
-    # the n >= 5 scan recurses once per family slot; half the recursion
-    # limit is left to the caller and to a worker's start-up frames
-    if n > sys.getrecursionlimit() // 2:
-        raise MatroidError(f"inequality index {n} needs a search {n} calls deep, over half "
-                           f"the recursion limit {sys.getrecursionlimit()}")
     masks = _space_masks(M, cfg)
     F = len(masks)
     pruning = cfg.symmetry_pruning

@@ -65,9 +65,14 @@ def conditional_information(r, a, b, c=0):
 
 def kinser_value(M, sets):
     """Inequality n from the displayed formula, 1-based summation indices."""
+    return kinser_sides(M.rank, sets)
+
+
+def kinser_sides(r, sets):
+    """Inequality n's two sides, written out literally, for any rank
+    function r; with numpy mask arrays the sets broadcast."""
     n = len(sets)
     X = [None] + list(sets)
-    r = M.rank
 
     def u(*idx):
         m = 0

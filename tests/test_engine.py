@@ -13,10 +13,11 @@ import kinser as K
 from kinser import engine
 from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation,
                            _n4_closure_rows, _n4_d1, _n4_pairs, _orbit_least,
-                           _search_generic_chunk, _search_n4_chunk)
+                           _search_chain_chunk, _search_n4_chunk)
 
 from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
-                     ingleton_value, kinser_value, orbit_minima, permuted_mask)
+                     ingleton_value, kinser_sides, kinser_value, orbit_minima,
+                     permuted_mask)
 
 
 def n4_chunk(table, masks, lo, hi, pruning, rows=None):
@@ -186,12 +187,19 @@ def search_masks(M, space):
 
 
 def brute_force_lex_first(M, n, masks):
-    """Reference search: full lexicographic scan by the displayed formula."""
-    for tup in itertools.product(range(len(masks)), repeat=n):
-        sets = tuple(masks[j] for j in tup)
-        lhs, rhs = kinser_value(M, sets)
-        if lhs > rhs:
-            return tup, (lhs, rhs)
+    """Reference search: full lexicographic scan by the displayed formula,
+    each prefix X1..X_{n-1} against every mask in the last slot at once."""
+    last = np.array(masks, dtype=np.int64)
+
+    def r(x):
+        return M.table[x].astype(np.int64)
+
+    for prefix in itertools.product(range(len(masks)), repeat=n - 1):
+        lhs, rhs = kinser_sides(r, [masks[j] for j in prefix] + [last])
+        bad = np.flatnonzero(lhs > rhs)
+        if bad.size:
+            j = int(bad[0])
+            return prefix + (j,), (int(lhs[j]), int(rhs[j]))
     return None, None
 
 
@@ -276,10 +284,10 @@ class TestSearch:
         arr = np.array(masks, dtype=np.int64)
         tup, value = brute_force_lex_first(M, 5, masks)
         assert tup is not None
-        got, _, _ = _search_generic_chunk(M.table, arr, 5, 0, len(masks), False)
+        got, _, _ = _search_chain_chunk(M.table, arr, 5, 0, len(masks), False)
         assert got == tup
-        got_pruned, _, _ = _search_generic_chunk(M.table, arr, 5, 0, len(masks), True)
-        assert got_pruned == tup  # least violating tuple is reversal-canonical
+        got_pruned, _, _ = _search_chain_chunk(M.table, arr, 5, 0, len(masks), True)
+        assert got_pruned == tup  # without rows, pruning scans every X1 row
 
     def test_n4_chunk_matches_brute_force(self, vamos):
         masks = vamos.enumerate("flats")[:25]
@@ -328,12 +336,38 @@ class TestSearch:
         assert max(tuples) < 0.55 * sum(tuples)
 
     def test_orbit_rows_at_n5(self, fano):
-        # F7 has 16 flats in 4 orbits: 4 X1 rows of 16^4 tuples each
+        # F7 has 16 flats in 4 orbits: 4 X1 rows of 16^3 (X2, X3, X5) each
         on = K.membership(fano, 5)
         off = K.membership(fano, 5, K.SearchConfig(symmetry_pruning=False))
         assert on.in_class and off.in_class
-        assert (on.x1_rows, on.tuples_examined) == (4, 4 * 16 ** 4)
-        assert (off.x1_rows, off.tuples_examined) == (16, 16 ** 5)
+        assert (on.x1_rows, on.tuples_examined) == (4, 4 * 16 ** 3)
+        assert (off.x1_rows, off.tuples_examined) == (16, 16 ** 4)
+
+    @pytest.mark.parametrize("maker,n", [
+        (lambda: K.kinser(4), 5),
+        (lambda: K.binary_spike(4), 5),
+        (lambda: K.binary_spike(5), 5),
+        (lambda: K.fano_pair()[0], 6),
+        (lambda: K.fano_pair()[1], 6),
+        (lambda: K.uniform(3, 6), 6),
+    ], ids=["Kin4-5", "Z4-5", "Z5-5", "F7-6", "F7m-6", "U36-6"])
+    def test_representable_in_class_past_n4(self, maker, n):
+        # the abstract: representable matroids satisfy every Kinser inequality
+        assert K.membership(maker(), n).in_class
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_vamos_n5_certificate(self, vamos, pruning):
+        # X1 = cl(empty set) is row 0, so the count is i2 F^2 + i3 F + i5 + 1
+        # at any width, with or without orbit rows
+        flats = vamos.enumerate("flats")
+        F = len(flats)
+        for width in (1, 2):
+            cfg = K.SearchConfig(symmetry_pruning=pruning, parallel_width=width)
+            verdict = K.membership(vamos, 5, cfg)
+            assert verdict.certificate.family.sets == (0, 48, 3, 192, 12)
+            i1, i2, i3, _, i5 = (flats.index(x) for x in verdict.certificate.family.sets)
+            assert i1 == 0
+            assert verdict.tuples_examined == i2 * F ** 2 + i3 * F + i5 + 1
 
     def test_verdict_statistics_populated(self, fano, vamos, monkeypatch):
         # F7 is modular: the common-information rule prunes every (X3, X4)
@@ -471,8 +505,24 @@ class TestAutomorphisms:
         assert len(_orbit_least(len(masks), [pi for _, pi in gens])) == counts[0] * counts[1] == 24
 
 
+# the n = 5 gate: every gate case with at most 100 flats, which leaves out
+# F7 (+) F7^- and the relaxed Z6
+N5_GATE_CASES = [(name, M) for name, M in GATE_CASES if len(M.enumerate("flats")) <= 100]
+
+
 class TestPruningGate:
     """Both pruning rules together must not move the verdict or certificate."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("M", [M for _, M in N5_GATE_CASES],
+                             ids=[name for name, _ in N5_GATE_CASES])
+    def test_n5_orbits_agree_with_pruning_off(self, M, width):
+        on = K.membership(M, 5, K.SearchConfig(parallel_width=width))
+        off = K.membership(M, 5, K.SearchConfig(symmetry_pruning=False,
+                                                parallel_width=width))
+        assert on.x1_rows < off.x1_rows == on.space_size
+        assert on.in_class == off.in_class
+        assert on.certificate == off.certificate
 
     @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
                              ids=[name for name, _ in GATE_CASES])
@@ -582,17 +632,17 @@ MASK_LIST_MATROIDS = _mask_list_matroids()
 
 
 @st.composite
-def mask_lists(draw):
-    """A matroid and a list of masks in any order, repeats allowed: some or
-    all of its violating family, flats, two-element sets and arbitrary
-    subsets, so closures of unions often lie outside the list and many
-    members are not flats."""
+def mask_lists(draw, max_size=8):
+    """A matroid and a list of at most ``max_size`` masks in any order,
+    repeats allowed: some or all of its violating family, flats,
+    two-element sets and arbitrary subsets, so closures of unions often lie
+    outside the list and many members are not flats."""
     M, family = draw(st.sampled_from(MASK_LIST_MATROIDS))
     pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
     member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
                        st.integers(0, (1 << M.m) - 1))
     masks = list(family) if draw(st.booleans()) else []
-    masks += draw(st.lists(member, min_size=1, max_size=8 - len(masks)))
+    masks += draw(st.lists(member, min_size=1, max_size=max_size - len(masks)))
     return M, draw(st.permutations(masks))
 
 
@@ -603,6 +653,24 @@ def test_n4_chunk_on_arbitrary_mask_lists(case):
     tup, _ = brute_force_lex_first(M, 4, masks)
     arr = np.array(masks, dtype=np.int64)
     assert n4_chunk(M.table, arr, 0, len(arr), False)[0] == tup
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n,size", [(5, 6), (6, 5)])
+def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
+    # a Vamos or relaxed Z4 list holding its whole n = 4 family holds an
+    # n-violator too: the family with its last set repeated
+    M, masks = data.draw(mask_lists(size))
+    tup, _ = brute_force_lex_first(M, n, masks)
+    arr = np.array(masks, dtype=np.int64)
+    F = len(arr)
+    for pruning in (True, False):
+        got, tuples, _ = _search_chain_chunk(M.table, arr, n, 0, F, pruning)
+        assert got == tup
+        # (X1, X2, X3, Xn) quadruples up to and including the hit
+        i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
+        assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
 
 
 class TestCommonInformationLemma:
@@ -671,6 +739,33 @@ def test_margin_is_d1_minus_two_informations(case):
     i12, i34_2 = conditional_information(r, x1, x2), conditional_information(r, x3, x4, x2)
     assert lhs - rhs == d1 - i12 - i34_2
     assert i12 >= 0 and i34_2 >= 0
+
+
+# Arbitrary masks of two matroids outside K_4 (Vamos, Kin(5)^-) and two
+# representable ones (F7^-, Z5)
+CHAIN_MATROIDS = [K.kinser_relaxed(4), K.fano_pair()[1], K.kinser_relaxed(5),
+                  K.binary_spike(5)]
+
+
+@st.composite
+def chain_families(draw):
+    M = draw(st.sampled_from(CHAIN_MATROIDS))
+    n = draw(st.integers(4, 8))
+    return M, draw(st.lists(st.integers(0, (1 << M.m) - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_families())
+def test_margin_is_the_chain_form(case):
+    """margin_n = I(X2;X3) - I(X1;X2) - I(X3;Xn|X1)
+    - sum_{i=4..n} I(X2;X_{i-1}|X_i), from the literal formulas."""
+    M, sets = case
+    r, n, X = M.rank, len(sets), [None] + sets
+    lhs, rhs = kinser_value(M, sets)
+    chain = sum(conditional_information(r, X[2], X[i - 1], X[i]) for i in range(4, n + 1))
+    assert lhs - rhs == (conditional_information(r, X[2], X[3])
+                         - conditional_information(r, X[1], X[2])
+                         - conditional_information(r, X[3], X[n], X[1]) - chain)
 
 
 class TestLivePairs:
