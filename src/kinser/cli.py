@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "on X1 and, at n=4, the slot-symmetry and "
                         "common-information rules")
     c.add_argument("--parallel", type=int, default=1,
-                   help="worker processes, at most the CPU count")
+                   help="worker processes, at most the CPU count; the verdict "
+                        "and every counter are the same at any width")
     c.add_argument("-o", "--output", default=None, help="certificate file")
     c.set_defaults(func=_check)
 

@@ -232,11 +232,11 @@ class Verdict:
     the scanned X1 rows, the slots the chain form enumerates: x1_rows F^3
     in class, and k F^3 + i2 F^2 + i3 F + in + 1 for a violator
     (i1, i2, i3, ..., in) with k scanned rows below i1.
-    ``rank_queries`` counts reads of the 2^m rank table, summed over all
-    workers; tables built from those reads (the pair ranks PR and closure
-    rows RU, the ranks the automorphism search reads) count when built, not
-    when read.  At n >= 5 every worker builds PR and the closure rows of
-    all F^2 pairs.
+    ``rank_queries`` is the number of rank-table reads made by
+    ``membership``, the same at any width: the search tables (the pair
+    ranks PR, the pair list and the closure rows RU, ``_search_tables``)
+    and the ranks the automorphism search reads.  The scan chunks read
+    only those tables.
     ``space_size`` is F, the number of sets in the search space,
     ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
     n >= 5, whose scan keeps no pair list) and ``x1_rows`` the number of X1
@@ -510,14 +510,20 @@ def _closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _n4_pairs(table: np.ndarray, masks: np.ndarray, pruning: bool
-              ) -> tuple[tuple[np.ndarray, ...], int]:
-    """The (X3, X4) pairs of the n = 4 scan and the rank reads they took.
+def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
+                   ) -> tuple[tuple[np.ndarray, ...], int]:
+    """The rank tables both scans read, and the rank reads they took.
 
-    Returns (PR, P3, P4, C34): the pair ranks PR[i][j] = r(Xi u Xj), the
-    lex-ordered pair list P as index arrays (every pair, or with pruning
-    only the non-modular pairs with i3 <= i4), and
-    C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair.
+    Returns (PR, P3, P4, C34, RU, U_of): the pair ranks PR[i][j] = r(Xi u Xj),
+    the lex-ordered (X3, X4) pair list P as index arrays (every pair, or
+    with pruning only the non-modular pairs with i3 <= i4),
+    C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair, and the
+    closure rows that give the triple ranks (module docstring, "Closure"):
+    with U the distinct closures cl(X3 u X4) of the pairs, U_of[p] is the
+    index in U of pair p's closure and RU[u][j] = r(U_u u Xj).  U comes
+    from np.unique on the closures, so ``masks`` need not be closed under
+    closure.  The n = 4 scan computes the GP rows it needs from RU and PR
+    (``_n4_gp``); no GP array is kept.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
@@ -533,25 +539,11 @@ def _n4_pairs(table: np.ndarray, masks: np.ndarray, pruning: bool
         P3, P4 = np.nonzero(np.triu(base34 > meet))
     else:
         P3, P4 = np.nonzero(np.ones((F, F), dtype=bool))
-    return (PR, P3, P4, base34[P3, P4]), queries
-
-
-def _n4_closure_rows(table: np.ndarray, masks: np.ndarray, P3: np.ndarray,
-                     P4: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The closure rows RU of the n = 4 term GP for the columns j >= base.
-
-    Returns (RU, U_of, rank reads): with U the distinct closures
-    cl(X3 u X4) of the pairs, U_of[p] is the index in U of pair p's closure
-    and RU[u][j - base] = r(U_u u Xj).  U comes from np.unique on the
-    closures, so ``masks`` need not be closed under closure.  The scan
-    computes the GP rows of each run of live pairs from RU and PR
-    (``_n4_gp``); no GP array is kept.
-    """
-    m = table.size.bit_length() - 1
     unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
     U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
-    RU = table.view(np.int8)[U[:, None] | masks[None, base:]]
-    return RU, closure_of[union_of], (m + 1) * len(unions) + len(U) * (len(masks) - base)
+    RU = rank8[U[:, None] | masks[None, :]]
+    queries += (m + 1) * len(unions) + len(U) * F
+    return (PR, P3, P4, base34[P3, P4], RU, closure_of[union_of]), queries
 
 
 def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np.ndarray,
@@ -565,16 +557,16 @@ def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np
     return out
 
 
-def _n4_d1(pairs: tuple[np.ndarray, ...], RU: np.ndarray, U_of: np.ndarray, base: int,
-           x1s: np.ndarray) -> np.ndarray:
-    """d1[k][p] = I(X3;X4) - I(X3;X4|X1) for the X1 rows ``x1s`` (all >= base).
+def _n4_d1(tables: tuple[np.ndarray, ...], x1s: np.ndarray) -> np.ndarray:
+    """d1[k][p] = I(X3;X4) - I(X3;X4|X1) for the X1 rows ``x1s``.
 
-    That is C34[p] + GP[p][X1] + r(X1), computed pair-major from the rows
-    of PR and RU, then laid out one row per X1; only the pairs with
-    d1 > 0 can violate with X1 (module docstring, "Live pairs").
+    ``tables`` is ``_search_tables(...)[0]``.  d1 is C34[p] + GP[p][X1]
+    + r(X1), computed pair-major from the rows of PR and RU, then laid out
+    one row per X1; only the pairs with d1 > 0 can violate with X1 (module
+    docstring, "Live pairs").
     """
-    PR, P3, P4, c34 = pairs
-    d1 = _n4_gp(np.ascontiguousarray(RU[:, x1s - base]), np.ascontiguousarray(PR[:, x1s]),
+    PR, P3, P4, c34, RU, U_of = tables
+    d1 = _n4_gp(np.ascontiguousarray(RU[:, x1s]), np.ascontiguousarray(PR[:, x1s]),
                 U_of, P3, P4)
     d1 += c34[:, None]
     d1 += PR[x1s, x1s]
@@ -593,14 +585,14 @@ def _max_over_pairs(T: np.ndarray) -> np.ndarray:
     return T[:, 0]
 
 
-def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarray, ...],
-                     i1_lo: int, i1_hi: int, pruning: bool, rows: np.ndarray | None = None
-                     ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Scan inequality 4 for i1 in [i1_lo, i1_hi), lex order, first hit wins.
+def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: bool
+                     ) -> tuple[tuple[int, ...] | None, int]:
+    """Scan inequality 4 over the X1 rows ``i1s`` (ascending), lex order,
+    first hit wins.
 
-    ``pairs`` is ``_n4_pairs(table, masks, pruning)[0]``; ``rows``, when
-    given, holds the only X1 rows to scan (the orbit-least ones).  For fixed
-    (X1, X2) the margin over the pair list P decomposes as
+    ``tables`` is ``_search_tables(table, masks, pruning)[0]``, with
+    ``pruning`` the same.  For fixed (X1, X2) the margin over the pair list
+    P decomposes as
 
         margin = r(X1 u X2) + GP[p][X1] + GP[p][X2] + (r(X3) + r(X4) - r(X3 u X4))
 
@@ -629,21 +621,18 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
 
     GP is never stored: each group computes the rows of its live pairs from
     contiguous copies of its columns of the closure rows RU and the pair
-    ranks PR (module docstring, "Closure"; ``_n4_closure_rows``), so working
-    memory is O(SCAN_BLOCK + |U| F + F^2), not F |P|.
+    ranks PR (module docstring, "Closure"), so working memory is
+    O(SCAN_BLOCK + |U| F + F^2), not F |P|.
 
-    Returns (lex-first hit or None, tuples examined, rank queries of the
-    chunk beyond ``pairs``).
+    Returns (lex-first hit as indices into the search space, or None; the
+    tuples examined over ``i1s`` up to and including the hit).  The chunk
+    reads no rank table beyond ``tables``.
     """
-    PR, P3, P4, c34 = pairs
-    F = len(masks)
+    PR, P3, P4, c34, RU, U_of = tables
+    F = len(PR)
     width = len(P3)
-    i1s = np.arange(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
-    if width == 0 or len(i1s) == 0:
-        return None, 0, 0
-    # columns j >= the first i1 suffice with pruning, since then i2 >= i1
-    base = int(i1s[0]) if pruning else 0
-    RU, U_of, queries = _n4_closure_rows(table, masks, P3, P4, base)
+    if width == 0:
+        return None, 0
 
     # the GP rows of one run of live pairs and their sums with d1, at most
     # SCAN_BLOCK entries each (or one pair's row of F columns)
@@ -657,9 +646,10 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
         the first row on."""
         live = (d > 0).any(axis=0).nonzero()[0]
         u, p3, p4 = U_of[live], P3[live], P4[live]
+        # columns j >= the first i1 suffice with pruning, since then i2 >= i1
         a = int(rows[0]) if pruning else 0
         # contiguous copies: a take on the strided views copies them whole
-        ru = np.ascontiguousarray(RU[:, a - base:])
+        ru = np.ascontiguousarray(RU[:, a:])
         pr = np.ascontiguousarray(PR[:, a:])
         cols = F - a
         step = max(1, SCAN_BLOCK // (len(rows) * cols))
@@ -690,12 +680,12 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
     # row with no live pair is one of them; the others are scanned in groups
     # whose (X1, pair, X2) block fits SCAN_BLOCK
     batch = max(1, SCAN_BLOCK // width)
-    group = max(1, SCAN_BLOCK // (width * (F - base)))
+    group = max(1, SCAN_BLOCK // (width * F))
     r2 = PR.diagonal()
     tuples = 0
     for k0 in range(0, len(i1s), batch):
         x1 = i1s[k0:k0 + batch]
-        d1 = _n4_d1(pairs, RU, U_of, base, x1)
+        d1 = _n4_d1(tables, x1)
         i12 = PR[x1, x1][:, None] + r2 - PR[x1]
         if pruning:
             i12[np.arange(F) < x1[:, None]] = 127
@@ -708,9 +698,9 @@ def _search_n4_chunk(table: np.ndarray, masks: np.ndarray, pairs: tuple[np.ndarr
                 r, c, j = found
                 i1 = int(x1[g[r]])
                 tuples += work(x1[:g[r]]) + (c - (i1 if pruning else 0)) * width + j + 1
-                return (i1, c, int(P3[j]), int(P4[j])), tuples, queries
+                return (i1, c, int(P3[j]), int(P4[j])), tuples
         tuples += work(x1)
-    return None, tuples, queries
+    return None, tuples
 
 
 def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
@@ -719,7 +709,8 @@ def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
     dist_h[a][c] + L[c][b], over blocks of c whose sums fit SCAN_BLOCK
     entries, up to ``hops`` hops or until a hop changes nothing."""
     out = [L[rows]]
-    step = max(1, SCAN_BLOCK // L.size)
+    # a block sums len(rows) x step x F entries; ``rows`` may be empty
+    step = max(1, SCAN_BLOCK // max(1, out[0].size))
     while len(out) < hops:
         D = out[-1]
         nxt = (D[:, :step, None] + L[:step]).min(axis=1)
@@ -731,15 +722,14 @@ def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
     return out
 
 
-def _search_chain_chunk(table: np.ndarray, masks: np.ndarray, n: int, i1_lo: int, i1_hi: int,
-                        pruning: bool, rows: np.ndarray | None = None
-                        ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Scan inequality n >= 5 for i1 in [i1_lo, i1_hi) by its chain form
-    (module docstring, "Chain form"), lex order, first hit wins.
+def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
+                        ) -> tuple[tuple[int, ...] | None, int]:
+    """Scan inequality n >= 5 over the X1 rows ``x1s`` (ascending) by its
+    chain form (module docstring, "Chain form"), lex order, first hit wins.
 
-    ``rows``, when given, holds the only X1 rows to scan (the orbit-least
-    ones); ``pruning`` acts only through them.  The triple ranks come from
-    the closure rows RU of all F^2 pairs (``_n4_closure_rows``).  Per X2,
+    ``tables`` is ``_search_tables(table, masks, False)[0]``: the pair
+    ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
+    the triple ranks come.  Per X2,
     only the rows X3 with I(X2;X3) above the least I(X1;X2) of the X1 rows
     still to test get distances D = dist_{n-3}(X3, .); each X1 row is then
     tested on the entries (X3, Xn) where W = I(X2;X3) - D exceeds that
@@ -747,16 +737,14 @@ def _search_chain_chunk(table: np.ndarray, masks: np.ndarray, n: int, i1_lo: int
     rows before it are tested.  Ranks are at most 24, so every int8 sum
     below stays within [-48, 48].
 
-    Returns (lex-first hit or None, tuples examined, rank queries); the
-    tuples are the (X1, X2, X3, Xn) quadruples of the chunk's X1 rows in
-    lex order, up to and including the hit's.
+    Returns (lex-first hit as indices into the search space, or None; the
+    tuples examined: the (X1, X2, X3, Xn) quadruples over ``x1s`` in lex
+    order, up to and including the hit's).  The chunk reads no rank table
+    beyond ``tables``.
     """
-    F = len(masks)
-    (PR, P3, P4, c34), queries = _n4_pairs(table, masks, False)
-    RU, U_of, reads = _n4_closure_rows(table, masks, P3, P4, 0)
-    queries += reads
+    PR, _, _, c34, RU, U_of = tables
+    F = len(PR)
     I, UF, r = c34.reshape(F, F), U_of.reshape(F, F), PR.diagonal()
-    x1s = np.arange(i1_lo, i1_hi) if rows is None else rows[(rows >= i1_lo) & (rows < i1_hi)]
     PX, RX, I1 = PR[x1s], np.ascontiguousarray(RU[:, x1s].T), I[x1s]
 
     def steps(j: int) -> np.ndarray:
@@ -787,7 +775,7 @@ def _search_chain_chunk(table: np.ndarray, masks: np.ndarray, n: int, i1_lo: int
                 best = (k0 + int(hit[0]), j)
                 break
     if best is None:
-        return None, len(x1s) * F ** 3, queries
+        return None, len(x1s) * F ** 3
 
     # rebuild: each slot takes the least index whose step cost plus the
     # distance of the hops left keeps the chain under the budget
@@ -805,32 +793,30 @@ def _search_chain_chunk(table: np.ndarray, masks: np.ndarray, n: int, i1_lo: int
         c = int((cost + L[tup[-1]] + G[min(n - i, len(hops))] < 0).argmax())
         cost += int(L[tup[-1], c])
         tup.append(c)
-    return tuple(tup), k * F ** 3 + i2 * F ** 2 + i3 * F + tup[-1] + 1, queries
+    return tuple(tup), k * F ** 3 + i2 * F ** 2 + i3 * F + tup[-1] + 1
 
 
-def _balanced_chunks(F: int, width: int, triangular: bool,
-                     rows: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """Split i1 over [0, F) into runs of about equal tuple counts.
+def _balanced_chunks(rows: np.ndarray, F: int, width: int, triangular: bool
+                     ) -> list[np.ndarray]:
+    """Split the ascending X1 ``rows`` into at most ``width`` contiguous
+    runs of about equal tuple counts.
 
     A row i1 scans F - i1 rows of X2 when the n=4 search is pruned
-    (i2 >= i1), and F rows otherwise; with ``rows`` given only those X1
-    rows are scanned and the others weigh nothing.  Cuts go where the
-    cumulative per-i1 tuple count crosses each multiple of total / width.
+    (i2 >= i1), and F rows otherwise.  Cuts go where the cumulative per-row
+    tuple count crosses each multiple of total / width.
     """
-    work = np.arange(F, 0, -1) if triangular else np.full(F, F)
-    if rows is not None:
-        work = np.where(np.isin(np.arange(F), rows), work, 0)
+    work = F - rows if triangular else np.full(len(rows), F)
     before = np.concatenate(([0], np.cumsum(work)))
     cuts = np.searchsorted(before, before[-1] * np.arange(1, width) / width)
-    bounds = [0, *(int(c) for c in cuts), F]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    bounds = [0, *(int(c) for c in cuts), len(rows)]
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _chunk_worker(args):
-    table, masks, n, pairs, lo, hi, pruning, rows = args
+    tables, n, rows, pruning = args
     if n == 4:
-        return _search_n4_chunk(table, masks, pairs, lo, hi, pruning, rows)
-    return _search_chain_chunk(table, masks, n, lo, hi, pruning, rows)
+        return _search_n4_chunk(tables, rows, pruning)
+    return _search_chain_chunk(tables, n, rows)
 
 
 def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
@@ -851,33 +837,26 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     masks = _space_masks(M, cfg)
     F = len(masks)
     pruning = cfg.symmetry_pruning
-    pairs, queries, orbits = None, 0, pruning
-    if n == 4:
-        pairs, queries = _n4_pairs(M.table, masks, pruning)
-        orbits = pruning and F * (F + 1) // 2 * len(pairs[1]) >= ORBIT_SCAN_MIN
-    rows = None
-    if orbits:
+    tables, queries = _search_tables(M.table, masks, n == 4 and pruning)
+    pairs = len(tables[1])
+    rows = np.arange(F)
+    if pruning and (n > 4 or F * (F + 1) // 2 * pairs >= ORBIT_SCAN_MIN):
         gens, reads = _automorphisms(M.table, masks)
         rows = _orbit_least(F, [pi for _, pi in gens])
         queries += reads
     width = max(1, min(cfg.parallel_width, os.cpu_count() or 1))
-    if width == 1 or F < 2 * width:
-        chunks = [(0, F)]
-    else:
-        chunks = _balanced_chunks(F, width, n == 4 and pruning, rows)
-    jobs = [(M.table, masks, n, pairs, lo, hi, pruning, rows) for lo, hi in chunks]
+    chunks = [rows] if F < 2 * width else _balanced_chunks(rows, F, width, n == 4 and pruning)
+    jobs = [(tables, n, x1s, pruning) for x1s in chunks]
     if len(jobs) == 1:
         results = [_chunk_worker(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
             results = list(pool.map(_chunk_worker, jobs))
-    queries += sum(r[2] for r in results)
-    stats = {"space_size": F, "pairs": None if pairs is None else len(pairs[1]),
-             "x1_rows": F if rows is None else len(rows)}
+    stats = {"space_size": F, "pairs": pairs if n == 4 else None, "x1_rows": len(rows)}
     # chunks run in i1 order, so the first chunk with a hit holds the
     # lex-first violator and the tuples of later chunks do not count
     tuples = 0
-    for best, chunk_tuples, _ in results:
+    for best, chunk_tuples in results:
         tuples += chunk_tuples
         if best is not None:
             break

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine
-from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation,
-                           _n4_closure_rows, _n4_d1, _n4_pairs, _orbit_least,
-                           _search_chain_chunk, _search_n4_chunk)
+from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, _n4_d1,
+                           _orbit_least, _search_chain_chunk, _search_n4_chunk,
+                           _search_tables)
 
 from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
                      ingleton_value, kinser_sides, kinser_value, orbit_minima,
                      permuted_mask)
 
 
-def n4_chunk(table, masks, lo, hi, pruning, rows=None):
-    return _search_n4_chunk(table, masks, _n4_pairs(table, masks, pruning)[0],
-                            lo, hi, pruning, rows)
+def n4_chunk(table, masks, pruning, rows=None):
+    """The n = 4 chunk over the X1 ``rows`` of ``masks`` (default all)."""
+    rows = np.arange(len(masks)) if rows is None else rows
+    return _search_n4_chunk(_search_tables(table, masks, pruning)[0], rows, pruning)
 
 
 def random_linear_matroid(rng, rows=4, cols=8):
@@ -284,16 +285,21 @@ class TestSearch:
         arr = np.array(masks, dtype=np.int64)
         tup, value = brute_force_lex_first(M, 5, masks)
         assert tup is not None
-        got, _, _ = _search_chain_chunk(M.table, arr, 5, 0, len(masks), False)
+        tables = _search_tables(M.table, arr, False)[0]
+        got, _ = _search_chain_chunk(tables, 5, np.arange(len(masks)))
         assert got == tup
-        got_pruned, _, _ = _search_chain_chunk(M.table, arr, 5, 0, len(masks), True)
-        assert got_pruned == tup  # without rows, pruning scans every X1 row
+        # generators verified on a mask list keep only the listed ranks, so
+        # they need not be automorphisms of M; here the hit's X1 is a row
+        rows = _orbit_least(len(masks), [pi for _, pi in _automorphisms(M.table, arr)[0]])
+        assert len(rows) < len(masks) and tup[0] in rows
+        got_orbits, _ = _search_chain_chunk(tables, 5, rows)
+        assert got_orbits == tup
 
     def test_n4_chunk_matches_brute_force(self, vamos):
         masks = vamos.enumerate("flats")[:25]
         arr = np.array(masks, dtype=np.int64)
         tup, _ = brute_force_lex_first(vamos, 4, masks)
-        got = n4_chunk(vamos.table, arr, 0, len(arr), False)[0]
+        got = n4_chunk(vamos.table, arr, False)[0]
         assert got == tup
 
     def test_rank_queries_count_table_reads(self, fano):
@@ -306,20 +312,25 @@ class TestSearch:
         # Without pruning the 256 pairs have 86 distinct unions: empty, 7
         # points, 7 lines, E, 21 point pairs, 28 line + off-line point and
         # 21 unions of two lines; their closures (8 reads each) are the 16
-        # flats, and each gets one rank row over the 16 flats.
-        off = K.membership(fano, 4, K.SearchConfig(symmetry_pruning=False))
-        assert off.rank_queries == 16 + 256 + 8 * 86 + 16 * 16
+        # flats, and each gets one rank row over the 16 flats.  At n = 5
+        # the chain form reads the same tables, and the automorphism search
+        # reads r(X) for each flat (16).  Only membership reads the table,
+        # so the counts hold at any width.
+        for width in (1, 2):
+            off = K.membership(fano, 4, K.SearchConfig(symmetry_pruning=False,
+                                                       parallel_width=width))
+            assert off.rank_queries == 16 + 256 + 8 * 86 + 16 * 16
+            n5 = K.membership(fano, 5, K.SearchConfig(parallel_width=width))
+            assert n5.rank_queries == 16 + 256 + 8 * 86 + 16 * 16 + 16
 
     def test_parallel_chunks_balanced_by_tuples(self, fano_sum):
         # with pruning i2 >= i1, so equal i1 ranges would give the first of
         # two chunks three quarters of the F7 (+) F7^- scan
         masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
         F = len(masks)
-        chunks = _balanced_chunks(F, 2, True)
-        assert chunks[0][0] == 0 and chunks[-1][1] == F
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        tuples = [n4_chunk(fano_sum.table, masks, lo, hi, True)[1]
-                  for lo, hi in chunks]
+        chunks = _balanced_chunks(np.arange(F), F, 2, True)
+        assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), np.arange(F))
+        tuples = [n4_chunk(fano_sum.table, masks, True, rows)[1] for rows in chunks]
         assert max(tuples) < 0.51 * sum(tuples)
 
     def test_parallel_chunks_balanced_over_orbit_rows(self, fano_sum):
@@ -328,11 +339,10 @@ class TestSearch:
         masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
         F = len(masks)
         rows = _orbit_least(F, [pi for _, pi in _automorphisms(fano_sum.table, masks)[0]])
-        chunks = _balanced_chunks(F, 2, True, rows)
-        assert chunks[0][0] == 0 and chunks[-1][1] == F
-        tuples = [n4_chunk(fano_sum.table, masks, lo, hi, True, rows)[1]
-                  for lo, hi in chunks]
-        assert sum(tuples) == n4_chunk(fano_sum.table, masks, 0, F, True, rows)[1]
+        chunks = _balanced_chunks(rows, F, 2, True)
+        assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), rows)
+        tuples = [n4_chunk(fano_sum.table, masks, True, x1s)[1] for x1s in chunks]
+        assert sum(tuples) == n4_chunk(fano_sum.table, masks, True, rows)[1]
         assert max(tuples) < 0.55 * sum(tuples)
 
     def test_orbit_rows_at_n5(self, fano):
@@ -361,6 +371,7 @@ class TestSearch:
         # at any width, with or without orbit rows
         flats = vamos.enumerate("flats")
         F = len(flats)
+        verdicts = []
         for width in (1, 2):
             cfg = K.SearchConfig(symmetry_pruning=pruning, parallel_width=width)
             verdict = K.membership(vamos, 5, cfg)
@@ -368,6 +379,8 @@ class TestSearch:
             i1, i2, i3, _, i5 = (flats.index(x) for x in verdict.certificate.family.sets)
             assert i1 == 0
             assert verdict.tuples_examined == i2 * F ** 2 + i3 * F + i5 + 1
+            verdicts.append(verdict)
+        assert verdicts[1] == verdicts[0]  # rank_queries included
 
     def test_verdict_statistics_populated(self, fano, vamos, monkeypatch):
         # F7 is modular: the common-information rule prunes every (X3, X4)
@@ -388,22 +401,28 @@ class TestSearch:
         before = sum(F - a for a in range(i1)) + (i2 - i1)
         expected_on = before * len(P) + P.index((i3, i4)) + 1
         expected_off = (i1 * F + i2) * F * F + i3 * F + i4 + 1
+        verdicts = []
         for width in (1, 2):
             on = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
             assert (on.tuples_examined, on.pairs) == (expected_on, len(P))
             off = K.membership(vamos, 4, K.SearchConfig(symmetry_pruning=False,
                                                         parallel_width=width))
             assert off.tuples_examined == expected_off
+            verdicts.append((on, off))
+        assert verdicts[1] == verdicts[0]  # rank_queries included
         # with orbits on, only X1 rows least in their Aut(Vamos) orbit count
         reps = orbit_minima(brute_force_automorphisms(vamos), flats)
         assert i1 in reps
         before = sum(F - a for a in reps if a < i1) + (i2 - i1)
         expected_orbits = before * len(P) + P.index((i3, i4)) + 1
         monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0)
+        verdicts = []
         for width in (1, 2):
             on = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
             assert (on.tuples_examined, on.pairs) == (expected_orbits, len(P))
             assert (on.x1_rows, on.space_size) == (len(reps), F)
+            verdicts.append(on)
+        assert verdicts[1] == verdicts[0]
 
 
 def _relaxed(M, *Zs):
@@ -523,6 +542,9 @@ class TestPruningGate:
         assert on.x1_rows < off.x1_rows == on.space_size
         assert on.in_class == off.in_class
         assert on.certificate == off.certificate
+        if width > 1:  # every field, rank_queries included, as at width 1
+            assert on == K.membership(M, 5)
+            assert off == K.membership(M, 5, K.SearchConfig(symmetry_pruning=False))
 
     @pytest.mark.parametrize("M", [M for _, M in GATE_CASES],
                              ids=[name for name, _ in GATE_CASES])
@@ -553,6 +575,8 @@ class TestPruningGate:
         assert on.x1_rows < off.x1_rows == on.space_size
         assert on.in_class == off.in_class
         assert on.certificate == off.certificate
+        if width > 1:  # every field, rank_queries included, as at width 1
+            assert on == K.membership(M, 4)
 
     @pytest.mark.parametrize("M", [M for _, M in GATE_CASES if M.m <= 8],
                              ids=[name for name, M in GATE_CASES if M.m <= 8])
@@ -566,8 +590,9 @@ class TestPruningGate:
         assert on.certificate == off.certificate
 
 
-# With SCAN_BLOCK = 1 every n = 4 scan block is over the limit: runs of one
-# live pair, and batches and groups of one X1 row.  The pruning-off scan of
+# With SCAN_BLOCK = 1 every scan block is over the limit: at n = 4 runs of
+# one live pair, and batches and groups of one X1 row; at n >= 5 min-plus
+# blocks of one column c and X1 tests of one row.  The pruning-off scan of
 # F7 (+) F7^- (F = 288, |P| = F^2, in class) then computes and reduces its
 # 288-column GP rows one pair at a time, over a minute in all, so it runs
 # with pruning on only.
@@ -597,6 +622,15 @@ class TestOverLimitPath:
         in_memory = K.membership(M, 4)
         monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
         assert K.membership(M, 4) == in_memory
+
+    @pytest.mark.parametrize("pruning", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("M", [M for _, M in N5_GATE_CASES],
+                             ids=[name for name, _ in N5_GATE_CASES])
+    def test_n5_matches_in_memory(self, M, pruning, monkeypatch):
+        cfg = K.SearchConfig(symmetry_pruning=pruning)
+        in_memory = K.membership(M, 5, cfg)
+        monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
+        assert K.membership(M, 5, cfg) == in_memory
 
 
 def test_z6_in_class_without_a_stored_gp(z6):
@@ -632,16 +666,20 @@ MASK_LIST_MATROIDS = _mask_list_matroids()
 
 
 @st.composite
-def mask_lists(draw, max_size=8):
+def mask_lists(draw, max_size=8, violators=False):
     """A matroid and a list of at most ``max_size`` masks in any order,
     repeats allowed: some or all of its violating family, flats,
     two-element sets and arbitrary subsets, so closures of unions often lie
-    outside the list and many members are not flats."""
-    M, family = draw(st.sampled_from(MASK_LIST_MATROIDS))
+    outside the list and many members are not flats.  With ``violators``,
+    about half the lists are drawn on Vamos or the relaxed Z4 and hold its
+    whole family."""
+    forced = violators and draw(st.booleans())
+    cases = [c for c in MASK_LIST_MATROIDS if c[1]] if forced else MASK_LIST_MATROIDS
+    M, family = draw(st.sampled_from(cases))
     pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
     member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
                        st.integers(0, (1 << M.m) - 1))
-    masks = list(family) if draw(st.booleans()) else []
+    masks = list(family) if forced or draw(st.booleans()) else []
     masks += draw(st.lists(member, min_size=1, max_size=max_size - len(masks)))
     return M, draw(st.permutations(masks))
 
@@ -652,7 +690,7 @@ def test_n4_chunk_on_arbitrary_mask_lists(case):
     M, masks = case
     tup, _ = brute_force_lex_first(M, 4, masks)
     arr = np.array(masks, dtype=np.int64)
-    assert n4_chunk(M.table, arr, 0, len(arr), False)[0] == tup
+    assert n4_chunk(M.table, arr, False)[0] == tup
 
 
 @settings(max_examples=40, deadline=None)
@@ -660,17 +698,17 @@ def test_n4_chunk_on_arbitrary_mask_lists(case):
 @pytest.mark.parametrize("n,size", [(5, 6), (6, 5)])
 def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     # a Vamos or relaxed Z4 list holding its whole n = 4 family holds an
-    # n-violator too: the family with its last set repeated
-    M, masks = data.draw(mask_lists(size))
+    # n-violator too: the family with its last set repeated; 36-56% of the
+    # drawn lists hold one (6-14% without ``violators``, 300-draw counts)
+    M, masks = data.draw(mask_lists(size, violators=True))
     tup, _ = brute_force_lex_first(M, n, masks)
     arr = np.array(masks, dtype=np.int64)
     F = len(arr)
-    for pruning in (True, False):
-        got, tuples, _ = _search_chain_chunk(M.table, arr, n, 0, F, pruning)
-        assert got == tup
-        # (X1, X2, X3, Xn) quadruples up to and including the hit
-        i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
-        assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
+    got, tuples = _search_chain_chunk(_search_tables(M.table, arr, False)[0], n, np.arange(F))
+    assert got == tup
+    # (X1, X2, X3, Xn) quadruples up to and including the hit
+    i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
+    assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
 
 
 class TestCommonInformationLemma:
@@ -788,11 +826,10 @@ class TestLivePairs:
 
     def test_d1_matches_literal_information(self, vamos):
         masks = np.array(vamos.enumerate("flats"), dtype=np.int64)
-        pairs = _n4_pairs(vamos.table, masks, True)[0]
-        RU, U_of, _ = _n4_closure_rows(vamos.table, masks, pairs[1], pairs[2], 0)
-        d1 = _n4_d1(pairs, RU, U_of, 0, np.arange(len(masks)))
+        tables = _search_tables(vamos.table, masks, True)[0]
+        d1 = _n4_d1(tables, np.arange(len(masks)))
         r = self.table_rank(vamos)
-        x1, x3, x4 = masks[:, None], masks[pairs[1]][None], masks[pairs[2]][None]
+        x1, x3, x4 = masks[:, None], masks[tables[1]][None], masks[tables[2]][None]
         expected = conditional_information(r, x3, x4) - conditional_information(r, x3, x4, x1)
         assert np.array_equal(d1, expected)
         assert 0 < (d1 > 0).sum() < d1.size
@@ -823,14 +860,13 @@ class TestLivePairs:
         F = len(masks)
         assert masks[0] == vamos.closure(0)
         i1, i2, i3, i4 = tup = self.lex_first_by_rows(vamos, masks)
-        pairs = _n4_pairs(vamos.table, masks, pruning)[0]
-        RU, U_of, _ = _n4_closure_rows(vamos.table, masks, pairs[1], pairs[2], 0)
-        d1 = _n4_d1(pairs, RU, U_of, 0, np.array([0, i1]))
-        assert not (d1[0] > 0).any()
-        P = list(zip(pairs[1].tolist(), pairs[2].tolist()))
-        assert d1[1][P.index((i3, i4))] == 1
+        tables = _search_tables(vamos.table, masks, pruning)[0]
         rows = np.array([0, i1])
-        got, tuples, _ = _search_n4_chunk(vamos.table, masks, pairs, 0, F, pruning, rows)
+        d1 = _n4_d1(tables, rows)
+        assert not (d1[0] > 0).any()
+        P = list(zip(tables[1].tolist(), tables[2].tolist()))
+        assert d1[1][P.index((i3, i4))] == 1
+        got, tuples = _search_n4_chunk(tables, rows, pruning)
         assert got == tup
         # row 0 counts all F rows of X2, with pruning or without
         before = i2 - i1 if pruning else i2
