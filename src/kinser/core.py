@@ -444,6 +444,17 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     return AxiomResult(True) if first_r3 is None else first_r3
 
 
+def _nested_pair(circuits: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (c, d) in list order with c inside d or d inside c, or
+    None for an antichain; one array operation per listed circuit."""
+    for i, c in enumerate(circuits.tolist()):
+        later = circuits[i + 1:]
+        nested = later[((later & c) == c) | ((later & c) == later)]
+        if nested.size:
+            return c, int(nested[0])
+    return None
+
+
 def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
     """Check C1-C3 on a circuit list, literally, as given.
 
@@ -464,13 +475,10 @@ def validate_circuit_axioms(m: int, circuits: list[int]) -> AxiomResult:
     if m > MAX_GROUND:
         raise SizeCapError(f"ground size {m} exceeds cap {MAX_GROUND}")
     arr = np.array(sets, dtype=np.int64)
-    for i, c in enumerate(sets):
-        later = arr[i + 1:]
-        inter = later & c
-        nested = np.nonzero((inter == c) | (inter == later))[0]
-        if nested.size:
-            d = int(later[nested[0]])
-            return AxiomResult(False, "C2", (c, d), f"circuits {c:#x} and {d:#x} are nested")
+    nested = _nested_pair(arr)
+    if nested:
+        return AxiomResult(False, "C2", nested,
+                           "circuits {:#x} and {:#x} are nested".format(*nested))
     dependent = _superset_vector(m, arr)
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
     for i, c in enumerate(sets):
@@ -504,11 +512,10 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
             raise InvalidSubsetError(f"circuit {c:#x} outside ground size {m}")
         if c.bit_count() > r + 1:
             raise NotAMatroidError(f"circuit {c:#x} has more than r+1 elements", "C1", (c,))
-    for i, c in enumerate(circuits):
-        for d in circuits[i + 1:]:
-            if c & d == c or c & d == d:
-                raise NotAMatroidError(
-                    f"circuit list is not an antichain: {c:#x} vs {d:#x}", "C2", (c, d))
+    nested = _nested_pair(np.array(circuits, dtype=np.int64))
+    if nested:
+        raise NotAMatroidError(
+            "circuit list is not an antichain: {:#x} vs {:#x}".format(*nested), "C2", nested)
 
     pc = popcount_array(m)
     indep = (pc <= r) & ~_superset_vector(m, circuits)

@@ -145,6 +145,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -152,12 +153,12 @@ from .core import Matroid, MatroidError, SizeCapError, content_fingerprint
 from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
-# n=4 scans of at least this many candidate tuples, F(F+1)/2 (X1, X2) rows
-# times |P| pairs, search for automorphisms and scan only orbit-least X1
-# rows.  The search takes 2.5-5 ms; the scan takes about 0.4 ns a tuple on
-# all 288 rows of F7 (+) F7^- and more where X2 rows are short (0.7-1.1 ns
-# on Kin(4), F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so
-# below 2^24 tuples, 6-18 ms of scan, the search costs about what it can save
+# n=4 scans whose summed row weights, F(F+1)/2 |P| tuples, reach this
+# search for automorphisms and scan only orbit-least X1 rows.  The search
+# takes 2.5-5 ms; the scan takes about 0.4 ns a tuple on all 288 rows of
+# F7 (+) F7^- and more where X2 rows are short (0.7-1.1 ns on Kin(4),
+# F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so below 2^24
+# tuples, 6-18 ms of scan, the search costs about what it can save
 ORBIT_SCAN_MIN = 1 << 24
 SCAN_BLOCK = 1 << 18        # int8 entries per scan block (n=4 scan, n>=5 min-plus and X1 tests)
 
@@ -224,23 +225,22 @@ class SearchConfig:
 class Verdict:
     """Outcome of one search.
 
-    ``tuples_examined`` counts candidates in lex order up to and including
-    the lex-first violator, or all of them when there is none; it does not
-    depend on the parallel width.  At n = 4 the candidates are the tuples
-    the pruning rules keep (with automorphisms only those whose X1 is
-    orbit-least).  At n >= 5 they are the (X1, X2, X3, Xn) quadruples over
-    the scanned X1 rows, the slots the chain form enumerates: x1_rows F^3
-    in class, and k F^3 + i2 F^2 + i3 F + in + 1 for a violator
-    (i1, i2, i3, ..., in) with k scanned rows below i1.
+    ``tuples_examined`` counts (X1, X2, X3, X_last) candidates in lex order,
+    at any width.  P is the (X3, X_last) pair list: at n = 4 with pruning
+    the non-modular pairs with i3 <= i4, else all F^2 pairs.  X2 starts at
+    s(i1) = i1 under the n = 4 slot symmetry, else at 0, so a scanned X1
+    row i1 weighs (F - s(i1)) |P|.  In class the count is the summed weight
+    of the scanned rows; for a violator (i1, i2, i3, ..., i_last) it is the
+    weight of the scanned rows below i1, plus (i2 - s(i1)) |P|, plus the
+    index of (i3, i_last) in P, plus 1.
     ``rank_queries`` is the number of rank-table reads made by
     ``membership``, the same at any width: the search tables (the pair
     ranks PR, the pair list and the closure rows RU, ``_search_tables``)
     and the ranks the automorphism search reads.  The scan chunks read
     only those tables.
     ``space_size`` is F, the number of sets in the search space,
-    ``pairs`` the number of (X3, X4) pairs the n = 4 scan covers (None for
-    n >= 5, whose scan keeps no pair list) and ``x1_rows`` the number of X1
-    rows scanned: the orbit-least rows when automorphisms were searched,
+    ``pairs`` |P| at n = 4 (None for n >= 5) and ``x1_rows`` the number of
+    X1 rows scanned: the orbit-least rows when automorphisms were searched,
     else F.
     """
 
@@ -586,7 +586,7 @@ def _max_over_pairs(T: np.ndarray) -> np.ndarray:
 
 
 def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: bool
-                     ) -> tuple[tuple[int, ...] | None, int]:
+                     ) -> tuple[int, ...] | None:
     """Scan inequality 4 over the X1 rows ``i1s`` (ascending), lex order,
     first hit wins.
 
@@ -624,15 +624,14 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
     ranks PR (module docstring, "Closure"), so working memory is
     O(SCAN_BLOCK + |U| F + F^2), not F |P|.
 
-    Returns (lex-first hit as indices into the search space, or None; the
-    tuples examined over ``i1s`` up to and including the hit).  The chunk
-    reads no rank table beyond ``tables``.
+    Returns the lex-first hit as indices into the search space, or None.
+    The chunk reads no rank table beyond ``tables``.
     """
     PR, P3, P4, c34, RU, U_of = tables
     F = len(PR)
     width = len(P3)
     if width == 0:
-        return None, 0
+        return None
 
     # the GP rows of one run of live pairs and their sums with d1, at most
     # SCAN_BLOCK entries each (or one pair's row of F columns)
@@ -669,10 +668,6 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
         col = _n4_gp(ru[:, c], pr[:, c], u, p3, p4) + d[r, live]
         return r, a + c, int(live[(col > floor[r, a + c]).argmax()])
 
-    def work(x1: np.ndarray) -> int:
-        """Tuples of whole X1 rows: F - i1 X2 rows each with pruning, else F."""
-        return (int((F - x1).sum()) if pruning else len(x1) * F) * width
-
     # d1, I(X1;X2) and the thresholds r(X1) - r(X1 u X2) = I(X1;X2) - r(X2)
     # for a batch of X1 rows in one pass, I(X1;X2) set to 127 (more than
     # any d1) below i1 when pruning.  Since margin <= d1 - I(X1;X2), a row
@@ -682,7 +677,6 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
     batch = max(1, SCAN_BLOCK // width)
     group = max(1, SCAN_BLOCK // (width * F))
     r2 = PR.diagonal()
-    tuples = 0
     for k0 in range(0, len(i1s), batch):
         x1 = i1s[k0:k0 + batch]
         d1 = _n4_d1(tables, x1)
@@ -696,11 +690,8 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
             found = scan(x1[g], d1[g], floor[g])
             if found is not None:
                 r, c, j = found
-                i1 = int(x1[g[r]])
-                tuples += work(x1[:g[r]]) + (c - (i1 if pruning else 0)) * width + j + 1
-                return (i1, c, int(P3[j]), int(P4[j])), tuples
-        tuples += work(x1)
-    return None, tuples
+                return int(x1[g[r]]), c, int(P3[j]), int(P4[j])
+    return None
 
 
 def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
@@ -723,7 +714,7 @@ def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
 
 
 def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
-                        ) -> tuple[tuple[int, ...] | None, int]:
+                        ) -> tuple[int, ...] | None:
     """Scan inequality n >= 5 over the X1 rows ``x1s`` (ascending) by its
     chain form (module docstring, "Chain form"), lex order, first hit wins.
 
@@ -737,10 +728,8 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
     rows before it are tested.  Ranks are at most 24, so every int8 sum
     below stays within [-48, 48].
 
-    Returns (lex-first hit as indices into the search space, or None; the
-    tuples examined: the (X1, X2, X3, Xn) quadruples over ``x1s`` in lex
-    order, up to and including the hit's).  The chunk reads no rank table
-    beyond ``tables``.
+    Returns the lex-first hit as indices into the search space, or None.
+    The chunk reads no rank table beyond ``tables``.
     """
     PR, _, _, c34, RU, U_of = tables
     F = len(PR)
@@ -775,7 +764,7 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
                 best = (k0 + int(hit[0]), j)
                 break
     if best is None:
-        return None, len(x1s) * F ** 3
+        return None
 
     # rebuild: each slot takes the least index whose step cost plus the
     # distance of the hops left keeps the chain under the budget
@@ -793,30 +782,38 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
         c = int((cost + L[tup[-1]] + G[min(n - i, len(hops))] < 0).argmax())
         cost += int(L[tup[-1], c])
         tup.append(c)
-    return tuple(tup), k * F ** 3 + i2 * F ** 2 + i3 * F + tup[-1] + 1
+    return tuple(tup)
 
 
-def _balanced_chunks(rows: np.ndarray, F: int, width: int, triangular: bool
-                     ) -> list[np.ndarray]:
-    """Split the ascending X1 ``rows`` into at most ``width`` contiguous
-    runs of about equal tuple counts.
+def _x2_rows(F: int, symmetric: bool) -> np.ndarray:
+    """F - s(i1) for each X1 row i1 < F: the row weight over |P| (``Verdict``).
+    The tuple count, the chunk cuts and the ORBIT_SCAN_MIN test all read it."""
+    return F - np.arange(F) if symmetric else np.full(F, F)
 
-    A row i1 scans F - i1 rows of X2 when the n=4 search is pruned
-    (i2 >= i1), and F rows otherwise.  Cuts go where the cumulative per-row
-    tuple count crosses each multiple of total / width.
-    """
-    work = F - rows if triangular else np.full(len(rows), F)
-    before = np.concatenate(([0], np.cumsum(work)))
+
+def _tuples_examined(tables: tuple[np.ndarray, ...], x2: np.ndarray, rows: np.ndarray,
+                     hit: tuple[int, ...] | None) -> int:
+    """``Verdict.tuples_examined`` of a scan of the X1 ``rows`` that found
+    ``hit`` (None in class), ``x2`` from ``_x2_rows``, in Python ints.  P is
+    lex-sorted, so the hit's pair is found by binary search."""
+    P3, P4 = tables[1:3]
+    if hit is None:
+        return int(x2[rows].sum()) * len(P3)
+    i1, i2, i3, *_, i_last = hit
+    # the rows below i1, then X2 from s(i1) = F - x2[i1] up to i2
+    before = int(x2[rows[:np.searchsorted(rows, i1)]].sum()) + i2 - len(x2) + int(x2[i1])
+    lo, hi = np.searchsorted(P3, [i3, i3 + 1])
+    return before * len(P3) + int(lo + np.searchsorted(P4[lo:hi], i_last)) + 1
+
+
+def _balanced_chunks(rows: np.ndarray, weights: np.ndarray, width: int) -> list[np.ndarray]:
+    """Split the ascending X1 ``rows`` into at most ``width`` contiguous runs
+    of about equal summed ``weights`` (one per row): cuts go where the
+    cumulative weight crosses each multiple of total / width."""
+    before = np.concatenate(([0], np.cumsum(weights)))
     cuts = np.searchsorted(before, before[-1] * np.arange(1, width) / width)
     bounds = [0, *(int(c) for c in cuts), len(rows)]
     return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _chunk_worker(args):
-    tables, n, rows, pruning = args
-    if n == 4:
-        return _search_n4_chunk(tables, rows, pruning)
-    return _search_chain_chunk(tables, n, rows)
 
 
 def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
@@ -838,29 +835,26 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     F = len(masks)
     pruning = cfg.symmetry_pruning
     tables, queries = _search_tables(M.table, masks, n == 4 and pruning)
-    pairs = len(tables[1])
+    x2 = _x2_rows(F, n == 4 and pruning)
     rows = np.arange(F)
-    if pruning and (n > 4 or F * (F + 1) // 2 * pairs >= ORBIT_SCAN_MIN):
+    if pruning and (n > 4 or _tuples_examined(tables, x2, rows, None) >= ORBIT_SCAN_MIN):
         gens, reads = _automorphisms(M.table, masks)
         rows = _orbit_least(F, [pi for _, pi in gens])
         queries += reads
     width = max(1, min(cfg.parallel_width, os.cpu_count() or 1))
-    chunks = [rows] if F < 2 * width else _balanced_chunks(rows, F, width, n == 4 and pruning)
-    jobs = [(tables, n, x1s, pruning) for x1s in chunks]
-    if len(jobs) == 1:
-        results = [_chunk_worker(jobs[0])]
+    chunks = [rows] if F < 2 * width else _balanced_chunks(rows, x2[rows], width)
+    kernel = (partial(_search_n4_chunk, tables, pruning=pruning) if n == 4
+              else partial(_search_chain_chunk, tables, n))
+    if len(chunks) == 1:
+        hits = [kernel(chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            results = list(pool.map(_chunk_worker, jobs))
-    stats = {"space_size": F, "pairs": pairs if n == 4 else None, "x1_rows": len(rows)}
-    # chunks run in i1 order, so the first chunk with a hit holds the
-    # lex-first violator and the tuples of later chunks do not count
-    tuples = 0
-    for best, chunk_tuples in results:
-        tuples += chunk_tuples
-        if best is not None:
-            break
-    else:
+            hits = list(pool.map(kernel, chunks))
+    # chunks run in i1 order, so the first hit is the lex-first violator
+    best = next((hit for hit in hits if hit is not None), None)
+    tuples = _tuples_examined(tables, x2, rows, best)
+    stats = {"space_size": F, "pairs": len(tables[1]) if n == 4 else None, "x1_rows": len(rows)}
+    if best is None:
         return Verdict(True, n, tuples, queries, None, **stats)
     fam = Family(n, tuple(int(masks[j]) for j in best))
     value = evaluate(M, fam)

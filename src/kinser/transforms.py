@@ -2,10 +2,11 @@
 
 Deletion, contraction and minors re-index the surviving elements and
 return the old -> new index map alongside the result.  Relaxation and
-tightening change exactly one table entry and re-validate; this is
-sufficient because every proper subset of a circuit-hyperplane is
-independent and every proper superset of one is spanning, so no other
-entry can be affected.
+tightening change exactly one table entry: every proper subset of a
+circuit-hyperplane is independent and every proper superset spanning.
+Both re-validate.  Relaxing a circuit-hyperplane of a matroid gives a
+matroid (Oxley, Matroid Theory, Section 1.5), but a table built with
+``validate=False`` need not be one, and tightening can break R3.
 """
 
 from __future__ import annotations
@@ -29,33 +30,32 @@ def _drop_layout(layout: dict[str, int] | None, e: int) -> dict[str, int] | None
     return out or None
 
 
-def delete(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
-    """M \\ e: ranks restricted to subsets avoiding e."""
+def _single_minor(M: Matroid, e: int, op: str) -> tuple[Matroid, dict[int, int]]:
+    """M \\ e (``op`` "\\") or M / e (``op`` "/") with the old -> new index map:
+    r'(X) = r(X), or r(X + e) - r({e}), on the subsets X avoiding e."""
     if not 0 <= e < M.m:
         raise MatroidError(f"element {e} out of range for ground size {M.m}")
+    contracting = op == "/"
     if M.m < 2:
-        raise MatroidError("cannot delete from a single-element ground set")
+        verb = "contract" if contracting else "delete"
+        raise MatroidError(f"cannot {verb} from a single-element ground set")
     table = np.empty(1 << (M.m - 1), dtype=np.uint8)
-    np.positive(halves(M.table, e)[0], out=halves(table, e, parts=1)[0], order="C")  # a copy
+    np.subtract(halves(M.table, e)[contracting], M.table[1 << e] if contracting else 0,
+                out=halves(table, e, parts=1)[0], order="C")
     index_map = {old: (old if old < e else old - 1) for old in range(M.m) if old != e}
-    out = Matroid(M.m - 1, table, label=f"{M.label}\\{e}",
+    out = Matroid(M.m - 1, table, label=f"{M.label}{op}{e}",
                   layout=_drop_layout(M.layout, e), validate=False)
     return out, index_map
+
+
+def delete(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
+    """M \\ e: ranks restricted to subsets avoiding e."""
+    return _single_minor(M, e, "\\")
 
 
 def contract(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
     """M / e: r'(X) = r(X + e) - r({e}); contracting a loop deletes it."""
-    if not 0 <= e < M.m:
-        raise MatroidError(f"element {e} out of range for ground size {M.m}")
-    if M.m < 2:
-        raise MatroidError("cannot contract from a single-element ground set")
-    re = int(M.table[1 << e])
-    table = np.empty(1 << (M.m - 1), dtype=np.uint8)
-    np.subtract(halves(M.table, e)[1], re, out=halves(table, e, parts=1)[0], order="C")
-    index_map = {old: (old if old < e else old - 1) for old in range(M.m) if old != e}
-    out = Matroid(M.m - 1, table, label=f"{M.label}/{e}",
-                  layout=_drop_layout(M.layout, e), validate=False)
-    return out, index_map
+    return _single_minor(M, e, "/")
 
 
 def minor(M: Matroid, deletions: int, contractions: int) -> tuple[Matroid, dict[int, int]]:
@@ -79,10 +79,10 @@ def minor(M: Matroid, deletions: int, contractions: int) -> tuple[Matroid, dict[
         index_map = {old: step[new] for old, new in index_map.items() if new in step}
         current = result
 
-    for e in sorted(range(M.m)):
+    for e in range(M.m):
         if contractions & (1 << e):
             apply(contract, e)
-    for e in sorted(range(M.m)):
+    for e in range(M.m):
         if deletions & (1 << e):
             apply(delete, e)
     return current, index_map
@@ -92,8 +92,7 @@ def dual(M: Matroid) -> Matroid:
     """M*: r*(X) = |X| + r(E - X) - r(M); E - X is mask 2^m - 1 - X."""
     table = popcount_array(M.m) + M.table[::-1]
     table -= M.rank_total
-    return Matroid(M.m, table, label=f"dual({M.label})",
-                   layout=dict(M.layout) if M.layout else None, validate=False)
+    return Matroid(M.m, table, label=f"dual({M.label})", layout=M.layout, validate=False)
 
 
 def direct_sum(M1: Matroid, M2: Matroid) -> tuple[Matroid, dict[int, int], dict[int, int]]:
@@ -123,8 +122,7 @@ def relax(M: Matroid, H: int) -> Matroid:
         raise MatroidError(f"{M.label}: mask {H:#x} is not a circuit-hyperplane")
     table = M.table.copy()
     table[H] += 1
-    return Matroid(M.m, table, label=f"relax({M.label},{H:#x})",
-                   layout=dict(M.layout) if M.layout else None)
+    return Matroid(M.m, table, label=f"relax({M.label},{H:#x})", layout=M.layout)
 
 
 def tighten(M: Matroid, H: int) -> Matroid:
@@ -134,8 +132,7 @@ def tighten(M: Matroid, H: int) -> Matroid:
         raise MatroidError(f"{M.label}: mask {H:#x} is not a basis, cannot tighten")
     table = M.table.copy()
     table[H] -= 1
-    return Matroid(M.m, table, label=f"tighten({M.label},{H:#x})",
-                   layout=dict(M.layout) if M.layout else None)
+    return Matroid(M.m, table, label=f"tighten({M.label},{H:#x})", layout=M.layout)
 
 
 def truncate(M: Matroid) -> Matroid:
@@ -143,5 +140,4 @@ def truncate(M: Matroid) -> Matroid:
     if M.rank_total < 1:
         raise MatroidError("cannot truncate a rank-0 matroid")
     table = np.minimum(M.table, M.rank_total - 1)
-    return Matroid(M.m, table, label=f"truncate({M.label})",
-                   layout=dict(M.layout) if M.layout else None, validate=False)
+    return Matroid(M.m, table, label=f"truncate({M.label})", layout=M.layout, validate=False)

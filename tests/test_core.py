@@ -215,6 +215,23 @@ class TestValidateAxioms:
         res = validate_circuit_axioms(3, [0b001, 0b011])
         assert not res.ok and res.axiom == "C2"
 
+    @pytest.mark.parametrize("circuits", [
+        [0b0110, 0b0011, 0b0111, 0b0001],
+        [0b1100, 0b0011, 0b1010, 0b0101, 0b1000],
+        [0b0011, 0b0101, 0b1110, 0b0111],
+    ])
+    def test_both_circuit_checks_report_the_first_nested_pair(self, circuits):
+        # the literal first pair in list order, c listed before d
+        c, d = next((c, d) for i, c in enumerate(circuits) for d in circuits[i + 1:]
+                    if c & d in (c, d))
+        res = validate_circuit_axioms(4, circuits)
+        assert (res.axiom, res.witness, res.message) == (
+            "C2", (c, d), f"circuits {c:#x} and {d:#x} are nested")
+        with pytest.raises(K.NotAMatroidError) as err:
+            K.matroid_from_circuits(4, 3, circuits)
+        assert (err.value.axiom, err.value.witness, str(err.value)) == (
+            "C2", (c, d), f"circuit list is not an antichain: {c:#x} vs {d:#x}")
+
     def test_broken_kin6_table_refused(self, kin6_relaxed, tmp_path, capsys):
         table = broken_kin6_table(kin6_relaxed)
         with pytest.raises(K.NotAMatroidError) as err:

@@ -13,7 +13,7 @@ import kinser as K
 from kinser import engine
 from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, _n4_d1,
                            _orbit_least, _search_chain_chunk, _search_n4_chunk,
-                           _search_tables)
+                           _search_tables, _tuples_examined, _x2_rows)
 
 from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
                      ingleton_value, kinser_sides, kinser_value, orbit_minima,
@@ -21,9 +21,12 @@ from oracles import (brute_force_automorphisms, conditional_information, ingleto
 
 
 def n4_chunk(table, masks, pruning, rows=None):
-    """The n = 4 chunk over the X1 ``rows`` of ``masks`` (default all)."""
+    """The n = 4 chunk's hit over the X1 ``rows`` of ``masks`` (default
+    all), and the tuples ``_tuples_examined`` counts for that hit."""
     rows = np.arange(len(masks)) if rows is None else rows
-    return _search_n4_chunk(_search_tables(table, masks, pruning)[0], rows, pruning)
+    tables = _search_tables(table, masks, pruning)[0]
+    hit = _search_n4_chunk(tables, rows, pruning)
+    return hit, _tuples_examined(tables, _x2_rows(len(masks), pruning), rows, hit)
 
 
 def random_linear_matroid(rng, rows=4, cols=8):
@@ -286,13 +289,13 @@ class TestSearch:
         tup, value = brute_force_lex_first(M, 5, masks)
         assert tup is not None
         tables = _search_tables(M.table, arr, False)[0]
-        got, _ = _search_chain_chunk(tables, 5, np.arange(len(masks)))
+        got = _search_chain_chunk(tables, 5, np.arange(len(masks)))
         assert got == tup
         # generators verified on a mask list keep only the listed ranks, so
         # they need not be automorphisms of M; here the hit's X1 is a row
         rows = _orbit_least(len(masks), [pi for _, pi in _automorphisms(M.table, arr)[0]])
         assert len(rows) < len(masks) and tup[0] in rows
-        got_orbits, _ = _search_chain_chunk(tables, 5, rows)
+        got_orbits = _search_chain_chunk(tables, 5, rows)
         assert got_orbits == tup
 
     def test_n4_chunk_matches_brute_force(self, vamos):
@@ -328,7 +331,7 @@ class TestSearch:
         # two chunks three quarters of the F7 (+) F7^- scan
         masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
         F = len(masks)
-        chunks = _balanced_chunks(np.arange(F), F, 2, True)
+        chunks = _balanced_chunks(np.arange(F), _x2_rows(F, True), 2)
         assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), np.arange(F))
         tuples = [n4_chunk(fano_sum.table, masks, True, rows)[1] for rows in chunks]
         assert max(tuples) < 0.51 * sum(tuples)
@@ -339,7 +342,7 @@ class TestSearch:
         masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
         F = len(masks)
         rows = _orbit_least(F, [pi for _, pi in _automorphisms(fano_sum.table, masks)[0]])
-        chunks = _balanced_chunks(rows, F, 2, True)
+        chunks = _balanced_chunks(rows, _x2_rows(F, True)[rows], 2)
         assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), rows)
         tuples = [n4_chunk(fano_sum.table, masks, True, x1s)[1] for x1s in chunks]
         assert sum(tuples) == n4_chunk(fano_sum.table, masks, True, rows)[1]
@@ -704,8 +707,10 @@ def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     tup, _ = brute_force_lex_first(M, n, masks)
     arr = np.array(masks, dtype=np.int64)
     F = len(arr)
-    got, tuples = _search_chain_chunk(_search_tables(M.table, arr, False)[0], n, np.arange(F))
+    tables = _search_tables(M.table, arr, False)[0]
+    got = _search_chain_chunk(tables, n, np.arange(F))
     assert got == tup
+    tuples = _tuples_examined(tables, _x2_rows(F, False), np.arange(F), got)
     # (X1, X2, X3, Xn) quadruples up to and including the hit
     i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
     assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
@@ -866,8 +871,9 @@ class TestLivePairs:
         assert not (d1[0] > 0).any()
         P = list(zip(tables[1].tolist(), tables[2].tolist()))
         assert d1[1][P.index((i3, i4))] == 1
-        got, tuples = _search_n4_chunk(tables, rows, pruning)
+        got = _search_n4_chunk(tables, rows, pruning)
         assert got == tup
+        tuples = _tuples_examined(tables, _x2_rows(F, pruning), rows, got)
         # row 0 counts all F rows of X2, with pruning or without
         before = i2 - i1 if pruning else i2
         assert tuples == (F + before) * len(P) + P.index((i3, i4)) + 1

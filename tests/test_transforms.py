@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kinser as K
+from kinser.core import validate_rank_table
 
 
 class TestDelete:
@@ -137,6 +138,18 @@ class TestRelaxTighten:
         assert K.tighten(K.relax(kin4, H), H).table_equal(kin4)
         A = z4.part("A")
         assert K.tighten(K.relax(z4, A), A).table_equal(z4)
+
+    @pytest.mark.parametrize("maker", [lambda: K.binary_spike(4), lambda: K.binary_spike(5),
+                                       lambda: K.kinser(4), lambda: K.kinser(5)],
+                             ids=["Z4", "Z5", "Kin4", "Kin5"])
+    def test_every_relaxation_passes_the_axiom_scan(self, maker):
+        # relaxing a circuit-hyperplane of a matroid gives a matroid
+        # (Oxley, Section 1.5), checked here by the exhaustive R1-R3 scan
+        M = maker()
+        hs = M.enumerate("circuit_hyperplanes")
+        assert hs
+        for H in hs:
+            assert validate_rank_table(M.m, K.relax(M, H).table).ok, (M.label, H)
 
     def test_tighten_vamos_gives_kinser(self, kin4, vamos):
         assert K.tighten(vamos, vamos.parts("V1", "V2")).table_equal(kin4)
