@@ -177,7 +177,8 @@ class Matroid:
     m:      ground size, 1 <= m <= 24
     table:  sequence of 2**m ranks in mask order
     label:  provenance string
-    layout: optional name -> mask dict for the construction's named parts
+    layout: optional name -> mask dict for the construction's named parts,
+            each a subset of the ground set
     validate: run the exhaustive rank-axiom check (R1-R3)
 
     The table must have an integer dtype and entries in [0, m]; anything
@@ -204,6 +205,8 @@ class Matroid:
         self.table.flags.writeable = False
         self.label = label
         self.layout = dict(layout) if layout else None
+        for part in (self.layout or {}).values():
+            self.check_mask(part)
         self._pc = popcount_array(m)
         if validate:
             res = validate_rank_table(m, tab)

@@ -177,10 +177,6 @@ class Family:
             raise MatroidError(f"family needs {self.n} sets, got {len(self.sets)}")
 
 
-def family(*sets: int) -> Family:
-    return Family(len(sets), tuple(sets))
-
-
 @dataclass(frozen=True)
 class TermValue:
     side: str                 # "lhs" | "rhs"
@@ -613,15 +609,17 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
     every row without a live pair.  The others are scanned in groups whose
     (X1, pair, X2) block fits SCAN_BLOCK entries, over the union of the
     group's live pairs (a pair that is not live for a row cannot pass for
-    it) and the X2 columns from the group's first row on.  For each run of
-    those pairs the GP rows are computed (``_n4_gp``), d1 is added per X1
-    row, and the maximum over pairs of each X2 column (``_max_over_pairs``)
-    is compared with the threshold.  Only the first passing column of the
-    first passing row is searched for its first pair, from the same formula.
+    it) and every X2 column (with pruning, a column below a row's i1 cannot
+    pass: its threshold is 127 - r(X2) >= 103, while d1 + GP <= I(X3;X4)
+    <= 24).  For each run of those pairs the GP rows are computed
+    (``_n4_gp``), d1 is added per X1 row, and the maximum over pairs of
+    each X2 column (``_max_over_pairs``) is compared with the threshold.
+    Only the first passing column of the first passing row is searched for
+    its first pair, from the same formula.
 
     GP is never stored: each group computes the rows of its live pairs from
-    contiguous copies of its columns of the closure rows RU and the pair
-    ranks PR (module docstring, "Closure"), so working memory is
+    the closure rows RU and the pair ranks PR, read in place (module
+    docstring, "Closure"; both are C-contiguous), so working memory is
     O(SCAN_BLOCK + |U| F + F^2), not F |P|.
 
     Returns the lex-first hit as indices into the search space, or None.
@@ -641,32 +639,25 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
              ) -> tuple[int, int, int] | None:
         """Lex-first hit (index into ``rows``, X2 column, pair) of the X1
         ``rows`` with d1 rows ``d`` and thresholds ``floor``, scanned
-        together over the union of their live pairs and the columns from
-        the first row on."""
+        together over the union of their live pairs and every X2 column."""
         live = (d > 0).any(axis=0).nonzero()[0]
         u, p3, p4 = U_of[live], P3[live], P4[live]
-        # columns j >= the first i1 suffice with pruning, since then i2 >= i1
-        a = int(rows[0]) if pruning else 0
-        # contiguous copies: a take on the strided views copies them whole
-        ru = np.ascontiguousarray(RU[:, a:])
-        pr = np.ascontiguousarray(PR[:, a:])
-        cols = F - a
-        step = max(1, SCAN_BLOCK // (len(rows) * cols))
-        top = np.full((len(rows), cols), -128, dtype=np.int8)
+        step = max(1, SCAN_BLOCK // (len(rows) * F))
+        top = np.full((len(rows), F), -128, dtype=np.int8)
         for q in range(0, len(live), step):
             p = live[q:q + step]
-            t = _n4_gp(ru, pr, u[q:q + step], p3[q:q + step], p4[q:q + step],
-                       out=bufs[0, :len(p) * cols].reshape(len(p), -1))
+            t = _n4_gp(RU, PR, u[q:q + step], p3[q:q + step], p4[q:q + step],
+                       out=bufs[0, :len(p) * F].reshape(len(p), -1))
             sums = np.add(t, d.take(p, axis=1)[:, :, None],
-                          out=bufs[1, :len(rows) * len(p) * cols].reshape(len(rows), len(p), -1))
+                          out=bufs[1, :len(rows) * len(p) * F].reshape(len(rows), len(p), -1))
             np.maximum(top, _max_over_pairs(sums), out=top)
-        hits = top > floor[:, a:]
+        hits = top > floor
         if not hits.any():
             return None
         r = int(hits.any(axis=1).argmax())
         c = int(hits[r].argmax())
-        col = _n4_gp(ru[:, c], pr[:, c], u, p3, p4) + d[r, live]
-        return r, a + c, int(live[(col > floor[r, a + c]).argmax()])
+        col = _n4_gp(RU[:, c], PR[:, c], u, p3, p4) + d[r, live]
+        return r, c, int(live[(col > floor[r, c]).argmax()])
 
     # d1, I(X1;X2) and the thresholds r(X1) - r(X1 u X2) = I(X1;X2) - r(X2)
     # for a batch of X1 rows in one pass, I(X1;X2) set to 127 (more than

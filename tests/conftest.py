@@ -58,12 +58,12 @@ def z6():
 
 @pytest.fixture(scope="session")
 def dowling_z2():
-    return K.dowling(K.cyclic_group(2), 3)
+    return K.dowling(2, 3)
 
 
 @pytest.fixture(scope="session")
 def dowling_z3():
-    return K.dowling(K.cyclic_group(3), 3)
+    return K.dowling(3, 3)
 
 
 @pytest.fixture(scope="session")

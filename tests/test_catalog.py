@@ -232,18 +232,6 @@ class TestBinarySpike:
             K.binary_spike(3)
 
 
-class TestGroupTable:
-    def test_cyclic_groups_validate(self):
-        for n in (1, 2, 3, 4, 5):
-            g = K.cyclic_group(n)
-            assert g.identity == 0
-            assert g.is_abelian()
-
-    def test_broken_table_rejected(self):
-        with pytest.raises(K.MatroidError):
-            K.GroupTable(2, ((0, 1), (1, 1)))
-
-
 class TestDowling:
     def test_z2_shape(self, dowling_z2):
         assert (dowling_z2.m, dowling_z2.rank_total) == (9, 3)
@@ -252,7 +240,7 @@ class TestDowling:
         assert (dowling_z3.m, dowling_z3.rank_total) == (15, 3)
 
     def test_trivial_group_is_graphic_triangle(self):
-        M = K.dowling(K.cyclic_group(1), 3)
+        M = K.dowling(1, 3)
         assert (M.m, M.rank_total) == (3, 2)
         assert M.classify(0b111).circuit
 
@@ -264,9 +252,16 @@ class TestDowling:
     def test_matches_bias_rank_oracle(self, order, n, dowling_z2, dowling_z3):
         M = {(2, 3): dowling_z2, (3, 3): dowling_z3}.get((order, n))
         if M is None:
-            M = K.dowling(K.cyclic_group(order), n)
-        graph = K.dowling_gain_graph(K.cyclic_group(order), n)
-        edges = [(e.tail, e.head, e.label, e.is_loop) for e in graph.edges]
+            M = K.dowling(order, n)
+        edges = [None] * M.m
+        for name, mask in M.layout.items():
+            kind, *ends = name.split("_")
+            if kind == "loop":
+                v, label = map(int, ends)
+                edges[mask.bit_length() - 1] = (v, v, label, True)
+            else:
+                u, v, label = map(int, ends)
+                edges[mask.bit_length() - 1] = (u, v, label, False)
         for x in range(1 << M.m):
             assert M.rank(x) == bias_rank_oracle(edges, order, x)
 
@@ -283,6 +278,19 @@ class TestDowling:
         pair = M.parts("loop_0_1", "loop_0_2")
         assert M.rank(pair) == 1 and M.classify(pair).circuit
 
+    def test_layout_names_follow_element_order(self, dowling_z2):
+        # pairs u < v in lex order with labels 0..g-1, then loops 1..g-1 per vertex
+        assert list(dowling_z2.layout.items()) == [
+            ("edge_0_1_0", 1 << 0), ("edge_0_1_1", 1 << 1), ("edge_0_2_0", 1 << 2),
+            ("edge_0_2_1", 1 << 3), ("edge_1_2_0", 1 << 4), ("edge_1_2_1", 1 << 5),
+            ("loop_0_1", 1 << 6), ("loop_1_1", 1 << 7), ("loop_2_1", 1 << 8)]
+        assert dowling_z2.label == "Dowling(2,3)"
+
     def test_size_cap(self):
-        with pytest.raises(K.SizeCapError):
-            K.dowling(K.cyclic_group(3), 4)
+        with pytest.raises(K.SizeCapError, match="group order 3"):
+            K.dowling(3, 4)
+
+    @pytest.mark.parametrize("order, n", [(0, 3), (-1, 2), (2, 0), (1, 1)])
+    def test_empty_or_degenerate_refused(self, order, n):
+        with pytest.raises(K.MatroidError):
+            K.dowling(order, n)

@@ -77,7 +77,7 @@ class TestClassify:
         lambda: K.fano_pair()[0],
         lambda: K.kinser_relaxed(4),
         lambda: K.binary_spike(4),
-        lambda: K.dowling(K.cyclic_group(2), 3),
+        lambda: K.dowling(2, 3),
     ])
     def test_matches_definitions_from_scratch(self, maker):
         M = maker()
@@ -285,6 +285,12 @@ class TestConstructorInput:
     def test_integer_input_accepted(self, u24):
         for table in (u24.table.astype(np.int64), u24.table.tolist()):
             assert K.Matroid(4, table).table_equal(u24)
+
+    @pytest.mark.parametrize("part", [1 << 30, 1 << 4, -1])
+    def test_layout_part_outside_ground_refused(self, u24, part):
+        with pytest.raises(K.InvalidSubsetError):
+            K.Matroid(4, u24.table, layout={"A": part})
+        assert K.Matroid(4, u24.table, layout={"A": 0b1111}).part("A") == 0b1111
 
 
 class TestFromCircuits:

@@ -261,7 +261,7 @@ class TestSearch:
         (lambda: K.uniform(2, 4), 4),
         (lambda: K.uniform(2, 4), 5),
         (lambda: K.uniform(3, 6), 4),
-        (lambda: K.dowling(K.cyclic_group(1), 3), 4),
+        (lambda: K.dowling(1, 3), 4),
     ])
     def test_flats_vs_all_subsets_agree(self, maker, n):
         M = maker()
@@ -442,8 +442,8 @@ def _gate_cases():
     cases += [(f"Z4-{Z:x}", K.relax(z4, Z)) for Z in K.spike_transversals(4, "even")]
     cases += [("Vamos", K.kinser_relaxed(4)), ("Kin4", K.kinser(4)),
               ("U36", K.uniform(3, 6)),
-              ("DowlingZ2", K.dowling(K.cyclic_group(2), 3)),
-              ("DowlingZ3", K.dowling(K.cyclic_group(3), 3))]
+              ("DowlingZ2", K.dowling(2, 3)),
+              ("DowlingZ3", K.dowling(3, 3))]
     # Z6 relaxed at two even transversals through a1 and a2: early violators
     cases += [(f"Z6-{a:x}-{b:x}", _relaxed(z6, a, b))
               for a, b in ((0x333, 0xC0F), (0xA17, 0xC0F), (0x333, 0x91B))]
@@ -659,7 +659,7 @@ def _mask_list_matroids():
     vamos, relaxed = K.kinser_relaxed(4), K.relax(z4, Z)
     fano, nonfano = K.fano_pair()
     cases = [(M, ()) for M in (fano, nonfano, K.uniform(2, 5), K.uniform(3, 6),
-                               K.dowling(K.cyclic_group(2), 3))]
+                               K.dowling(2, 3))]
     cases.append((vamos, K.canonical_family(vamos, "kinser").sets))
     cases.append((relaxed, K.canonical_family(relaxed, "spike", Z).sets))
     return cases

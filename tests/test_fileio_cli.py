@@ -29,7 +29,7 @@ class TestMatroidFormat:
         lambda: K.kinser(4),
         lambda: K.kinser_relaxed(4),
         lambda: K.binary_spike(4),
-        lambda: K.dowling(K.cyclic_group(2), 3),
+        lambda: K.dowling(2, 3),
     ])
     def test_round_trip_identity(self, maker):
         M = maker()
@@ -80,6 +80,30 @@ class TestMatroidFormat:
         )
         M = K.parse_matroid(text)
         assert M.rank(0b111) == 2
+
+    @pytest.mark.parametrize("body", ["matrix p=2\n1 0 1\n0 1 1\n", "transversal\n0,2\n1,2\n"])
+    def test_generated_bodies_keep_layout(self, body):
+        M = K.parse_matroid(f"matroid v1\nelements 3\nrank 2\n{body}layout A=0,1\nlayout B=2\n")
+        assert M.table_equal(K.uniform(2, 3))
+        assert M.layout == {"A": 0b011, "B": 0b100}
+
+    def test_layout_part_outside_ground_refused(self, tmp_path, capsys):
+        text = K.write_matroid(K.uniform(2, 4)) + "layout A=0,10\n"
+        with pytest.raises(K.MatroidError, match="outside ground size 4"):
+            K.parse_matroid(text)
+        path = tmp_path / "m.mtr"
+        path.write_text(text)
+        assert main(["transform", "dual", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside ground size 4" in captured.err
+
+    def test_rank_tokens_longer_than_int64_digits(self):
+        text = K.write_matroid(K.uniform(2, 4))
+        padded = "0" * (fileio.INT64_DIGITS + 3) + "2"
+        M = K.parse_matroid(text.replace("\n0 1 1 2", f"\n0 1 1 {padded}", 1))
+        assert M.table_equal(K.uniform(2, 4))
+        with pytest.raises(K.FormatError, match="rank value 9{25} outside"):
+            K.parse_matroid(text.replace("\n0 1 1 2", "\n0 1 1 " + "9" * 25, 1))
 
     @pytest.mark.parametrize("p, error", [
         (2 ** 61 - 1, None),
@@ -196,6 +220,22 @@ class TestCli:
         assert main(["transform", "minor", "--delete", "0", "--contract", "1",
                      "-i", str(a), "-o", str(b)]) == 0
         assert K.parse_matroid(b.read_text()).table_equal(K.uniform(2, 3))
+
+    @pytest.mark.parametrize("op", ["delete", "contract", "truncate"])
+    def test_transform_element_ops_and_truncate(self, op, kin4, tmp_path):
+        a, b = tmp_path / "kin4.mtr", tmp_path / "out.mtr"
+        main(["build", "kinser", "--r", "4", "-o", str(a)])
+        assert main(["transform", op, "--element", "3", "-i", str(a), "-o", str(b)]) == 0
+        expect = K.truncate(kin4) if op == "truncate" else getattr(K, op)(kin4, 3)[0]
+        assert b.read_text() == K.write_matroid(expect)
+
+    @pytest.mark.parametrize("argv, maker", [
+        (["kinser-base", "--r", "4"], lambda: K.kinser_base(4)),
+        (["dowling", "--group", "z2", "--n", "2"], lambda: K.dowling(2, 2)),
+    ], ids=["kinser-base", "dowling"])
+    def test_build_without_output_writes_stdout(self, argv, maker, capsys):
+        assert main(["build", *argv]) == 0
+        assert capsys.readouterr().out == K.write_matroid(maker())
 
     def test_direct_sum(self, tmp_path):
         a, b, c = (tmp_path / n for n in ("f.mtr", "g.mtr", "s.mtr"))

@@ -119,6 +119,12 @@ class TestDirectSum:
             expect = min(bin(low).count("1"), 2) + min(bin(high).count("1"), 3)
             assert M.rank(x) == expect
 
+    def test_layouts_of_both_sides_are_named_and_shifted(self, kin4, z4):
+        out, _, _ = K.direct_sum(kin4, z4)
+        assert out.layout == {**{f"L.{k}": v for k, v in kin4.layout.items()},
+                              **{f"R.{k}": v << kin4.m for k, v in z4.layout.items()}}
+        assert out.parts("L.V1", "R.a1") == kin4.part("V1") | z4.part("a1") << kin4.m
+
     def test_rank_at_full_mask(self, fano, u24):
         out, _, _ = K.direct_sum(fano, u24)
         assert out.rank_total == fano.rank_total + u24.rank_total
