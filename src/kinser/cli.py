@@ -16,8 +16,8 @@ import time
 from . import catalog, transforms
 from .core import Matroid, MatroidError
 from .engine import Family, SearchConfig, evaluate, membership
-from .fileio import (FormatError, format_elements, parse_elements, parse_matroid,
-                     write_certificate, write_matroid)
+from .fileio import (FormatError, format_element_lines, format_elements, parse_elements,
+                     parse_matroid, write_certificate, write_matroid)
 
 BUILDERS = ("uniform", "fano", "nonfano", "kinser-base", "kinser",
             "kinser-relaxed", "spike", "dowling")
@@ -58,9 +58,10 @@ def _build(args) -> int:
     elif name == "spike":
         M = catalog.binary_spike(args.r)
     else:
-        if not args.group.startswith("z"):
-            raise MatroidError(f"unknown group {args.group!r}; use zN for cyclic")
-        M = catalog.dowling(int(args.group[1:]), args.n)
+        order = args.group[1:]
+        if not (args.group.startswith("z") and order.isascii() and order.isdigit()):
+            raise MatroidError(f"--group must be z and a decimal order, got {args.group!r}")
+        M = catalog.dowling(int(order), args.n)
     text = write_matroid(M)
     if args.output:
         _save(args.output, text)
@@ -143,7 +144,7 @@ def _check(args) -> int:
 def _enumerate(args) -> int:
     M = _load(args.input)
     masks = M.enumerate(args.kind)
-    sys.stdout.writelines(format_elements(x) + "\n" for x in masks)
+    sys.stdout.write(format_element_lines(masks))
     print(f"count {len(masks)}", file=sys.stderr)
     return 0
 

@@ -10,6 +10,17 @@ write-then-parse is the identity on tables.
 Certificates are self-verifying: parsing re-evaluates the inequality
 against the supplied matroid and refuses on any mismatch of fingerprint,
 lhs or rhs.
+
+Large tables and long mask lists are written and read in whole-array
+byte passes; where a pass has a short path for the common input, both
+paths give the same bytes or the same error.  ``_ranks_body`` writes
+(digit, separator) cells when every rank is below 10, and otherwise
+three-byte cells with the zero tens digits cut out.  ``_decimal_values``
+reads a chunk of one-byte digit tokens by dropping its separators and
+sends every other chunk, malformed ones included, through the general
+token scan that raises each error.  ``format_element_lines`` writes the
+lines of ``format_elements`` for a whole list of masks.  Lookup tables are
+built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -54,6 +65,55 @@ def format_elements(mask: int) -> str:
     return ",".join(filter(None, (lo[mask & 255], mid[mask >> 8 & 255], hi[mask >> 16]))) or "-"
 
 
+LINES_BLOCK = 1 << 16  # masks formatted per array pass by format_element_lines
+
+
+@functools.cache
+def _element_digits() -> np.ndarray:
+    """Row e < MAX_GROUND holds the digit bytes of e, zero-padded; row
+    MAX_GROUND holds '-', the text of the empty set (built on first use)."""
+    digits = np.array([str(e) for e in range(MAX_GROUND)] + ["-"], dtype="S3")
+    digits = digits.view(np.uint8).reshape(-1, 3)
+    digits.flags.writeable = False  # shared by every caller
+    return digits
+
+
+def format_element_lines(masks: list[int]) -> str:
+    """``format_elements(x) + "\n"`` for each mask, joined, in array passes.
+
+    Each block of LINES_BLOCK masks is unpacked into a (mask, 32-bit) bit
+    matrix whose column MAX_GROUND (< 32) marks the empty masks; the flat indices
+    of its set bits list them mask by mask in ascending element order, as
+    format_elements lists them.  Every bit becomes a token of its digits
+    and a comma, scattered at the cumulative token offsets, and the last
+    comma of each mask becomes a newline, so each line is format_elements'
+    text.  A mask outside [0, 2^MAX_GROUND) raises format_elements' error.
+    """
+    try:
+        arr = np.asarray(masks, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        arr = None
+    if arr is None or (arr >> MAX_GROUND).any():
+        format_elements(next(x for x in masks if x >> MAX_GROUND))  # raises
+    digits = _element_digits()
+    blocks = []
+    for lo in range(0, arr.size, LINES_BLOCK):
+        part = arr[lo:lo + LINES_BLOCK].astype("<u4")
+        bits = np.unpackbits(part.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
+        bits[:, MAX_GROUND] = part == 0
+        at = np.flatnonzero(bits.view(bool))
+        del bits
+        rows, elements = at >> 5, at & 31
+        two = (elements >= 10) & (elements < MAX_GROUND)
+        ends = np.cumsum(2 + two)
+        out = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
+        out[ends - 2] = digits[elements, 1]        # one-digit tokens: overwritten next
+        out[ends - 2 - two] = digits[elements, 0]
+        out[ends[np.append(rows[1:] != rows[:-1], True)] - 1] = ord("\n")
+        blocks.append(str(out, "ascii"))
+    return "".join(blocks)
+
+
 def parse_elements(text: str) -> int:
     text = text.strip()
     if text == "-" or not text:
@@ -82,16 +142,24 @@ def write_matroid(M: Matroid) -> str:
 def _ranks_body(table: np.ndarray) -> str:
     """The table as decimal text, RANKS_PER_LINE values a line, in one array pass.
 
-    Each value gets a cell of (tens digit, units digit, separator); the
-    separator is a newline at the end of a line and after the last value,
-    and the tens digit is dropped below 10 (ranks are at most 24).
+    Each value gets a cell of its digits and a separator; the separator is a
+    newline at the end of a line and after the last value, a space elsewhere.
+    When every value is below 10 (found by one ``max`` pass, since a table
+    built with ``validate=False`` need not be monotone, so r(E) does not
+    bound it) the cells are (digit, separator) and decode as they stand.
+    Otherwise they are (tens, units, separator) and the tens digit is
+    dropped below 10 (ranks are at most 24).  Both give the bytes of
+    ``" ".join(str(v) ...)`` over each line of RANKS_PER_LINE values.
     """
-    cells = np.empty((table.size, 3), dtype=np.uint8)
+    wide = int(table.max()) >= 10
+    cells = np.empty((table.size, 2 + wide), dtype=np.uint8)
+    cells[:, -2] = ord("0") + (table % 10 if wide else table)
+    cells[:, -1] = ord(" ")
+    cells[RANKS_PER_LINE - 1::RANKS_PER_LINE, -1] = ord("\n")
+    cells[-1, -1] = ord("\n")
+    if not wide:
+        return str(cells.reshape(-1), "ascii")
     cells[:, 0] = ord("0") + table // 10
-    cells[:, 1] = ord("0") + table % 10
-    cells[:, 2] = ord(" ")
-    cells[RANKS_PER_LINE - 1::RANKS_PER_LINE, 2] = ord("\n")
-    cells[-1, 2] = ord("\n")
     keep = np.ones(cells.shape, dtype=bool)
     keep[:, 0] = table >= 10
     body = cells[keep]
@@ -196,7 +264,13 @@ def _decimal_values(text: str, m: int) -> np.ndarray:
     """Whitespace-separated decimal tokens with values in [0, m], as uint8.
 
     Tokens are converted as arrays: the bytes are classed as space, digit
-    or sign, and each token's value is summed from its digits.
+    or sign, and each token's value is summed from its digits.  A chunk
+    whose tokens are all one byte long (no two adjacent bytes are both
+    non-space) and all digits, as every written table below rank 10 is,
+    reads as its non-space bytes minus '0'; those are the tokens' values,
+    so the result and the range check are those of the general path.  Any
+    other chunk, malformed ones included, takes the general path, which
+    raises every error message.
     """
     try:
         data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -204,6 +278,13 @@ def _decimal_values(text: str, m: int) -> np.ndarray:
         raise FormatError(f"non-ASCII character {exc.object[exc.start]!r} "
                           "in ranks body") from None
     filled = (data != ord(" ")) & (data - 9 >= 5)      # not space, \t \n \v \f \r
+    if not (filled[1:] & filled[:-1]).any():
+        vals = np.compress(filled, data) - ord("0")   # a non-digit wraps to >= 10
+        hi = int(vals.max(initial=0))
+        if hi < 10:
+            if hi > m:
+                raise FormatError(f"rank value {hi} outside [0, {m}]")
+            return vals
     sign = (data == ord("-")) | (data == ord("+"))
     first, last = filled.copy(), filled.copy()
     first[1:] &= ~filled[:-1]

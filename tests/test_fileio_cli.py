@@ -134,6 +134,85 @@ class TestMatroidFormat:
             K.parse_matroid("elements 2\nrank 1\nranks\n0 1 1 1\n")
 
 
+def literal_ranks_body(ranks: list[int]) -> str:
+    """A ranks body written literally: each 16 values joined by spaces, a line."""
+    return "".join(" ".join(str(v) for v in ranks[i:i + 16]) + "\n"
+                   for i in range(0, len(ranks), 16))
+
+
+class TestRanksText:
+    @pytest.mark.parametrize("maker, two_digit", [
+        (lambda: K.uniform(1, 2), False),
+        (lambda: K.uniform(2, 3), False),
+        (lambda: K.uniform(9, 9), False),
+        (lambda: K.uniform(10, 10), True),
+        (lambda: K.uniform(12, 12), True),
+        # not monotone: r(E) = 3 but the largest rank is 11
+        (lambda: K.Matroid(12, np.append(K.uniform(12, 12).table[:-1], 3), validate=False),
+         True),
+        (lambda: K.kinser(6), False),
+        (lambda: K.dual(K.kinser(6)), True),
+    ])
+    def test_writer_matches_literal_writer(self, maker, two_digit):
+        M = maker()
+        assert (int(M.table.max()) >= 10) == two_digit
+        assert fileio._ranks_body(M.table) == literal_ranks_body(M.table.tolist())
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x", "non-decimal token 'x' in ranks body"),
+        ("-", "non-decimal token '-' in ranks body"),
+        ("+", "non-decimal token '+' in ranks body"),
+        ("\u00e9", "non-ASCII character '\u00e9' in ranks body"),
+        ("7", "rank value 7 outside [0, 4]"),
+    ])
+    @pytest.mark.parametrize("at", [0, 5, 15])
+    def test_one_byte_tokens_refused_at_every_chunk_size(self, bad, message, at):
+        # every token is one byte, so the chunks that hold no bad byte take
+        # the digits-only path; each error is the general path's
+        head, body, tail = ranks_lines(K.write_matroid(K.uniform(2, 4)), 4)
+        tokens = " ".join(body).split()
+        tokens[at] = bad
+        text = head + " ".join(tokens[:8]) + "\n" + " ".join(tokens[8:]) + "\n"
+        for chunk in (fileio.RANKS_CHUNK, *range(1, 10)):
+            with mock.patch.object(fileio, "RANKS_CHUNK", chunk):
+                with pytest.raises(K.FormatError) as exc:
+                    K.parse_matroid(text)
+            assert str(exc.value) == message
+
+
+def literal_lines(masks) -> str:
+    return "".join(format_elements(x) + "\n" for x in masks)
+
+
+class TestElementLines:
+    def test_random_masks_match_format_elements(self):
+        masks = np.random.default_rng(5).integers(0, 1 << 24, 150_000).tolist()
+        masks[:0] = [0, (1 << 24) - 1]
+        masks[70_000:70_000] = [0, (1 << 24) - 1, 0]
+        masks += [(1 << 24) - 1, 0]
+        assert fileio.format_element_lines(masks) == literal_lines(masks)
+        assert fileio.format_element_lines([]) == ""
+
+    def test_enumerate_bases_across_blocks(self, tmp_path, capsys):
+        M = K.uniform(10, 20)
+        mfile = tmp_path / "u.mtr"
+        mfile.write_text(K.write_matroid(M))
+        assert main(["enumerate", "--kind", "bases", "-i", str(mfile)]) == 0
+        masks = M.enumerate("bases")
+        assert len(masks) == 184_756 > 2 * fileio.LINES_BLOCK
+        assert capsys.readouterr().out == literal_lines(masks)
+
+    @pytest.mark.parametrize("masks", [
+        [1 << 24], [3, 5 | 1 << 24, 1 << 30], [1, -1], [1 << 70, 1 << 24],
+    ])
+    def test_mask_outside_ground_refused_as_format_elements(self, masks):
+        with pytest.raises(K.MatroidError) as want:
+            literal_lines(masks)
+        with pytest.raises(K.MatroidError) as got:
+            fileio.format_element_lines(masks)
+        assert str(got.value) == str(want.value)
+
+
 class TestCertificateFormat:
     def test_vamos_certificate_round_trip(self, vamos):
         cert = K.search_bad_family(vamos, 4)
@@ -283,6 +362,12 @@ class TestCli:
         assert main(["build", "dowling", "--group", group, "--n", "1"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "group order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", ["z", "z 3", "z+3", "z1_0", "z\u0663"])
+    def test_dowling_group_must_be_z_and_ascii_digits(self, group, capsys):
+        assert main(["build", "dowling", "--group", group, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--group" in captured.err
 
     @pytest.mark.parametrize("n", ["-2", "0", "1", "2", "3"])
     def test_check_index_below_four_exits_2_before_searching(self, n, tmp_path, capsys,

@@ -1,7 +1,11 @@
 """The public names: ``kinser.__all__`` lists each name that
-``kinser/__init__.py`` imports, once, and nothing else, and each resolves."""
+``kinser/__init__.py`` imports, once, and nothing else, and each resolves;
+importing the package allocates no lookup table."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kinser as K
@@ -14,3 +18,20 @@ def test_all_equals_the_imported_names():
     assert len(K.__all__) == len(set(K.__all__))
     assert set(K.__all__) == imported
     assert all(hasattr(K, name) for name in K.__all__)
+
+
+def test_import_builds_no_arrays():
+    # lookup tables are built on first use: after `import kinser` no kinser
+    # module holds a numpy array and no cached function holds a value
+    code = (
+        "import sys, numpy as np, kinser\n"
+        "held = sorted(f'{name}.{key}' for name, mod in sys.modules.items()\n"
+        "              if name.split('.')[0] == 'kinser'\n"
+        "              for key, value in vars(mod).items()\n"
+        "              if isinstance(value, np.ndarray)\n"
+        "              or (hasattr(value, 'cache_info') and value.cache_info().currsize))\n"
+        "print(held)\n")
+    src = str(Path(K.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out == "[]\n"
