@@ -143,7 +143,6 @@ row gathers, and reduces over those pairs for each X2 column.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -160,7 +159,7 @@ ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # F = 76) on a 2-core x86 host (Python 3.11, numpy 2.4), so below 2^24
 # tuples, 6-18 ms of scan, the search costs about what it can save
 ORBIT_SCAN_MIN = 1 << 24
-SCAN_BLOCK = 1 << 18        # int8 entries per scan block (n=4 scan, n>=5 min-plus and X1 tests)
+SCAN_BLOCK = 1 << 18        # entries per block (search tables, n=4 scan, n>=5 min-plus and X1 tests)
 
 
 @dataclass(frozen=True)
@@ -516,30 +515,68 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair, and the
     closure rows that give the triple ranks (module docstring, "Closure"):
     with U the distinct closures cl(X3 u X4) of the pairs, U_of[p] is the
-    index in U of pair p's closure and RU[u][j] = r(U_u u Xj).  U comes
-    from np.unique on the closures, so ``masks`` need not be closed under
-    closure.  The n = 4 scan computes the GP rows it needs from RU and PR
-    (``_n4_gp``); no GP array is kept.
+    index in U of pair p's closure and RU[u][j] = r(U_u u Xj).  ``masks``
+    need not be closed under closure.  The n = 4 scan computes the GP rows
+    it needs from RU and PR (``_n4_gp``); no GP array is kept.
+
+    PR, C34 and P are built in blocks of rows of at most SCAN_BLOCK
+    entries (row-major, so P stays in lex order), RU in blocks of rows and
+    U_of in blocks of SCAN_BLOCK pairs: no F x F mask array is formed.  The
+    distinct unions X3 u X4 and their distinct closures are marked in a
+    table over all 2^m subsets and labelled in mask order through a second
+    such table, with no sort; ``_closures`` runs on the distinct unions.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
     rank8 = table.view(np.int8)          # ranks are at most 24
     rank_f = rank8[masks]
-    PR = rank8[masks[:, None] | masks[None, :]]
-    base34 = rank_f[:, None] + rank_f[None, :] - PR
+    step = max(1, SCAN_BLOCK // F)
     queries = F + F * F
     if pruning:
         cl = _closures(table, masks)
-        meet = table[cl[:, None] & cl[None, :]]
         queries += (m + 1) * F + F * F
-        P3, P4 = np.nonzero(np.triu(base34 > meet))
+    PR = np.empty((F, F), dtype=np.int8)
+    cols = np.arange(F, dtype=np.int32)
+    seen = np.zeros(1 << m, dtype=bool)
+    kept, c34 = [], []
+    for i0 in range(0, F, step):
+        i = slice(i0, i0 + step)
+        u = masks[i, None] | masks
+        c = rank_f[i, None] + rank_f - rank8.take(u, out=PR[i], mode="clip")
+        if pruning:
+            # the non-modular pairs with i3 <= i4: row r from column i0 + r on
+            keep = c > rank8.take(cl[i, None] & cl, mode="clip")
+            keep &= cols >= cols[i, None]
+            p = np.flatnonzero(keep)
+            kept.append(p + i0 * F)
+            c, u = c.ravel()[p], u.ravel()[p]
+        c34.append(c.ravel())
+        seen[u] = True
+    if pruning:
+        P4 = np.concatenate(kept)           # i3 F + i4, then i4
+        P3 = P4 // F
+        P4 -= P3 * F
     else:
-        P3, P4 = np.nonzero(np.ones((F, F), dtype=bool))
-    unions, union_of = np.unique(masks[P3] | masks[P4], return_inverse=True)
-    U, closure_of = np.unique(_closures(table, unions), return_inverse=True)
-    RU = rank8[U[:, None] | masks[None, :]]
-    queries += (m + 1) * len(unions) + len(U) * F
-    return (PR, P3, P4, base34[P3, P4], RU, closure_of[union_of]), queries
+        P3, P4 = np.repeat(np.arange(F), F), np.tile(np.arange(F), F)
+    c34 = np.concatenate(c34)
+    # label[x] = index in U of cl(x) for each distinct union x
+    label = np.empty(1 << m, dtype=np.int64)
+    distinct = np.flatnonzero(seen)
+    closed = _closures(table, distinct)
+    seen[distinct] = False
+    seen[closed] = True
+    U = np.flatnonzero(seen)
+    label[U] = np.arange(len(U))
+    label[distinct] = label[closed]
+    RU = np.empty((len(U), F), dtype=np.int8)
+    for k in range(0, len(U), step):
+        rank8.take(U[k:k + step, None] | masks, out=RU[k:k + step], mode="clip")
+    queries += (m + 1) * len(distinct) + len(U) * F
+    U_of = np.empty(len(P3), dtype=np.int64)
+    for k in range(0, len(P3), SCAN_BLOCK):
+        q = slice(k, k + SCAN_BLOCK)
+        label.take(masks[P3[q]] | masks[P4[q]], out=U_of[q], mode="clip")
+    return (PR, P3, P4, c34, RU, U_of), queries
 
 
 def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np.ndarray,
@@ -839,6 +876,7 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     if len(chunks) == 1:
         hits = [kernel(chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=width) as pool:
             hits = list(pool.map(kernel, chunks))
     # chunks run in i1 order, so the first hit is the lex-first violator

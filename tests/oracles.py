@@ -92,6 +92,28 @@ def definition_closure(M, x: int) -> int:
                    if not (x >> e) & 1 and M.rank(x | (1 << e)) == M.rank(x))
 
 
+def literal_search_tables(M, masks, pruning: bool):
+    """The n = 4 search tables from their definitions, by per-pair loops
+    over ``M.rank``: PR[i][j] = r(Xi u Xj); the lex-ordered pair list, every
+    (i, j) or with ``pruning`` those with i <= j and
+    r(X3) + r(X4) - r(X3 u X4) > r(cl X3 n cl X4); that difference per
+    pair; per pair the row r(X3 u X4 u Xj) over j; and per pair the index
+    of cl(X3 u X4) among the sorted distinct closures of the pairs."""
+    r = M.rank
+    PR = [[r(a | b) for b in masks] for a in masks]
+    pairs = []
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            meet = definition_closure(M, a) & definition_closure(M, b)
+            if not pruning or (i <= j and r(a) + r(b) - r(a | b) > r(meet)):
+                pairs.append((i, j))
+    c34 = [r(masks[i]) + r(masks[j]) - r(masks[i] | masks[j]) for i, j in pairs]
+    triples = [[r(masks[i] | masks[j] | x) for x in masks] for i, j in pairs]
+    closures = [definition_closure(M, masks[i] | masks[j]) for i, j in pairs]
+    distinct = sorted(set(closures))
+    return PR, pairs, c34, triples, [distinct.index(c) for c in closures]
+
+
 def definition_flats(M) -> list[int]:
     """Flats as deduplicated closures of every subset."""
     return sorted({definition_closure(M, x) for x in range(1 << M.m)})

@@ -1,5 +1,6 @@
 """Inequality evaluation, reductions, canonical families, exhaustive search."""
 
+import concurrent.futures
 import itertools
 import os
 import tracemalloc
@@ -16,8 +17,8 @@ from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, 
                            _search_tables, _tuples_examined, _x2_rows)
 
 from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
-                     ingleton_value, kinser_sides, kinser_value, orbit_minima,
-                     permuted_mask)
+                     ingleton_value, kinser_sides, kinser_value, literal_search_tables,
+                     orbit_minima, permuted_mask)
 
 
 def n4_chunk(table, masks, pruning, rows=None):
@@ -228,7 +229,7 @@ class TestSearch:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         wide = K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
         assert wide == K.membership(vamos, 4)
         assert not wide.in_class and wide.certificate is not None
@@ -650,6 +651,23 @@ def test_z6_in_class_without_a_stored_gp(z6):
     assert peak < verdict.space_size * verdict.pairs / 4
 
 
+def test_search_tables_hold_no_f_by_f_int64_array():
+    # Z7's flats: F = 1795 and 704,599 non-modular pairs.  The tables are
+    # built in row blocks, so beyond the arrays they return the build never
+    # holds as much as one F x F int64 array
+    M = K.binary_spike(7)
+    masks = np.array(M.enumerate("flats"), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        tables = _search_tables(M.table, masks, True)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    F = len(masks)
+    assert (F, len(tables[1])) == (1795, 704_599)
+    assert peak - sum(t.nbytes for t in tables) < F * F * 8
+
+
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a
 # relaxed Z4 (m = 8) join the small linear matroids, each with the family
 # the paper proves violating, so that some lists hold a violator.
@@ -714,6 +732,70 @@ def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     # (X1, X2, X3, Xn) quadruples up to and including the hit
     i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
     assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
+
+
+@st.composite
+def sorted_mask_lists(draw):
+    """A small matroid (a random binary one, a uniform one or, half the
+    time, one of the mask-list matroids) and a sorted list of distinct
+    masks: flats, two-element sets and arbitrary subsets, so that the
+    closures of unions often lie outside the list."""
+    kind = draw(st.sampled_from(["binary", "uniform", "listed", "listed"]))
+    if kind == "binary":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 7))
+        entries = draw(st.lists(st.integers(0, 1), min_size=rows * cols,
+                                max_size=rows * cols))
+        M = K.from_matrix(K.MatrixGFp(2, rows, cols, tuple(entries)))
+    elif kind == "uniform":
+        n = draw(st.integers(2, 7))
+        M = K.uniform(draw(st.integers(0, n)), n)
+    else:
+        M = draw(st.sampled_from([M for M, _ in MASK_LIST_MATROIDS]))
+    pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
+    member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
+                       st.integers(0, (1 << M.m) - 1))
+    return M, sorted(draw(st.sets(member, min_size=3, max_size=12)))
+
+
+def assert_search_tables_literal(M, masks, pruning, block):
+    """``_search_tables`` on the sorted ``masks`` equals the literal tables.
+    SCAN_BLOCK = 1 builds one row and one pair per block; "mid-list" takes
+    blocks of F // 2 + 1 rows, so a list of F >= 3 masks ends in a short
+    block."""
+    F = len(masks)
+    scan_block = {"default": engine.SCAN_BLOCK, "one": 1,
+                  "mid-list": (F // 2 + 2) * F - 1}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SCAN_BLOCK", scan_block)
+        (PR, P3, P4, c34, RU, U_of), _ = _search_tables(
+            M.table, np.array(masks, dtype=np.int64), pruning)
+    PR_lit, pairs, c34_lit, triples, closure_of = literal_search_tables(M, masks, pruning)
+    assert PR.tolist() == PR_lit
+    assert list(zip(P3.tolist(), P4.tolist())) == pairs
+    assert c34.tolist() == c34_lit
+    assert U_of.tolist() == closure_of and len(RU) == len(set(closure_of))
+    assert RU[U_of].reshape(len(pairs), F).tolist() == triples
+    assert [a.dtype for a in (PR, P3, P4, c34, RU, U_of)] == [np.int8, np.intp, np.intp,
+                                                                np.int8, np.int8, np.intp]
+
+
+BLOCKS = ["default", "one", "mid-list"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sorted_mask_lists(), st.booleans())
+@pytest.mark.parametrize("block", BLOCKS)
+def test_search_tables_match_literal_definitions(block, case, pruning):
+    assert_search_tables_literal(*case, pruning, block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("M", [M for M, _ in MASK_LIST_MATROIDS],
+                         ids=[M.label for M, _ in MASK_LIST_MATROIDS])
+def test_search_tables_on_flats_match_literal_definitions(M, block):
+    # random lists seldom hold a non-modular pair; flat lists hold many
+    # (947 of the 79^2 on Vamos), in rows on both sides of every seam
+    assert_search_tables_literal(M, M.enumerate("flats"), True, block)
 
 
 class TestCommonInformationLemma:

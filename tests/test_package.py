@@ -1,6 +1,7 @@
 """The public names: ``kinser.__all__`` lists each name that
 ``kinser/__init__.py`` imports, once, and nothing else, and each resolves;
-importing the package allocates no lookup table."""
+importing the package allocates no lookup table and loads no worker-pool
+module."""
 
 import ast
 import os
@@ -20,6 +21,13 @@ def test_all_equals_the_imported_names():
     assert all(hasattr(K, name) for name in K.__all__)
 
 
+def fresh_output(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter on this package's source."""
+    src = str(Path(K.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+
+
 def test_import_builds_no_arrays():
     # lookup tables are built on first use: after `import kinser` no kinser
     # module holds a numpy array and no cached function holds a value
@@ -31,7 +39,12 @@ def test_import_builds_no_arrays():
         "              if isinstance(value, np.ndarray)\n"
         "              or (hasattr(value, 'cache_info') and value.cache_info().currsize))\n"
         "print(held)\n")
-    src = str(Path(K.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert out == "[]\n"
+    assert fresh_output(code) == "[]\n"
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    # the worker pool is imported only when a search runs at width > 1
+    code = ("import sys, kinser.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
+    assert fresh_output(code) == "[]\n"
