@@ -236,14 +236,15 @@ def kinser_relaxed(r: int, also_relax: int | None = None) -> Matroid:
     """Kin(r)^-: relax the circuit-hyperplane V1 u V2.
 
     With also_relax = i (3 <= i <= r), additionally relax V2 u Vi, giving
-    the doubly relaxed matroid; Kin(4)^- is the Vamos matroid.
+    the doubly relaxed matroid; Kin(4)^- is the Vamos matroid.  An
+    also_relax out of range is refused before anything is built.
     """
+    if also_relax is not None and not 3 <= also_relax <= r:
+        raise MatroidError(f"also_relax must be in [3, {r}], got {also_relax}")
     M = kinser(r)
     out = relax(M, M.parts("V1", "V2"))
     label = f"Kin({r})-"
     if also_relax is not None:
-        if not 3 <= also_relax <= r:
-            raise MatroidError(f"also_relax must be in [3, {r}], got {also_relax}")
         out = relax(out, M.parts("V2", f"V{also_relax}"))
         label = f"Kin({r})_{also_relax}="
     return Matroid(M.m, out.table, label=label, layout=M.layout, validate=False)

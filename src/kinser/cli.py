@@ -14,10 +14,10 @@ import sys
 import time
 
 from . import catalog, transforms
-from .core import Matroid, MatroidError
+from .core import ENUM_KINDS, Matroid, MatroidError
 from .engine import Family, SearchConfig, evaluate, membership
-from .fileio import (FormatError, format_element_lines, format_elements, parse_elements,
-                     parse_matroid, write_certificate, write_matroid)
+from .fileio import (FormatError, format_element_lines, parse_elements, parse_matroid,
+                     write_certificate, write_matroid)
 
 BUILDERS = ("uniform", "fano", "nonfano", "kinser-base", "kinser",
             "kinser-relaxed", "spike", "dowling")
@@ -28,7 +28,11 @@ def _load(path: str) -> Matroid:
         return parse_matroid(fh.read())
 
 
-def _save(path: str, text: str) -> None:
+def _save(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -62,11 +66,7 @@ def _build(args) -> int:
         if not (args.group.startswith("z") and order.isascii() and order.isdigit()):
             raise MatroidError(f"--group must be z and a decimal order, got {args.group!r}")
         M = catalog.dowling(int(order), args.n)
-    text = write_matroid(M)
-    if args.output:
-        _save(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _save(args.output, write_matroid(M))
     return 0
 
 
@@ -91,11 +91,7 @@ def _transform(args) -> int:
     else:  # direct-sum
         other = _load(args.second)
         out, _, _ = transforms.direct_sum(M, other)
-    text = write_matroid(out)
-    if args.output:
-        _save(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _save(args.output, write_matroid(out))
     return 0
 
 
@@ -108,9 +104,10 @@ def _eval(args) -> int:
     print(f"lhs {value.lhs}")
     print(f"rhs {value.rhs}")
     print(f"satisfied {'true' if value.satisfied else 'false'}")
-    for t in value.terms:
+    sets = format_element_lines([t.mask for t in value.terms]).splitlines()
+    for t, text in zip(value.terms, sets):
         print(f"term {t.side} {t.kind} X{'+X'.join(str(i) for i in t.members)} "
-              f"rank={t.rank} set={format_elements(t.mask)}")
+              f"rank={t.rank} set={text}")
     return 0
 
 
@@ -202,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_check)
 
     en = sub.add_parser("enumerate", help="list flats, circuits, bases, ...")
-    en.add_argument("--kind", choices=("flats", "circuits", "bases", "hyperplanes",
-                                       "circuit_hyperplanes"), required=True)
+    en.add_argument("--kind", choices=ENUM_KINDS, required=True)
     en.add_argument("-i", "--input", required=True)
     en.set_defaults(func=_enumerate)
 

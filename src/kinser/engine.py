@@ -10,7 +10,8 @@ Inequality n (n >= 4) compares, for subsets X_1..X_n,
 with 2n-3 terms per side; n = 4 is the Ingleton inequality.  The search
 for violating families runs over the flats of the matroid (replacing each
 set by its closure changes no term rank, so this loses nothing), in
-lexicographic tuple order, with optional pruning by two rules.
+lexicographic tuple order, with optional pruning by four rules: slot
+symmetry, common information, automorphism orbits and live pairs.
 
 Symmetry (n = 4 only):  inequality 4 is invariant under swapping X1 with
 X2 and under swapping X3 with X4 independently.  A tuple is enumerated
@@ -149,7 +150,6 @@ from functools import partial
 import numpy as np
 
 from .core import Matroid, MatroidError, SizeCapError, content_fingerprint
-from .transforms import dual
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # n=4 scans whose summed row weights, F(F+1)/2 |P| tuples, reach this
@@ -285,29 +285,6 @@ def evaluate(M: Matroid, fam: Family) -> InequalityValue:
     return value
 
 
-# -- family reductions ---------------------------------------------------------
-
-
-def reduce_family(M: Matroid, fam: Family, mode: str) -> Family:
-    """Replace each set by its closure, or by its lex-least maximal
-    independent subset; both leave every term rank unchanged."""
-    if mode == "closure":
-        return Family(fam.n, tuple(M.closure(x) for x in fam.sets))
-    if mode == "basis":
-        out = []
-        for x in fam.sets:
-            cur = 0
-            rest = M.check_mask(x)
-            while rest:
-                b = rest & (-rest)
-                if M.table[cur | b] > M.table[cur]:
-                    cur |= b
-                rest ^= b
-            out.append(cur)
-        return Family(fam.n, tuple(out))
-    raise MatroidError(f"unknown reduction mode {mode!r}")
-
-
 def extend_family(fam: Family) -> Family:
     """The n+1 family with X_{n+1} = X_n; preserves lhs - rhs exactly."""
     return Family(fam.n + 1, fam.sets + (fam.sets[-1],))
@@ -345,31 +322,6 @@ def canonical_family(M: Matroid, kind: str, transversal_mask: int | None = None)
             raise MatroidError("Z has an odd number of b-elements, not a circuit-hyperplane")
         return Family(4, (x1, x2, x3, x4))
     raise MatroidError(f"unknown canonical family kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class TermReport:
-    side: str
-    kind: str
-    members: tuple[int, ...]
-    mask: int
-    size: int
-    rank_complement: int
-    corank: int
-
-
-def corank_term_report(M: Matroid, fam: Family) -> list[TermReport]:
-    """Per term U of the inequality: |U|, r(E - U) and r*(U) by the dual
-    rank formula, all computed on the primal matroid."""
-    E = M.full_mask
-    rm = M.rank_total
-    out = []
-    for t in evaluate(M, fam).terms:
-        size = M.size(t.mask)
-        rc = M.rank(E & ~t.mask)
-        out.append(TermReport(t.side, t.kind, t.members, t.mask, size, rc,
-                              size + rc - rm))
-    return out
 
 
 # -- automorphisms ---------------------------------------------------------------
@@ -844,18 +796,9 @@ def _balanced_chunks(rows: np.ndarray, weights: np.ndarray, width: int) -> list[
     return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def search_bad_family(M: Matroid, n: int, cfg: SearchConfig | None = None
-                      ) -> BadFamilyCertificate | None:
-    """Exhaustive search for a violating family; None when the space is clean.
-
-    The returned family is the lexicographically least violating tuple over
-    the configured space, with pruning on or off.
-    """
-    return membership(M, n, cfg).certificate
-
-
 def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
-    """Decide membership in Kinser class n over the configured space."""
+    """Decide membership in Kinser class n over the configured space; a
+    certificate holds the lex-least violator, with pruning on or off."""
     cfg = cfg or SearchConfig()
     if n < 4:
         raise MatroidError(f"inequality index must be >= 4, got {n}")
@@ -892,7 +835,3 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
                                 value.lhs, value.rhs)
     return Verdict(False, n, tuples, queries, cert, **stats)
 
-
-def dual_membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
-    """Membership of the dual matroid (class K_n applied to M*)."""
-    return membership(dual(M), n, cfg)

@@ -18,9 +18,10 @@ paths give the same bytes or the same error.  ``_ranks_body`` writes
 three-byte cells with the zero tens digits cut out.  ``_decimal_values``
 reads a chunk of one-byte digit tokens by dropping its separators and
 sends every other chunk, malformed ones included, through the general
-token scan that raises each error.  ``format_element_lines`` writes the
-lines of ``format_elements`` for a whole list of masks.  Lookup tables are
-built on first use, not at import.
+token scan that raises each error.  Every element list written is a line
+of one ``format_element_lines`` call over all the masks of a file or
+listing.  Integers and elements are read as ASCII decimals only.  Lookup
+tables are built on first use, not at import.
 """
 
 from __future__ import annotations
@@ -48,23 +49,6 @@ class StaleCertificateError(MatroidError):
     """Certificate does not re-verify against the named matroid."""
 
 
-@functools.cache
-def _byte_chunks() -> tuple[tuple[str, ...], ...]:
-    """For each of the MAX_GROUND // 8 mask bytes k, the comma list of
-    elements 8k..8k+7 in each byte value (built on first use)."""
-    return tuple(tuple(",".join(str(8 * k + i) for i in range(8) if b >> i & 1)
-                       for b in range(256))
-                 for k in range(MAX_GROUND // 8))
-
-
-def format_elements(mask: int) -> str:
-    """Comma list of a mask's elements; '-' for the empty set."""
-    if mask >> MAX_GROUND:
-        raise MatroidError(f"mask {mask:#x} has an element outside [0, {MAX_GROUND})")
-    lo, mid, hi = _byte_chunks()
-    return ",".join(filter(None, (lo[mask & 255], mid[mask >> 8 & 255], hi[mask >> 16]))) or "-"
-
-
 LINES_BLOCK = 1 << 16  # masks formatted per array pass by format_element_lines
 
 
@@ -79,22 +63,23 @@ def _element_digits() -> np.ndarray:
 
 
 def format_element_lines(masks: list[int]) -> str:
-    """``format_elements(x) + "\n"`` for each mask, joined, in array passes.
+    """One line per mask, in array passes: the comma list of its elements
+    in ascending order, or '-' for the empty set.
 
     Each block of LINES_BLOCK masks is unpacked into a (mask, 32-bit) bit
-    matrix whose column MAX_GROUND (< 32) marks the empty masks; the flat indices
-    of its set bits list them mask by mask in ascending element order, as
-    format_elements lists them.  Every bit becomes a token of its digits
-    and a comma, scattered at the cumulative token offsets, and the last
-    comma of each mask becomes a newline, so each line is format_elements'
-    text.  A mask outside [0, 2^MAX_GROUND) raises format_elements' error.
+    matrix whose column MAX_GROUND (< 32) marks the empty masks; the flat
+    indices of its set bits list them mask by mask in ascending element
+    order.  Every bit becomes a token of its digits and a comma, scattered
+    at the cumulative token offsets, and the last comma of each mask becomes
+    a newline.  A mask outside [0, 2^MAX_GROUND) raises MatroidError.
     """
     try:
         arr = np.asarray(masks, dtype=np.int64).reshape(-1)
     except OverflowError:
         arr = None
     if arr is None or (arr >> MAX_GROUND).any():
-        format_elements(next(x for x in masks if x >> MAX_GROUND))  # raises
+        bad = next(x for x in masks if x >> MAX_GROUND)
+        raise MatroidError(f"mask {bad:#x} has an element outside [0, {MAX_GROUND})")
     digits = _element_digits()
     blocks = []
     for lo in range(0, arr.size, LINES_BLOCK):
@@ -115,13 +100,14 @@ def format_element_lines(masks: list[int]) -> str:
 
 
 def parse_elements(text: str) -> int:
+    """The mask of a comma list of ASCII decimal elements; '-' or blank is 0."""
     text = text.strip()
     if text == "-" or not text:
         return 0
-    try:
-        elements = [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise FormatError(f"bad element list {text!r}") from exc
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise FormatError(f"bad element list {text!r}")
+    elements = [int(tok) for tok in tokens]
     if not all(0 <= e < MAX_GROUND for e in elements):
         raise FormatError(f"element list {text!r} has an element outside [0, {MAX_GROUND})")
     return mask_of(elements)
@@ -134,8 +120,9 @@ def write_matroid(M: Matroid) -> str:
     lines.append(f"elements {M.m}")
     lines.append(f"rank {M.rank_total}")
     lines.append("ranks")
-    tail = "".join(f"layout {name}={format_elements(M.layout[name])}\n"
-                   for name in sorted(M.layout or ()))
+    names = sorted(M.layout or ())
+    parts = format_element_lines([M.layout[name] for name in names]).splitlines()
+    tail = "".join(f"layout {name}={part}\n" for name, part in zip(names, parts))
     return "".join(("\n".join(lines), "\n", _ranks_body(M.table), tail))
 
 
@@ -176,10 +163,11 @@ def _parse_layout_line(line: str) -> tuple[str, int]:
 
 
 def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"bad {what} {text!r}") from None
+    """An optional ASCII sign and ASCII digits, as the ranks body reads them."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"bad {what} {text!r}")
+    return int(text)
 
 
 def _meaningful_lines(text: str):
@@ -368,7 +356,7 @@ def parse_matroid(text: str) -> Matroid:
         tail = section[len("matrix"):].strip()
         if not tail.startswith("p="):
             raise FormatError(f"bad matrix section {section!r}")
-        p = _int(tail[2:], "modulus")
+        p = _int(tail[2:].strip(), "modulus")
         if p < 2:
             raise FormatError(f"modulus {p} is not prime")
         if p >= PRIME_TEST_LIMIT:
@@ -397,8 +385,8 @@ def write_certificate(cert: BadFamilyCertificate) -> str:
     lines = [CERT_HEADER,
              f"matroid {cert.matroid_label or '?'} {cert.fingerprint}",
              f"n {cert.family.n}"]
-    for i, x in enumerate(cert.family.sets, start=1):
-        lines.append(f"X{i} {format_elements(x)}")
+    sets = format_element_lines(list(cert.family.sets)).splitlines()
+    lines.extend(f"X{i} {part}" for i, part in enumerate(sets, start=1))
     lines.append(f"lhs {cert.lhs}")
     lines.append(f"rhs {cert.rhs}")
     return "\n".join(lines) + "\n"
@@ -411,13 +399,18 @@ def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
     if not lines or lines[0] != CERT_HEADER:
         raise FormatError(f"missing header {CERT_HEADER!r}")
     fields: dict[str, str] = {}
-    sets: dict[int, int] = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key.startswith("X") and key[1:].isdecimal():
-            sets[int(key[1:])] = parse_elements(rest)
-        else:
-            fields[key] = rest.strip()
+        if key in fields:
+            raise FormatError(f"certificate repeats the {key!r} line")
+        fields[key] = rest.strip()
+    sets: dict[int, int] = {}
+    for key, rest in fields.items():
+        index = key[1:]
+        if key.startswith("X") and index.isdecimal():
+            if index != str(int(index)):  # a leading zero or a non-ASCII digit
+                raise FormatError(f"bad set index in {key!r}")
+            sets[int(index)] = parse_elements(rest)
     for key in ("matroid", "n", "lhs", "rhs"):
         if key not in fields:
             raise FormatError(f"certificate missing {key!r} line")

@@ -1,12 +1,15 @@
 """Matroid-to-matroid operations, exact on rank tables.
 
 Deletion, contraction and minors re-index the surviving elements and
-return the old -> new index map alongside the result.  Relaxation and
-tightening change exactly one table entry: every proper subset of a
-circuit-hyperplane is independent and every proper superset spanning.
-Both re-validate.  Relaxing a circuit-hyperplane of a matroid gives a
-matroid (Oxley, Matroid Theory, Section 1.5), but a table built with
-``validate=False`` need not be one, and tightening can break R3.
+return the old -> new index map alongside the result.  ``minor`` is the
+one path for all three: it cuts the rank table down by one pass per
+removed element and builds one matroid; ``delete`` and ``contract`` are
+its one-element cases.  Relaxation and tightening change exactly one
+table entry: every proper subset of a circuit-hyperplane is independent
+and every proper superset spanning.  Both re-validate.  Relaxing a
+circuit-hyperplane of a matroid gives a matroid (Oxley, Matroid Theory,
+Section 1.5), but a table built with ``validate=False`` need not be one,
+and tightening can break R3.
 """
 
 from __future__ import annotations
@@ -30,62 +33,56 @@ def _drop_layout(layout: dict[str, int] | None, e: int) -> dict[str, int] | None
     return out or None
 
 
-def _single_minor(M: Matroid, e: int, op: str) -> tuple[Matroid, dict[int, int]]:
-    """M \\ e (``op`` "\\") or M / e (``op`` "/") with the old -> new index map:
-    r'(X) = r(X), or r(X + e) - r({e}), on the subsets X avoiding e."""
-    if not 0 <= e < M.m:
-        raise MatroidError(f"element {e} out of range for ground size {M.m}")
-    contracting = op == "/"
-    if M.m < 2:
-        verb = "contract" if contracting else "delete"
-        raise MatroidError(f"cannot {verb} from a single-element ground set")
-    table = np.empty(1 << (M.m - 1), dtype=np.uint8)
-    np.subtract(halves(M.table, e)[contracting], M.table[1 << e] if contracting else 0,
-                out=halves(table, e, parts=1)[0], order="C")
-    index_map = {old: (old if old < e else old - 1) for old in range(M.m) if old != e}
-    out = Matroid(M.m - 1, table, label=f"{M.label}{op}{e}",
-                  layout=_drop_layout(M.layout, e), validate=False)
-    return out, index_map
-
-
 def delete(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
     """M \\ e: ranks restricted to subsets avoiding e."""
-    return _single_minor(M, e, "\\")
+    return minor(M, _element_bit(M, e, "delete"), 0)
 
 
 def contract(M: Matroid, e: int) -> tuple[Matroid, dict[int, int]]:
     """M / e: r'(X) = r(X + e) - r({e}); contracting a loop deletes it."""
-    return _single_minor(M, e, "/")
+    return minor(M, 0, _element_bit(M, e, "contract"))
+
+
+def _element_bit(M: Matroid, e: int, verb: str) -> int:
+    if not 0 <= e < M.m:
+        raise MatroidError(f"element {e} out of range for ground size {M.m}")
+    if M.m < 2:
+        raise MatroidError(f"cannot {verb} from a single-element ground set")
+    return 1 << e
 
 
 def minor(M: Matroid, deletions: int, contractions: int) -> tuple[Matroid, dict[int, int]]:
-    """Apply contractions first, then deletions, composing the index maps.
+    """M / C \\ D (C = ``contractions``, D = ``deletions``) and the index map:
+    r'(X) = r(X u C) - r(C) on the subsets X of the kept elements, in order.
 
-    Order independence is a property of the operations, not of this code;
-    the suite checks it on small cases rather than assuming it.
+    One pass per removed element, highest first, keeps the half of the table
+    with it (contracted) or without it (deleted); the first also subtracts
+    r(C).  The label lists contractions, then deletions, each ascending and
+    under its index once the elements listed before it are gone.
     """
     M.check_mask(deletions)
     M.check_mask(contractions)
     if deletions & contractions:
         raise MatroidError("deletion and contraction masks overlap")
-    if (deletions | contractions) == M.full_mask:
+    removed = deletions | contractions
+    if removed == M.full_mask:
         raise MatroidError("minor would empty the ground set")
-    current = M
-    index_map = {i: i for i in range(M.m)}
-
-    def apply(op, element_old):
-        nonlocal current, index_map
-        result, step = op(current, index_map[element_old])
-        index_map = {old: step[new] for old, new in index_map.items() if new in step}
-        current = result
-
-    for e in range(M.m):
-        if contractions & (1 << e):
-            apply(contract, e)
-    for e in range(M.m):
-        if deletions & (1 << e):
-            apply(delete, e)
-    return current, index_map
+    if not removed:
+        return M, {i: i for i in range(M.m)}
+    table, layout, offset = M.table, M.layout, M.table[contractions]
+    for e in reversed(range(M.m)):
+        if removed >> e & 1:
+            cut = np.empty(table.size // 2, dtype=np.uint8)
+            np.subtract(halves(table, e)[contractions >> e & 1], offset,
+                        out=halves(cut, e, parts=1)[0], order="C")
+            table, layout, offset = cut, _drop_layout(layout, e), 0
+    label = M.label
+    for op, listed, gone in (("/", contractions, contractions), ("\\", deletions, removed)):
+        label += "".join(f"{op}{e - (gone & ((1 << e) - 1)).bit_count()}"
+                         for e in range(M.m) if listed >> e & 1)
+    kept = [e for e in range(M.m) if not removed >> e & 1]
+    out = Matroid(len(kept), table, label=label, layout=layout, validate=False)
+    return out, {old: new for new, old in enumerate(kept)}
 
 
 def dual(M: Matroid) -> Matroid:

@@ -92,6 +92,15 @@ def definition_closure(M, x: int) -> int:
                    if not (x >> e) & 1 and M.rank(x | (1 << e)) == M.rank(x))
 
 
+def literal_minor(M, deletions: int, contractions: int) -> list[int]:
+    """Ranks of M / C \\ D by definition, one mask at a time: entry Y is
+    r(X u C) - r(C), where X puts bit i of Y on the i-th kept element."""
+    kept = [e for e in range(M.m) if not (deletions | contractions) >> e & 1]
+    base = M.rank(contractions)
+    return [M.rank(contractions | sum(1 << e for i, e in enumerate(kept) if y >> i & 1)) - base
+            for y in range(1 << len(kept))]
+
+
 def literal_search_tables(M, masks, pruning: bool):
     """The n = 4 search tables from their definitions, by per-pair loops
     over ``M.rank``: PR[i][j] = r(Xi u Xj); the lex-ordered pair list, every

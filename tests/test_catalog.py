@@ -2,11 +2,13 @@
 independent oracles (matchings grown member by member, GF(p) elimination, bias rank)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import kinser as K
+from kinser import catalog
 from kinser.catalog import PRIME_TEST_LIMIT, _is_prime
 
 from oracles import bias_rank_oracle, brute_matching_rank, gf_column_rank
@@ -185,6 +187,13 @@ class TestKinserFamily:
         M = K.kinser_relaxed(5, also_relax=3)
         assert M.rank(M.parts("V2", "V3")) == 5
         assert M.rank(M.parts("V1", "V2")) == 5
+
+    @pytest.mark.parametrize("r, also", [(6, 9), (6, 2), (4, 5), (5, -1)])
+    def test_also_relax_refused_before_building(self, r, also):
+        with mock.patch.object(catalog, "kinser", side_effect=AssertionError("built")):
+            with pytest.raises(K.MatroidError) as exc:
+                K.kinser_relaxed(r, also)
+        assert str(exc.value) == f"also_relax must be in [3, {r}], got {also}"
 
     @pytest.mark.parametrize("r", [4, 5])
     def test_relaxed_structure_facts(self, r, vamos, kin5_relaxed):

@@ -92,33 +92,26 @@ class TestEvaluate:
 
 
 class TestReduceFamily:
+    """Replacing each set by its closure, as the search over flats does,
+    changes no term rank."""
+
     def test_flats_are_fixed(self, vamos):
         flats = vamos.enumerate("flats")
-        fam = K.Family(4, tuple(flats[3:7]))
-        assert K.reduce_family(vamos, fam, "closure") == fam
+        assert [vamos.closure(x) for x in flats[3:7]] == flats[3:7]
 
     def test_vamos_singletons_already_closed(self, vamos):
-        fam = K.Family(4, (1, 2, 4, 8))
-        assert K.reduce_family(vamos, fam, "closure") == fam
+        assert [vamos.closure(x) for x in (1, 2, 4, 8)] == [1, 2, 4, 8]
 
-    @pytest.mark.parametrize("mode", ["closure", "basis"])
-    def test_reduction_preserves_every_term_rank(self, mode, fano):
+    def test_reduction_preserves_every_term_rank(self, fano):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             sets = tuple(int(x) for x in rng.integers(0, 1 << 7, size=4))
             fam = K.Family(4, sets)
-            reduced = K.reduce_family(fano, fam, mode)
+            reduced = K.Family(4, tuple(fano.closure(x) for x in sets))
             a, b = K.evaluate(fano, fam), K.evaluate(fano, reduced)
             assert (a.lhs, a.rhs) == (b.lhs, b.rhs)
             for ta, tb in zip(a.terms, b.terms):
                 assert ta.rank == tb.rank
-
-    def test_basis_mode_yields_lex_least_bases(self, fano):
-        reduced = K.reduce_family(fano, K.Family(4, (0b1011, 0, 0b1111111, 0b11)), "basis")
-        assert reduced.sets[0] == 0b0011   # {0,1} spans the line {0,1,3}
-        assert reduced.sets[1] == 0
-        assert reduced.sets[2] == 0b0111   # first three columns form a basis
-        assert reduced.sets[3] == 0b0011
 
 
 class TestExtendFamily:
@@ -172,19 +165,6 @@ class TestCanonicalFamilies:
             K.canonical_family(u24, "kinser")
 
 
-class TestCorankReport:
-    def test_fields_match_direct_formula(self, vamos):
-        fam = K.canonical_family(vamos, "kinser")
-        report = K.corank_term_report(vamos, fam)
-        assert len(report) == 2 * (2 * 4 - 3)
-        for t in report:
-            assert t.size == vamos.size(t.mask)
-            assert t.rank_complement == vamos.rank(vamos.full_mask ^ t.mask)
-            assert t.corank == t.size + t.rank_complement - 4
-            # corank really is the dual rank
-            assert t.corank == K.dual(vamos).rank(t.mask)
-
-
 def search_masks(M, space):
     if space == "flats":
         return M.enumerate("flats")
@@ -210,17 +190,17 @@ def brute_force_lex_first(M, n, masks):
 
 class TestSearch:
     def test_vamos_certificate(self, vamos):
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         assert cert is not None
         assert cert.lhs - cert.rhs == 1
         value = K.evaluate(vamos, cert.family)
         assert (value.lhs, value.rhs) == (cert.lhs, cert.rhs)
 
     def test_vamos_lex_first_is_stable(self, vamos):
-        a = K.search_bad_family(vamos, 4)
-        b = K.search_bad_family(vamos, 4)
-        c = K.search_bad_family(vamos, 4, K.SearchConfig(symmetry_pruning=False))
-        d = K.search_bad_family(vamos, 4, K.SearchConfig(parallel_width=2))
+        a = K.membership(vamos, 4).certificate
+        b = K.membership(vamos, 4).certificate
+        c = K.membership(vamos, 4, K.SearchConfig(symmetry_pruning=False)).certificate
+        d = K.membership(vamos, 4, K.SearchConfig(parallel_width=2)).certificate
         assert a == b == c == d
 
     @pytest.mark.parametrize("width", [2, 64])
@@ -237,7 +217,7 @@ class TestSearch:
     def test_vamos_lex_first_matches_brute_force(self, vamos):
         flats = vamos.enumerate("flats")
         tup, _ = brute_force_lex_first(vamos, 4, flats)
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         assert cert.family.sets == tuple(flats[j] for j in tup)
 
     def test_fano_in_class(self, fano, nonfano):
@@ -273,8 +253,8 @@ class TestSearch:
     def test_pruning_soundness_n4(self, vamos, z4):
         relaxed = K.relax(z4, z4.parts("a1", "a2", "b3", "b4"))
         for M in (vamos, relaxed):
-            on = K.search_bad_family(M, 4, K.SearchConfig(symmetry_pruning=True))
-            off = K.search_bad_family(M, 4, K.SearchConfig(symmetry_pruning=False))
+            on = K.membership(M, 4, K.SearchConfig(symmetry_pruning=True)).certificate
+            off = K.membership(M, 4, K.SearchConfig(symmetry_pruning=False)).certificate
             assert on == off
 
     def test_pruning_soundness_n5(self, fano):
@@ -401,7 +381,7 @@ class TestSearch:
         r = vamos.rank
         P = [(k, l) for k in range(F) for l in range(k, F)
              if r(flats[k]) + r(flats[l]) != r(flats[k] | flats[l]) + r(flats[k] & flats[l])]
-        i1, i2, i3, i4 = (flats.index(x) for x in K.search_bad_family(vamos, 4).family.sets)
+        i1, i2, i3, i4 = (flats.index(x) for x in K.membership(vamos, 4).certificate.family.sets)
         before = sum(F - a for a in range(i1)) + (i2 - i1)
         expected_on = before * len(P) + P.index((i3, i4)) + 1
         expected_off = (i1 * F + i2) * F * F + i3 * F + i4 + 1
@@ -927,7 +907,7 @@ class TestLivePairs:
         # test of d1 > 1 would lose it
         flats = np.array(vamos.enumerate("flats"), dtype=np.int64)
         tup = self.lex_first_by_rows(vamos, flats)
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         assert cert.family.sets == tuple(int(flats[i]) for i in tup)
         x1, x2, x3, x4 = cert.family.sets
         r = vamos.rank
@@ -963,7 +943,7 @@ class TestLivePairs:
 
 class TestClassProperties:
     def test_hierarchy_extension_of_found_family(self, vamos):
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         extended = K.extend_family(cert.family)
         value = K.evaluate(vamos, extended)
         assert value.margin == cert.lhs - cert.rhs
@@ -991,5 +971,5 @@ class TestClassProperties:
         cases += [K.relax(z4, Z) for Z in K.spike_transversals(4, "even")]
         for M in cases:
             primal = K.membership(M, 4).in_class
-            dual_side = K.dual_membership(M, 4).in_class
+            dual_side = K.membership(K.dual(M), 4).in_class
             assert primal == dual_side, M.label

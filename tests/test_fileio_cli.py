@@ -16,7 +16,6 @@ import kinser as K
 from kinser import engine, fileio
 from kinser.cli import main
 from kinser.engine import BadFamilyCertificate
-from kinser.fileio import format_elements
 
 from oracles import literal_rank_tokens
 
@@ -180,6 +179,13 @@ class TestRanksText:
             assert str(exc.value) == message
 
 
+def format_elements(mask: int) -> str:
+    """The element list of one mask by a literal join, with the writers' error."""
+    if mask >> 24:
+        raise K.MatroidError(f"mask {mask:#x} has an element outside [0, 24)")
+    return ",".join(str(e) for e in range(mask.bit_length()) if mask >> e & 1) or "-"
+
+
 def literal_lines(masks) -> str:
     return "".join(format_elements(x) + "\n" for x in masks)
 
@@ -215,20 +221,38 @@ class TestElementLines:
 
 class TestCertificateFormat:
     def test_vamos_certificate_round_trip(self, vamos):
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         text = K.write_certificate(cert)
         again = K.parse_certificate(text, vamos)
         assert again == cert
         assert again.lhs - again.rhs == 1
 
     def test_tampered_rhs_is_stale(self, vamos):
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         text = K.write_certificate(cert).replace("rhs 15", "rhs 14")
         with pytest.raises(K.StaleCertificateError):
             K.parse_certificate(text, vamos)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("X2 2,3\n", "X2 2,3\nX1 0,1\n"), "certificate repeats the 'X1' line"),
+        (lambda t: t.replace("X1 0,1\n", "X01 0,1\n"), "bad set index in 'X01'"),
+        (lambda t: t.replace("X1 0,1\n", "X\u0661 0,1\n"), "bad set index in 'X\u0661'"),
+        (lambda t: t + "lhs 16\n", "certificate repeats the 'lhs' line"),
+        (lambda t: t.replace("rhs 15\n", "rhs 14\nrhs 15\n"),
+         "certificate repeats the 'rhs' line"),
+        (lambda t: t.replace("X3 4,5\n", "X3 4,\u0665\n"), "bad element list '4,\u0665'"),
+        (lambda t: t.replace("n 4\n", "n 0_4\n"), "bad n '0_4'"),
+    ])
+    def test_malformed_lines_refused(self, vamos, edit, message):
+        text = K.write_certificate(K.membership(vamos, 4).certificate)
+        assert text.splitlines()[3:] == ["X1 0,1", "X2 2,3", "X3 4,5", "X4 6,7",
+                                         "lhs 16", "rhs 15"]
+        with pytest.raises(K.FormatError) as exc:
+            K.parse_certificate(edit(text), vamos)
+        assert str(exc.value) == message
+
     def test_wrong_matroid_is_stale(self, vamos, z4):
-        cert = K.search_bad_family(vamos, 4)
+        cert = K.membership(vamos, 4).certificate
         with pytest.raises(K.StaleCertificateError):
             K.parse_certificate(K.write_certificate(cert), z4)
 
@@ -341,9 +365,8 @@ class TestCli:
             literal = [",".join(str(e) for e in range(M.m) if x >> e & 1) or "-"
                        for x in M.enumerate("flats")]
             assert capsys.readouterr().out == "".join(line + "\n" for line in literal)
-            assert [format_elements(x) for x in M.enumerate("flats")] == literal
         with pytest.raises(K.MatroidError):
-            format_elements(1 << 24)
+            fileio.format_element_lines([1 << 24])
 
     def test_bench_subcommand_removed(self):
         assert main(["bench"]) == 2
@@ -470,6 +493,44 @@ class TestCli:
         main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
         assert main(["check", "-n", "4", "-i", str(mfile), "--dual"]) == 1
 
+    @pytest.mark.parametrize("line, bad, message", [
+        ("elements 8", "elements 0_8", "bad ground size '0_8'"),
+        ("elements 8", "elements \u0668", "bad ground size '\u0668'"),
+        ("rank 4", "rank 0_4", "bad rank '0_4'"),
+        ("rank 4", "rank \u0664", "bad rank '\u0664'"),
+        ("layout V3=4,5", "layout V3=4,1_0", "bad element list '4,1_0'"),
+        ("layout V3=4,5", "layout V3=4,\u0665", "bad element list '4,\u0665'"),
+    ])
+    def test_non_ascii_decimal_in_file_exits_2(self, line, bad, message, tmp_path, capsys):
+        # int() also reads '0_8' and the Arabic-Indic digits; the reader must not
+        text = K.write_matroid(K.kinser_relaxed(4))
+        assert f"\n{line}\n" in text
+        mfile = tmp_path / "bad.mtr"
+        mfile.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"), encoding="utf-8")
+        assert main(["enumerate", "--kind", "flats", "-i", str(mfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_signed_rank_line_reads_as_the_ranks_body_does(self):
+        # an ASCII sign is accepted, as in the ranks body, where '+2' is a token
+        text = K.write_matroid(K.kinser_relaxed(4)).replace("\nrank 4\n", "\nrank +4\n")
+        assert K.parse_matroid(text).rank_total == 4
+        with pytest.raises(K.FormatError, match="bad rank '\\+-4'"):
+            K.parse_matroid(text.replace("rank +4", "rank +-4"))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+3", " 3 4"])
+    def test_non_ascii_decimal_element_exits_2(self, token, tmp_path, capsys):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        capsys.readouterr()
+        for argv in (["eval", "-n", "4", "-i", str(mfile), "--family", f"0;{token};2;4"],
+                     ["transform", "relax", "-i", str(mfile), "--set", token],
+                     ["transform", "minor", "-i", str(mfile), "--delete", token]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: bad element list {token.strip()!r}\n"
+
 
 # -- property and fuzz tests of the parsers --------------------------------------
 
@@ -556,7 +617,7 @@ class TestParserProperties:
 
 
 VAMOS = K.kinser_relaxed(4)
-VAMOS_CERT = K.write_certificate(K.search_bad_family(VAMOS, 4))
+VAMOS_CERT = K.write_certificate(K.membership(VAMOS, 4).certificate)
 SEED_TEXTS = [
     K.write_matroid(K.uniform(2, 4)),
     K.write_matroid(VAMOS),

@@ -1,7 +1,7 @@
 """The public names: ``kinser.__all__`` lists each name that
 ``kinser/__init__.py`` imports, once, and nothing else, and each resolves;
-importing the package allocates no lookup table and loads no worker-pool
-module."""
+``engine`` imports nothing from the package but ``core``; importing the
+package allocates no lookup table and loads no worker-pool module."""
 
 import ast
 import os
@@ -19,6 +19,16 @@ def test_all_equals_the_imported_names():
     assert len(K.__all__) == len(set(K.__all__))
     assert set(K.__all__) == imported
     assert all(hasattr(K, name) for name in K.__all__)
+
+
+def test_engine_imports_only_core_from_the_package():
+    tree = ast.parse((Path(K.__file__).parent / "engine.py").read_text())
+    names = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)]
+    names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names]
+    assert [name for name in names
+            if name.startswith(".") or name.split(".")[0] == "kinser"] == [".core"]
 
 
 def fresh_output(code: str) -> str:
@@ -48,3 +58,4 @@ def test_cli_import_starts_no_process_pool_machinery():
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
     assert fresh_output(code) == "[]\n"
+

@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinser as K
 from kinser.core import validate_rank_table
+
+from oracles import literal_minor
+
+
+# catalog matroids with m <= 10, built on demand
+SMALL_CATALOG = [
+    lambda: K.fano_pair()[0], lambda: K.fano_pair()[1], lambda: K.kinser(4),
+    lambda: K.kinser_relaxed(4), lambda: K.binary_spike(4), lambda: K.uniform(3, 6),
+    lambda: K.dowling(2, 3), lambda: K.direct_sum(K.uniform(1, 2), K.fano_pair()[0])[0],
+    lambda: K.uniform(1, 1), lambda: K.uniform(0, 2),
+]
 
 
 class TestDelete:
@@ -75,6 +88,62 @@ class TestMinor:
     def test_overlap_rejected(self, fano):
         with pytest.raises(K.MatroidError):
             K.minor(fano, 0b11, 0b10)
+
+    def test_no_removal_returns_the_matroid_itself(self, vamos):
+        assert K.minor(vamos, 0, 0)[0] is vamos
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SMALL_CATALOG), st.data())
+    def test_matches_literal_minor_and_chained_steps(self, make, data):
+        M = make()
+        picks = data.draw(st.lists(st.sampled_from("dck"), min_size=M.m, max_size=M.m))
+        D = sum(1 << e for e, p in enumerate(picks) if p == "d")
+        C = sum(1 << e for e, p in enumerate(picks) if p == "c")
+        if D | C == M.full_mask:
+            return
+        out, idx = K.minor(M, D, C)
+        kept = [e for e in range(M.m) if not (D | C) >> e & 1]
+        assert out.m == len(kept)
+        assert out.table.tolist() == literal_minor(M, D, C)
+        assert idx == {e: i for i, e in enumerate(kept)}
+        layout = {name: sum(1 << i for i, e in enumerate(kept) if x >> e & 1)
+                  for name, x in (M.layout or {}).items() if not x & (D | C)}
+        assert out.layout == (layout or None)
+        # the same minor by single steps, contractions first, each ascending
+        chained, where = M, {e: e for e in range(M.m)}
+        for op, mask in ((K.contract, C), (K.delete, D)):
+            for e in K.elements_of(mask):
+                chained, step = op(chained, where[e])
+                where = {old: step[new] for old, new in where.items() if new in step}
+        assert chained.label == out.label
+        assert chained.table_equal(out) and where == idx
+
+    @pytest.mark.parametrize("make", SMALL_CATALOG)
+    def test_single_steps_are_one_element_minors(self, make):
+        M = make()
+        if M.m < 2:
+            return
+        for e in range(M.m):
+            for op, D, C in ((K.delete, 1 << e, 0), (K.contract, 0, 1 << e)):
+                (a, ia), (b, ib) = op(M, e), K.minor(M, D, C)
+                assert (a.label, a.layout, ia) == (b.label, b.layout, ib)
+                assert a.table_equal(b)
+
+    def test_refusal_messages(self, fano):
+        single = K.uniform(1, 1)
+        cases = [
+            (lambda: K.delete(fano, 7), "element 7 out of range for ground size 7"),
+            (lambda: K.contract(fano, -1), "element -1 out of range for ground size 7"),
+            (lambda: K.delete(single, 0), "cannot delete from a single-element ground set"),
+            (lambda: K.contract(single, 0), "cannot contract from a single-element ground set"),
+            (lambda: K.minor(fano, 0b11, 0b10), "deletion and contraction masks overlap"),
+            (lambda: K.minor(fano, 0b1111, 0b1110000), "minor would empty the ground set"),
+            (lambda: K.minor(fano, 1 << 7, 0), "mask 0x80 has bits outside ground size 7"),
+        ]
+        for call, message in cases:
+            with pytest.raises(K.MatroidError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestDual:
