@@ -105,9 +105,12 @@ def parse_elements(text: str) -> int:
     if text == "-" or not text:
         return 0
     tokens = [tok.strip() for tok in text.split(",")]
-    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-        raise FormatError(f"bad element list {text!r}")
-    elements = [int(tok) for tok in tokens]
+    try:
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError
+        elements = [int(tok) for tok in tokens]
+    except ValueError:  # also a token longer than int() converts
+        raise FormatError(f"bad element list {text!r}") from None
     if not all(0 <= e < MAX_GROUND for e in elements):
         raise FormatError(f"element list {text!r} has an element outside [0, {MAX_GROUND})")
     return mask_of(elements)
@@ -165,9 +168,12 @@ def _parse_layout_line(line: str) -> tuple[str, int]:
 def _int(text: str, what: str) -> int:
     """An optional ASCII sign and ASCII digits, as the ranks body reads them."""
     digits = text[1:] if text.startswith(("+", "-")) else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise FormatError(f"bad {what} {text!r}")
-    return int(text)
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(text)
+    except ValueError:  # also a token longer than int() converts
+        raise FormatError(f"bad {what} {text!r}") from None
 
 
 def _meaningful_lines(text: str):
@@ -408,7 +414,7 @@ def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
     for key, rest in fields.items():
         index = key[1:]
         if key.startswith("X") and index.isdecimal():
-            if index != str(int(index)):  # a leading zero or a non-ASCII digit
+            if not index.isascii() or index != str(_int(index, "set index")):
                 raise FormatError(f"bad set index in {key!r}")
             sets[int(index)] = parse_elements(rest)
     for key in ("matroid", "n", "lhs", "rhs"):

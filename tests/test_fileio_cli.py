@@ -511,6 +511,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_overlong_decimal_tokens_are_format_errors(self):
+        # int() refuses more than 4300 digits with a ValueError of its own
+        long = "0" * 5000 + "3"
+        text = K.write_matroid(K.kinser_relaxed(4))
+        for bad in (text.replace("\nelements 8\n", f"\nelements {long}\n"),
+                    text.replace("\nlayout V3=4,5\n", f"\nlayout V3=4,{long}\n")):
+            with pytest.raises(K.FormatError, match="^bad (ground size|element list) '"):
+                K.parse_matroid(bad)
+        cert = K.write_certificate(K.membership(VAMOS, 4).certificate)
+        for bad in (cert.replace("X1 0,1\n", f"X{long} 0,1\n"),
+                    cert.replace("X1 0,1\n", f"X1 0,{long}\n")):
+            with pytest.raises(K.FormatError, match="^bad (set index|element list) '"):
+                K.parse_certificate(bad, VAMOS)
+
     def test_signed_rank_line_reads_as_the_ranks_body_does(self):
         # an ASCII sign is accepted, as in the ranks body, where '+2' is a token
         text = K.write_matroid(K.kinser_relaxed(4)).replace("\nrank 4\n", "\nrank +4\n")
