@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (MAX_GROUND, InvalidSubsetError, Matroid, MatroidError,
                    NotAMatroidError, SizeCapError, halves, matroid_from_circuits,
-                   popcount_array, rank_from_independent, subset_reduce,
+                   popcount_array, subset_reduce,
                    validate_circuit_axioms)
 from .transforms import relax, truncate
 
@@ -162,26 +162,29 @@ class SetSystem:
 def transversal(system: SetSystem, label: str | None = None) -> Matroid:
     """Transversal matroid M[A]: independent sets are partial transversals.
 
-    By Hall's theorem S is a partial transversal iff |N(T)| >= |T| for
-    every T within S, where N(T) = {j : A_j meets T}.  The members that
-    miss S are those within E - S, so |N(S)| = k - #{j : A_j within E - S}
-    = k - inside[E - S], where inside[Y] = #{j : A_j within Y} is a
-    histogram of the members summed over subsets, read at E - S through
-    inside[::-1].  The Hall violators, inside[E - S] + |S| > k, are passed
-    up to supersets; the other sets are independent, and r(X) is the size
-    of the largest independent set within X.  The counts use the narrowest
-    unsigned dtype that holds k + m, so a family of any size works.
+    By the deficiency form of Hall's theorem the largest partial
+    transversal within X has size r(X) = |X| + min over T within X of
+    (|N(T)| - |T|), where N(T) = {j : A_j meets T}; T = empty gives 0.
+    The members that miss T are those within E - T, so |N(T)| = k -
+    inside[E - T], where inside[Y] = #{j : A_j within Y} is a histogram
+    of the members summed over subsets, read at E - T through
+    inside[::-1].  One subset minimum then gives every r(X).  The vectors
+    use the narrowest signed dtype that holds both -m and k + m, so a
+    family of any size works.
     """
     m, fam = system.m, system.family
     if m > MAX_GROUND:
         raise SizeCapError(f"ground size {m} exceeds cap {MAX_GROUND}")
     k = len(fam)
-    inside = np.zeros(1 << m, dtype=np.min_scalar_type(k + m))
+    pc = popcount_array(m)
+    inside = np.zeros(1 << m, dtype=np.min_scalar_type(-1 - k - m))
     np.add.at(inside, np.array(fam, dtype=np.int64), 1)
     subset_reduce(inside, np.add)
-    dependent = subset_reduce(inside[::-1] + popcount_array(m) > k, np.logical_or)
-    return Matroid(m, rank_from_independent(m, ~dependent),
-                   label=label or f"M[A], k={k}", validate=False)
+    slack = k - inside[::-1]  # |N(T)|
+    slack -= pc               # Hall's slack |N(T)| - |T|
+    table = subset_reduce(slack, np.minimum)
+    table += pc
+    return Matroid(m, table.astype(np.uint8), label=label or f"M[A], k={k}", validate=False)
 
 
 # -- Kinser matroids -----------------------------------------------------------

@@ -16,8 +16,8 @@ import time
 from . import catalog, transforms
 from .core import ENUM_KINDS, Matroid, MatroidError
 from .engine import Family, SearchConfig, evaluate, membership
-from .fileio import (FormatError, format_element_lines, parse_elements, parse_matroid,
-                     write_certificate, write_matroid)
+from .fileio import (FormatError, format_element_lines, parse_elements, parse_int,
+                     parse_matroid, write_certificate, write_matroid)
 
 BUILDERS = ("uniform", "fano", "nonfano", "kinser-base", "kinser",
             "kinser-relaxed", "spike", "dowling")
@@ -146,6 +146,13 @@ def _enumerate(args) -> int:
     return 0
 
 
+def integer(text: str) -> int:
+    """An integer option, read as files read integers: an optional ASCII
+    sign, then ASCII digits.  Its FormatError is a ValueError, so argparse
+    refuses anything else as a usage error (exit 2)."""
+    return parse_int(text, "integer")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kinser",
                                  description="Exact matroid computations and "
@@ -154,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="construct a catalog matroid")
     b.add_argument("name", choices=BUILDERS)
-    b.add_argument("--k", type=int, default=0, help="uniform rank")
-    b.add_argument("--m", type=int, default=1, help="uniform ground size")
-    b.add_argument("--r", type=int, default=4, help="kinser/spike rank")
-    b.add_argument("--also-relax", type=int, default=None,
+    b.add_argument("--k", type=integer, default=0, help="uniform rank")
+    b.add_argument("--m", type=integer, default=1, help="uniform ground size")
+    b.add_argument("--r", type=integer, default=4, help="kinser/spike rank")
+    b.add_argument("--also-relax", type=integer, default=None,
                    help="second relaxed part index for kinser-relaxed")
     b.add_argument("--group", default="z2", help="zN: the cyclic group of order N")
-    b.add_argument("--n", type=int, default=3, help="dowling vertex count")
+    b.add_argument("--n", type=integer, default=3, help="dowling vertex count")
     b.add_argument("-o", "--output", default=None)
     b.set_defaults(func=_build)
 
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "tighten", "truncate", "direct-sum"))
     t.add_argument("-i", "--input", required=True)
     t.add_argument("-o", "--output", default=None)
-    t.add_argument("--element", type=int, default=0)
+    t.add_argument("--element", type=integer, default=0)
     t.add_argument("--set", default="-", help="subset: elements or @Part+Part")
     t.add_argument("--delete", default="-", help="minor deletion set")
     t.add_argument("--contract", default="-", help="minor contraction set")
@@ -177,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_transform)
 
     e = sub.add_parser("eval", help="evaluate inequality n for a family")
-    e.add_argument("-n", type=int, required=True)
+    e.add_argument("-n", type=integer, required=True)
     e.add_argument("--family", required=True,
                    help="semicolon-separated sets, e.g. '0,1;2,3;@V3;-'")
     e.add_argument("-i", "--input", required=True)
     e.set_defaults(func=_eval)
 
     c = sub.add_parser("check", help="decide Kinser class membership")
-    c.add_argument("-n", type=int, required=True)
+    c.add_argument("-n", type=integer, required=True)
     c.add_argument("-i", "--input", required=True)
     c.add_argument("--dual", action="store_true", help="check the dual matroid")
     c.add_argument("--space", choices=("flats", "all"), default="flats")
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan every X1 row: disable the automorphism-orbit rule "
                         "on X1 and, at n=4, the slot-symmetry and "
                         "common-information rules")
-    c.add_argument("--parallel", type=int, default=1,
+    c.add_argument("--parallel", type=integer, default=1,
                    help="worker processes, at most the CPU count; the verdict "
                         "and every counter are the same at any width")
     c.add_argument("-o", "--output", default=None, help="certificate file")

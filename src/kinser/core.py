@@ -15,6 +15,15 @@ it.  Rank tables are validated exhaustively (R1-R3) at every ground
 size.  The closure and independence axioms are equivalent to them, so
 no table is scanned for those; ``validate_circuit_axioms`` checks a
 circuit list as given, before any table is built from it.
+
+Validation makes two passes.  The first, per element e, checks the
+increments r(X + e) - r(X) for R2 and packs where they are positive, as
+one bit plane, into row e of a single stacked uint64 array of m 2^(m-4)
+bytes.  The second, per element f, checks R3 at every pair e < f with
+one array operation over the rows e < f (cut into cache-sized blocks
+above m = 18).  A double increment at e forces an R3 failure at a pair
+no later than e's, so only the first element with one needs its further
+planes, and no row after it is packed.
 """
 
 from __future__ import annotations
@@ -343,54 +352,47 @@ def content_fingerprint(M: Matroid) -> str:
 # -- axiom validation -------------------------------------------------------
 
 
+# words of bit planes compared per array operation, so that a block and
+# its result stay in a core's cache: all the rows for m <= 18, two at m = 22
+PLANE_BLOCK_WORDS = 1 << 16
+
 # bits of a 64-bit word whose position has bit k clear, for k < 6
 _LOW_HALF_BITS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
                   0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
 
 
-def _packed_planes(inc: np.ndarray, top: int) -> list[np.ndarray]:
-    """Bit planes [inc >= t], t = 1..top, packed little-endian into uint64 words.
+def _pack_plane(bits: np.ndarray, row: np.ndarray) -> None:
+    """Pack a 0/1 vector little-endian into a row of uint64 words: bit b of
+    word w is entry 64 w + b.  Bits past the end of the vector stay as
+    they are (clear in a zeroed row)."""
+    packed = np.packbits(bits, bitorder="little")
+    row.view(np.uint8)[:packed.size] = packed
 
-    Bit b of word w stands for index 64 w + b of the flattened array;
-    short arrays are padded with clear bits to one word.
+
+def _increases(planes: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """Per row of packed planes, the bits of the masks X with bit k clear
+    whose plane is clear at X and set at X + 2^k, written into buf and
+    returned as rows.
+
+    For k < 6 the partner bit lies in the same word, 2^k places up, and a
+    result row is laid out like its plane; for k >= 6 it lies in the word
+    2^(k-6) places up, and a result row holds the words without bit k - 6
+    in mask order (see halves).  (a | p) ^ p is a & ~p with no temporary.
     """
-    flat = inc.reshape(-1)
-    planes = []
-    for t in range(1, top + 1):
-        packed = np.packbits(flat if t == 1 else flat >= t, bitorder="little")
-        if packed.size % 8:
-            packed = np.concatenate([packed, np.zeros(8 - packed.size % 8, np.uint8)])
-        planes.append(packed.view("<u8"))
-    return planes
-
-
-def _first_increase(planes: list[np.ndarray], k: int) -> int | None:
-    """First index X with bit k clear at which some plane is clear while
-    its bit at X + 2^k is set, or None.
-
-    For k < 6 the partner bit lies in the same word, 2^k places up; for
-    k >= 6 it lies in the word 2^(k-6) places up, and the words are split
-    into halves like a mask vector.
-    """
+    n, words = planes.shape
     if k < 6:
-        shift = np.uint64(1 << k)
-        viol = np.zeros_like(planes[0])
-        for p in planes:
-            viol |= (p >> shift) & ~p
-        viol &= np.uint64(_LOW_HALF_BITS[k])
-    else:
-        viol = np.zeros(planes[0].size // 2, dtype=np.uint64)
-        (out,) = halves(viol, k - 6, parts=1)
-        for p in planes:
-            lo, hi = halves(p, k - 6)
-            gain = np.bitwise_and(hi, np.invert(lo, order="C"), order="C")
-            np.bitwise_or(out, gain, out=out, order="C")
-    if not viol.any():
-        return None
-    i = int((viol != 0).argmax())
-    word = int(viol[i])
-    w = i if k < 6 else _insert_zero_bit(i, k - 6)
-    return 64 * w + (word & -word).bit_length() - 1
+        out = buf[:n * words].reshape(n, words)
+        np.right_shift(planes, np.uint64(1 << k), out=out)
+        np.bitwise_and(out, np.uint64(_LOW_HALF_BITS[k]), out=out)
+        np.bitwise_or(out, planes, out=out)
+        np.bitwise_xor(out, planes, out=out)
+        return out
+    flat = buf[:n * words // 2]
+    (out,) = halves(flat, k - 6, parts=1)
+    lo, hi = halves(planes, k - 6)
+    np.bitwise_or(hi, lo, out=out, order="C")
+    np.bitwise_xor(out, lo, out=out, order="C")
+    return flat.reshape(n, -1)
 
 
 def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
@@ -399,21 +401,39 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     Monotonicity and submodularity are checked through their single-element
     local forms, which are equivalent to the quantified axioms; the reported
     witness is the first instance in (e, f, mask) order and is always an
-    instance of the literal axiom.
+    instance of the literal axiom.  Any R1 failure is reported before any
+    R2 failure, and any R2 failure before any R3 failure.
 
-    The table is uint8, as Matroid stores it.  One pass per element e
-    writes inc_e(X) = r(X + e) - r(X) as a uint8 vector over the masks X
-    without e, in mask order; a value that wrapped below zero (above m) is
-    an R2 failure.
-    R2 failures come first, so once an R3 failure is found it is kept
-    while the pass goes on looking for R2 failures only.  R3 at (e, f) says
-    inc_e(X + f) <= inc_e(X) for every X without f.  It runs on packed
-    bits: it fails exactly where some bit plane [inc_e >= t] is set at
-    X + f and clear at X, so the planes are packed 64 masks to a word and
-    compared by a shift within a word (f - 1 < 6) or between word halves.
-    For a valid table R1 and R3 give inc_e(X) <= r({e}) <= 1, so there is
-    one plane; an invalid table may have more, and their union still finds
-    exactly the violations, first one first.
+    The table is uint8, as Matroid stores it.  R1 is one comparison with
+    the popcounts; then come two passes.
+
+    1. Per element e, inc_e(X) = r(X + e) - r(X) is written into one
+       reused uint8 vector over the masks X without e, in mask order.  A
+       value that wrapped below zero (above m) is an R2 failure, reported
+       at once.  The bit plane [inc_e >= 1] is packed, 64 masks to a
+       word, into row e of one (m, max(1, 2^(m-7))) uint64 array.
+    2. Per bit position k = 0..m-2 of those masks, that is per element
+       f = k + 1: R3 at (e, f) says inc_e(X + f) <= inc_e(X) for every X
+       without f, and it fails exactly where some plane [inc_e >= t] is
+       set at X + f and clear at X.  One array operation compares the
+       rows e <= k (a shift within a word for k < 6, word halves for
+       k >= 6), in blocks of PLANE_BLOCK_WORDS words (a single block up
+       to m = 18); the least failing e over all k is kept, and the
+       witness is the first failing mask of that (e, f).
+
+    Only the first element e0 with some inc_e0(X) >= 2 needs more planes.
+    By R1, inc_e0(empty) = r({e0}) <= 1, so inc_e0 rises somewhere on a
+    chain of single-element steps from the empty set to X: inc_e0(Y + f)
+    > inc_e0(Y) for some Y and f.  That is an R3 failure at {e0, f}, and
+    the local form is symmetric in its two elements, so the first R3
+    failure has its smaller element at most e0.  The rows before e0 hold
+    their only plane; e0 also gets its planes t = 2..top, in a small array
+    of their own; and no row after e0 is packed or read, though those
+    elements are still checked for R2.
+
+    Memory: the plane array takes m 2^(m-4) bytes, the pass 2 buffer (one
+    block of rows) at most as much, and inc 2^(m-1) bytes; a table with a
+    double increment adds the planes of e0 and their buffer.
     """
     pc = popcount_array(m)
     if table[0] != 0:
@@ -422,8 +442,10 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     if bad.size:
         x = int(bad[0])
         return AxiomResult(False, "R1", (x,), f"r(X)={int(table[x])} > |X|={int(pc[x])} for X={x:#x}")
-    first_r3 = None
     inc = np.empty(table.size // 2, dtype=np.uint8)
+    words = max(1, inc.size >> 6)
+    planes = np.zeros((m, words), dtype="<u8")
+    rows, extra = m, None  # rows that can hold the first R3 failure; planes 2.. of e0
     for e in range(m):
         lo, hi = halves(table, e)
         np.subtract(hi, lo, out=halves(inc, e, parts=1)[0], order="C")
@@ -432,19 +454,43 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
             x = _insert_zero_bit(int((inc > m).argmax()), e)
             return AxiomResult(False, "R2", (x, x | (1 << e)),
                                f"r decreases from X={x:#x} to X+{{{e}}}")
-        if first_r3 is not None or not top:
+        if e >= rows or not top:
             continue
-        planes = _packed_planes(inc, top)
-        for f in range(e + 1, m):
-            i = _first_increase(planes, f - 1)
-            if i is not None:
-                x = _insert_zero_bit(i, e)
-                be, bf = 1 << e, 1 << f
-                first_r3 = AxiomResult(
-                    False, "R3", (x | be, x | bf),
-                    f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
+        _pack_plane(inc, planes[e])
+        if top > 1:
+            rows, extra = e + 1, np.zeros((top - 1, words), dtype="<u8")
+            for t in range(2, top + 1):
+                _pack_plane(inc >= t, extra[t - 2])
+    block = max(1, PLANE_BLOCK_WORDS // words)
+    buf = np.empty(min(block, rows) * words, dtype="<u8")
+    first = None  # (e, k) of the first failing pair found so far
+    for k in range(m - 1):
+        n = min(k + 1, rows if first is None else first[0])
+        if not n:
+            break
+        for a in range(0, n, block):
+            viol = _increases(planes[a:min(n, a + block)], k, buf)
+            if viol.any():
+                first = (a + int(viol.any(axis=1).argmax()), k)
                 break
-    return AxiomResult(True) if first_r3 is None else first_r3
+        else:
+            if n == rows and extra is not None and _increases(
+                    extra, k, np.empty(extra.size, dtype="<u8")).any():
+                first = (rows - 1, k)
+    if first is None:
+        return AxiomResult(True)
+    e, k = first
+    stack = planes[e:e + 1]
+    if e == rows - 1 and extra is not None:
+        stack = np.concatenate([stack, extra])
+    viol = np.bitwise_or.reduce(_increases(stack, k, np.empty_like(stack).reshape(-1)), axis=0)
+    i = int((viol != 0).argmax())
+    word = int(viol[i])
+    w = i if k < 6 else _insert_zero_bit(i, k - 6)
+    x = _insert_zero_bit(64 * w + (word & -word).bit_length() - 1, e)
+    be, bf = 1 << e, 1 << (k + 1)
+    return AxiomResult(False, "R3", (x | be, x | bf),
+                       f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
 
 
 def _nested_pair(circuits: np.ndarray) -> tuple[int, int] | None:

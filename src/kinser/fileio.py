@@ -165,7 +165,7 @@ def _parse_layout_line(line: str) -> tuple[str, int]:
     return name.strip(), parse_elements(els)
 
 
-def _int(text: str, what: str) -> int:
+def parse_int(text: str, what: str) -> int:
     """An optional ASCII sign and ASCII digits, as the ranks body reads them."""
     digits = text[1:] if text.startswith(("+", "-")) else text
     try:
@@ -331,13 +331,13 @@ def parse_matroid(text: str) -> Matroid:
         _, line = next(lines, (0, None))
     if line is None or not line.startswith("elements "):
         raise FormatError("missing 'elements <m>' line")
-    m = _int(line.split()[1], "ground size")
+    m = parse_int(line.split()[1], "ground size")
     if not 1 <= m <= MAX_GROUND:
         raise FormatError(f"ground size {m} outside [1, {MAX_GROUND}]")
     _, line = next(lines, (0, None))
     if line is None or not line.startswith("rank "):
         raise FormatError("missing 'rank <r>' line")
-    declared_rank = _int(line.split()[1], "rank")
+    declared_rank = parse_int(line.split()[1], "rank")
     after, section = next(lines, (0, None))
     if section is None:
         raise FormatError("missing body section")
@@ -362,12 +362,12 @@ def parse_matroid(text: str) -> Matroid:
         tail = section[len("matrix"):].strip()
         if not tail.startswith("p="):
             raise FormatError(f"bad matrix section {section!r}")
-        p = _int(tail[2:].strip(), "modulus")
+        p = parse_int(tail[2:].strip(), "modulus")
         if p < 2:
             raise FormatError(f"modulus {p} is not prime")
         if p >= PRIME_TEST_LIMIT:
             raise FormatError(f"modulus {p} is not below {PRIME_TEST_LIMIT}")
-        entries = [[_int(tok, "matrix entry") for tok in ln.split()] for ln in rows]
+        entries = [[parse_int(tok, "matrix entry") for tok in ln.split()] for ln in rows]
         if not entries or any(len(r) != m for r in entries):
             raise FormatError("matrix rows must have one entry per element")
         flat = tuple(v % p for row in entries for v in row)
@@ -414,19 +414,21 @@ def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
     for key, rest in fields.items():
         index = key[1:]
         if key.startswith("X") and index.isdecimal():
-            if not index.isascii() or index != str(_int(index, "set index")):
+            if not index.isascii() or index != str(parse_int(index, "set index")):
                 raise FormatError(f"bad set index in {key!r}")
             sets[int(index)] = parse_elements(rest)
+        elif key not in ("matroid", "n", "lhs", "rhs"):
+            raise FormatError(f"unknown certificate line {key!r}")
     for key in ("matroid", "n", "lhs", "rhs"):
         if key not in fields:
             raise FormatError(f"certificate missing {key!r} line")
     label, _, fingerprint = fields["matroid"].rpartition(" ")
-    n = _int(fields["n"], "n")
+    n = parse_int(fields["n"], "n")
     if len(sets) != n or sorted(sets) != list(range(1, n + 1)):
         raise FormatError("certificate must list X1..Xn exactly")
     cert = BadFamilyCertificate(label, fingerprint,
                                 Family(n, tuple(sets[i] for i in range(1, n + 1))),
-                                _int(fields["lhs"], "lhs"), _int(fields["rhs"], "rhs"))
+                                parse_int(fields["lhs"], "lhs"), parse_int(fields["rhs"], "rhs"))
     verify_certificate(cert, M)
     return cert
 

@@ -121,6 +121,15 @@ class TestTransversal:
         assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(64)]
         assert (M.rank(0b111100), M.rank_total) == (3, 5)
 
+    @pytest.mark.parametrize("m, copies", [(5, 114), (5, 115), (6, 150), (4, 300)])
+    def test_family_past_int8_matches_oracle(self, m, copies):
+        # k + m = 127 still fits int8; from 128 on the signed vectors widen.
+        # Element 0 lies in every copy, 1..3 share two members, so Hall binds
+        fam = (0b1,) * copies + (0b0111, 0b1110) + ((0b11 << (m - 2)),) * (m > 4)
+        M = K.transversal(K.SetSystem(m, fam))
+        assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(1 << m)]
+        assert M.rank_total == 3 + (m > 4)
+
     def test_large_family_on_large_ground(self):
         rng = np.random.default_rng(20)
         m = 20

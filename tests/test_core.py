@@ -1,5 +1,7 @@
 """Core rank-table machinery: queries, derived predicates, axiom scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser.cli import main
-from kinser.core import halves, validate_circuit_axioms, validate_rank_table
+from kinser.core import halves, popcount_array, validate_circuit_axioms, validate_rank_table
 
 from oracles import (definition_closure, definition_flats, definition_is_circuit,
                      gf2_span_closure, literal_independence_violation,
@@ -460,6 +462,45 @@ def test_r3_first_found_on_the_lower_plane_between_words():
     assert literal_rank_violation(10, table) == ("R3", witness)
     res = validate_rank_table(10, table)
     assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
+
+
+def test_jumps_of_five_match_literal_loops():
+    # r = 0 below size 5 and r = |X| from size 5 up: R1 and R2 hold, and
+    # inc_0 reaches 5, so element 0 carries five bit planes
+    pc = popcount_array(10)
+    table = np.where(pc >= 5, pc, 0).astype(np.uint8)
+    res = validate_rank_table(10, table)
+    expected = literal_rank_violation(10, table)
+    assert expected is not None and expected[0] == "R3"
+    assert (res.axiom, res.witness) == expected
+
+
+def test_r2_at_the_last_element_outranks_r3_at_the_first():
+    m = 10
+    table = K.uniform(3, m).table.copy()
+    table[0b1010000000] = 1  # first fails R3 at (e, f) = (0, 7)
+    res = validate_rank_table(m, table)
+    assert (res.axiom, res.witness) == literal_rank_violation(m, table)
+    assert res.axiom == "R3" and res.witness[0] & 1
+    top = (1 << m) - 1
+    table[top ^ 1 << (m - 1)] = 4  # r(E - e) > r(E) = 3 fails R2 at e = m - 1 only
+    res = validate_rank_table(m, table)
+    assert literal_rank_violation(m, table) == ("R2", (top ^ 1 << (m - 1), top))
+    assert (res.ok, res.axiom, res.witness) == (False, "R2", (top ^ 1 << (m - 1), top))
+
+
+def test_validation_memory_is_planes_buffer_and_inc():
+    # the plane array, the pass 2 buffer (each at most m 2^(m-4) bytes)
+    # and the inc vector of 2^(m-1) bytes
+    M = K.uniform(10, 20)
+    m = M.m
+    tracemalloc.start()
+    try:
+        assert validate_rank_table(m, M.table).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * 2 ** (m - 4) + 2 ** (m - 1)
 
 
 @st.composite

@@ -242,6 +242,8 @@ class TestCertificateFormat:
          "certificate repeats the 'rhs' line"),
         (lambda t: t.replace("X3 4,5\n", "X3 4,\u0665\n"), "bad element list '4,\u0665'"),
         (lambda t: t.replace("n 4\n", "n 0_4\n"), "bad n '0_4'"),
+        (lambda t: t + "foo bar\n", "unknown certificate line 'foo'"),
+        (lambda t: t + "X\u00b2 9\n", "unknown certificate line 'X\u00b2'"),
     ])
     def test_malformed_lines_refused(self, vamos, edit, message):
         text = K.write_certificate(K.membership(vamos, 4).certificate)
@@ -531,6 +533,34 @@ class TestCli:
         assert K.parse_matroid(text).rank_total == 4
         with pytest.raises(K.FormatError, match="bad rank '\\+-4'"):
             K.parse_matroid(text.replace("rank +4", "rank +-4"))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", " 3", "3.0", "0x3", ""])
+    def test_integer_options_read_as_ascii_decimals(self, token, tmp_path, capsys):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        capsys.readouterr()
+        for argv in (["transform", "delete", "--element", token, "-i", str(mfile)],
+                     ["eval", "-n", token, "-i", str(mfile), "--family", "0;1;2;3"],
+                     ["check", "-n", token, "-i", str(mfile)],
+                     ["check", "-n", "4", "-i", str(mfile), "--parallel", token],
+                     ["build", "uniform", "--k", token, "--m", "4"],
+                     ["build", "uniform", "--k", "1", "--m", token],
+                     ["build", "kinser", "--r", token],
+                     ["build", "kinser-relaxed", "--also-relax", token],
+                     ["build", "dowling", "--n", token]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"invalid integer value: {token!r}" in captured.err, argv
+
+    def test_signed_integer_option_accepted(self, tmp_path, capsys):
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        outs = []
+        for element in ("3", "+3", "03"):
+            assert main(["transform", "delete", "--element", element, "-i", str(mfile)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("token", ["1_0", "\u0663", "+3", " 3 4"])
     def test_non_ascii_decimal_element_exits_2(self, token, tmp_path, capsys):
