@@ -559,6 +559,8 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
     for c in circuits:
         if c >> m:
             raise InvalidSubsetError(f"circuit {c:#x} outside ground size {m}")
+        if not c:
+            raise NotAMatroidError("empty set listed as a circuit", "C1", (0,))
         if c.bit_count() > r + 1:
             raise NotAMatroidError(f"circuit {c:#x} has more than r+1 elements", "C1", (c,))
     nested = _nested_pair(np.array(circuits, dtype=np.int64))

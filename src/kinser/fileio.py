@@ -12,16 +12,16 @@ against the supplied matroid and refuses on any mismatch of fingerprint,
 lhs or rhs.
 
 Large tables and long mask lists are written and read in whole-array
-byte passes; where a pass has a short path for the common input, both
-paths give the same bytes or the same error.  ``_ranks_body`` writes
-(digit, separator) cells when every rank is below 10, and otherwise
-three-byte cells with the zero tens digits cut out.  ``_decimal_values``
-reads a chunk of one-byte digit tokens by dropping its separators and
-sends every other chunk, malformed ones included, through the general
-token scan that raises each error.  Every element list written is a line
-of one ``format_element_lines`` call over all the masks of a file or
-listing.  Integers and elements are read as ASCII decimals only.  Lookup
-tables are built on first use, not at import.
+byte passes.  ``_ranks_body`` writes (digit, separator) cells when every
+rank is below 10, and otherwise three-byte cells with the zero tens
+digits cut out.  ``_decimal_values`` reads a chunk whose tokens are all
+one or two ASCII digits, as in every written table, in byte passes, and
+reads any other chunk, malformed ones included, token by token with
+``parse_int``.  That is the one integer grammar of both formats: an
+optional ASCII sign, then ASCII digits; elements take no sign.  Every
+element list written is a line of one ``format_element_lines`` call over
+all the masks of a file or listing.  Lookup tables are built on first
+use, not at import.
 """
 
 from __future__ import annotations
@@ -227,7 +227,6 @@ def _cut_lines(src: str, start: int) -> tuple[list[tuple[int, int]], list[str]]:
     return [(lo, hi) for lo, hi in spans if hi > lo], layout
 
 
-INT64_DIGITS = 18      # decimal digits that always fit in an int64
 RANKS_CHUNK = 1 << 18  # characters of a ranks body converted per array pass
 ASCII_SPACE = " \t\n\r\x0b\x0c"
 
@@ -257,62 +256,53 @@ def _rank_values(src: str, spans: list[tuple[int, int]], m: int) -> np.ndarray:
 def _decimal_values(text: str, m: int) -> np.ndarray:
     """Whitespace-separated decimal tokens with values in [0, m], as uint8.
 
-    Tokens are converted as arrays: the bytes are classed as space, digit
-    or sign, and each token's value is summed from its digits.  A chunk
-    whose tokens are all one byte long (no two adjacent bytes are both
-    non-space) and all digits, as every written table below rank 10 is,
-    reads as its non-space bytes minus '0'; those are the tokens' values,
-    so the result and the range check are those of the general path.  Any
-    other chunk, malformed ones included, takes the general path, which
-    raises every error message.
+    A chunk whose tokens are all one or two ASCII digits, as every written
+    table is (ranks are at most 24), is read in array passes: the last
+    byte of each token minus '0' is its units digit, and the first byte of
+    each two-byte token adds ten times its digit into the units digit after
+    it.  A chunk of one-byte tokens takes the single ``compress`` of its
+    non-space bytes.  Any other chunk is split at the same six ASCII space
+    bytes by ``bytes.split`` and read token by token with ``parse_int``; a
+    token it refuses, one too long for int() included, is reported as a
+    non-decimal token quoted to 24 characters.  A chunk with a value
+    outside [0, m] reports its least value if that is negative, else its
+    largest.
     """
     try:
-        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise FormatError(f"non-ASCII character {exc.object[exc.start]!r} "
                           "in ranks body") from None
+    data = np.frombuffer(raw, dtype=np.uint8)
     filled = (data != ord(" ")) & (data - 9 >= 5)      # not space, \t \n \v \f \r
-    if not (filled[1:] & filled[:-1]).any():
-        vals = np.compress(filled, data) - ord("0")   # a non-digit wraps to >= 10
-        hi = int(vals.max(initial=0))
+    pair = filled[1:] & filled[:-1]                    # bytes i and i + 1 in one token
+    two = pair.any()
+    if not (two and (pair[1:] & pair[:-1]).any()):     # no token of three bytes
+        units = filled
+        if two:
+            units = filled.copy()
+            units[:-1] &= ~pair                        # the last byte of each token
+        vals = np.compress(units, data) - ord("0")     # a non-digit wraps to >= 10
+        tens = np.compress(pair, data[:-1]) - ord("0") if two else vals[:0]
+        hi = max(int(vals.max(initial=0)), int(tens.max(initial=0)))
         if hi < 10:
+            if two:  # the units digit of each two-byte token follows its tens digit
+                vals[np.flatnonzero(np.compress(units[1:], pair)) + units[0]] += 10 * tens
+                hi = int(vals.max())
             if hi > m:
                 raise FormatError(f"rank value {hi} outside [0, {m}]")
             return vals
-    sign = (data == ord("-")) | (data == ord("+"))
-    first, last = filled.copy(), filled.copy()
-    first[1:] &= ~filled[:-1]
-    last[:-1] &= ~filled[1:]
-    # a sign may only open a token of two or more bytes
-    bad = filled & (data - ord("0") >= 10) & ~(sign & first & ~last)
-    if bad.any():
-        at = int(bad.argmax())
-        spaces = np.flatnonzero(~filled)
-        k = int(np.searchsorted(spaces, at))
-        lo = int(spaces[k - 1]) + 1 if k else 0
-        hi = int(spaces[k]) if k < spaces.size else data.size
-        raise FormatError(f"non-decimal token {text[lo:hi][:24]!r} in ranks body")
-    starts, lasts = np.flatnonzero(first), np.flatnonzero(last)
-    digits = lasts + 1 - starts
-    signed = sign.any()
-    if signed:
-        digits -= sign[starts]
-    vals = data[lasts].astype(np.int64) - ord("0")
-    for k in range(1, min(int(digits.max(initial=0)), INT64_DIGITS)):
-        digit = data[lasts - k].astype(np.int64) - ord("0")
-        vals += np.where(digits > k, digit, 0) * 10 ** k
-    for i in np.flatnonzero(digits > INT64_DIGITS):
-        v = int(text[starts[i]:lasts[i] + 1])
-        if not 0 <= v <= m:
-            raise FormatError(f"rank value {v} outside [0, {m}]")
-        vals[i] = v
-    if signed:
-        vals[data[starts] == ord("-")] *= -1
-    if vals.size:
-        lo, hi = int(vals.min()), int(vals.max())
-        if lo < 0 or hi > m:
-            raise FormatError(f"rank value {lo if lo < 0 else hi} outside [0, {m}]")
-    return vals.astype(np.uint8)
+    values = []
+    for token in raw.split():
+        try:
+            values.append(parse_int(token.decode(), "rank"))
+        except FormatError:
+            raise FormatError(f"non-decimal token {token[:24].decode()!r} "
+                              "in ranks body") from None
+    lo, hi = min(values, default=0), max(values, default=0)
+    if lo < 0 or hi > m:
+        raise FormatError(f"rank value {lo if lo < 0 else hi} outside [0, {m}]")
+    return np.array(values, dtype=np.uint8)
 
 
 def parse_matroid(text: str) -> Matroid:
@@ -400,8 +390,7 @@ def write_certificate(cert: BadFamilyCertificate) -> str:
 
 def parse_certificate(text: str, M: Matroid) -> BadFamilyCertificate:
     """Parse and re-verify a certificate against the matroid it names."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = [line for _, line in _meaningful_lines(text)]
     if not lines or lines[0] != CERT_HEADER:
         raise FormatError(f"missing header {CERT_HEADER!r}")
     fields: dict[str, str] = {}

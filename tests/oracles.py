@@ -229,10 +229,32 @@ def bias_rank_oracle(edges, group_order: int, x: int) -> int:
 
 
 def literal_rank_tokens(body: str) -> list[int]:
-    """A ranks body read literally: int() of every token of every line
-    that is not a '#' comment."""
-    return [int(t) for ln in body.splitlines() if not ln.strip().startswith("#")
-            for t in ln.split()]
+    """A ranks body read literally: every token of every line that is not a
+    '#' comment, cut at the six ASCII space characters (space, tab, line
+    feed, carriage return, vertical tab, form feed).  A token is an optional
+    ASCII sign, then one or more ASCII digits, summed digit by digit; any
+    other token raises ValueError.
+    """
+    values = []
+    for line in body.splitlines():
+        if line.strip().startswith("#"):
+            continue
+        token = ""
+        for ch in line + " ":
+            if ch not in " \t\n\r\x0b\x0c":
+                token += ch
+                continue
+            if token:
+                sign = token[0] if token[0] in "+-" else ""
+                digits = token[len(sign):]
+                if not digits or any(d not in "0123456789" for d in digits):
+                    raise ValueError(f"not a decimal token: {token!r}")
+                value = 0
+                for d in digits:
+                    value = 10 * value + "0123456789".index(d)
+                values.append(-value if sign == "-" else value)
+            token = ""
+    return values
 
 
 def literal_rank_violation(m: int, table) -> tuple[str, tuple] | None:

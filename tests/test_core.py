@@ -311,6 +311,17 @@ class TestFromCircuits:
         with pytest.raises(K.NotAMatroidError):
             K.matroid_from_circuits(5, 2, [0b1111])
 
+    @pytest.mark.parametrize("m, r, circuits", [
+        (2, 0, [0]),              # alone it would give U(0, 2)
+        (3, 1, [0b011, 0, 0b100]),  # with others it would be a C2 nesting
+    ])
+    def test_empty_circuit_rejected(self, m, r, circuits):
+        with pytest.raises(K.NotAMatroidError) as err:
+            K.matroid_from_circuits(m, r, circuits)
+        assert str(err.value) == "empty set listed as a circuit"
+        assert (err.value.axiom, err.value.witness) == ("C1", (0,))
+        assert validate_circuit_axioms(m, circuits).witness == (0,)
+
     def test_wrong_rank_rejected(self):
         # every pair dependent forces rank 1, not 2
         with pytest.raises(K.NotAMatroidError):

@@ -98,7 +98,7 @@ class TestMatroidFormat:
 
     def test_rank_tokens_longer_than_int64_digits(self):
         text = K.write_matroid(K.uniform(2, 4))
-        padded = "0" * (fileio.INT64_DIGITS + 3) + "2"
+        padded = "0" * 21 + "2"
         M = K.parse_matroid(text.replace("\n0 1 1 2", f"\n0 1 1 {padded}", 1))
         assert M.table_equal(K.uniform(2, 4))
         with pytest.raises(K.FormatError, match="rank value 9{25} outside"):
@@ -159,6 +159,8 @@ class TestRanksText:
 
     @pytest.mark.parametrize("bad, message", [
         ("x", "non-decimal token 'x' in ranks body"),
+        (":", "non-decimal token ':' in ranks body"),   # the byte after '9'
+        ("/", "non-decimal token '/' in ranks body"),   # the byte before '0'
         ("-", "non-decimal token '-' in ranks body"),
         ("+", "non-decimal token '+' in ranks body"),
         ("\u00e9", "non-ASCII character '\u00e9' in ranks body"),
@@ -177,6 +179,74 @@ class TestRanksText:
                 with pytest.raises(K.FormatError) as exc:
                     K.parse_matroid(text)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1:", "non-decimal token '1:' in ranks body"),
+        (":1", "non-decimal token ':1' in ranks body"),
+        ("/9", "non-decimal token '/9' in ranks body"),
+        ("+11", "rank value 11 outside [0, 10]"),       # a sign sends the chunk token by token
+        ("-1", "rank value -1 outside [0, 10]"),
+        ("11", "rank value 11 outside [0, 10]"),
+    ])
+    def test_two_byte_tokens_refused_at_every_chunk_size(self, bad, message):
+        head, body, tail = ranks_lines(K.write_matroid(K.uniform(10, 10)), 10)
+        tokens = " ".join(body).split()
+        tokens[1000] = bad
+        text = head + " ".join(tokens[:500]) + "\n" + " ".join(tokens[500:]) + "\n"
+        for chunk in (fileio.RANKS_CHUNK, *range(1, 10)):
+            with mock.patch.object(fileio, "RANKS_CHUNK", chunk):
+                with pytest.raises(K.FormatError) as exc:
+                    K.parse_matroid(text)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("maker", [
+        lambda: K.uniform(10, 12),
+        lambda: K.uniform(11, 12),
+        lambda: K.dual(K.uniform(1, 12)),
+    ])
+    def test_two_digit_tables_read_at_every_chunk_size(self, maker):
+        M = maker()
+        text = K.write_matroid(M)
+        _, body, _ = ranks_lines(text, M.m)
+        assert literal_rank_tokens("\n".join(body)) == M.table.tolist()
+        for chunk in (fileio.RANKS_CHUNK, *range(1, 10)):
+            with mock.patch.object(fileio, "RANKS_CHUNK", chunk):
+                assert K.parse_matroid(text).table_equal(M)
+
+    @pytest.mark.parametrize("chunk", [fileio.RANKS_CHUNK, *range(1, 10)])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_token_streams_match_literal_reader(self, chunk, data):
+        # the stream is 2^m tokens (or one more or fewer) cycled from a short
+        # list of tokens whose digits read at most m, plus perhaps one bad token
+        m = data.draw(st.integers(1, 10) | st.just(10))
+        plain = st.integers(0, m).map(str)
+        good = (plain | plain
+                | st.builds(lambda z, v: "0" * z + str(v), st.integers(1, 3), st.integers(0, m))
+                | st.builds(lambda s, v: s + str(v), st.sampled_from("+-"), st.integers(0, m)))
+        bad = (st.integers(m + 1, 999).map(str)
+               | st.sampled_from([":", "/", "1:", "x", "+", "-", "+-1", "1x", "\x1f", "3\x1f4",
+                                  "1_0", "\u0663", "\u00e9"]))
+        tokens = data.draw(st.lists(good, min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(bad))
+        seps = data.draw(st.lists(st.sampled_from([" ", "  ", "\n", "\t", "\r\n", "\x0b",
+                                                   "\x0c", " \n "]), min_size=1, max_size=4))
+        count = (1 << m) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        text = "".join(tokens[i % len(tokens)] + seps[i % len(seps)] for i in range(count))
+        try:
+            expected = literal_rank_tokens(text)
+        except ValueError:
+            expected = None
+        if expected is not None and (len(expected) != 1 << m
+                                     or not all(0 <= v <= m for v in expected)):
+            expected = None
+        with mock.patch.object(fileio, "RANKS_CHUNK", chunk):
+            try:
+                got = fileio._rank_values(text, [(0, len(text))], m).tolist()
+            except K.FormatError:
+                got = None
+        assert got == expected
 
 
 def format_elements(mask: int) -> str:
@@ -513,7 +583,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
-    def test_overlong_decimal_tokens_are_format_errors(self):
+    def test_overlong_decimal_tokens_are_format_errors(self, tmp_path, capsys):
         # int() refuses more than 4300 digits with a ValueError of its own
         long = "0" * 5000 + "3"
         text = K.write_matroid(K.kinser_relaxed(4))
@@ -521,11 +591,29 @@ class TestCli:
                     text.replace("\nlayout V3=4,5\n", f"\nlayout V3=4,{long}\n")):
             with pytest.raises(K.FormatError, match="^bad (ground size|element list) '"):
                 K.parse_matroid(bad)
+        head, body, tail = ranks_lines(text, 8)
+        body[0] = body[0].replace("0 1 ", f"0 {long[:-1]}1 ", 1)   # 5001 digits, value 1
+        bad = head + "\n".join(body + tail) + "\n"
+        with pytest.raises(K.FormatError) as exc:
+            K.parse_matroid(bad)
+        assert str(exc.value) == f"non-decimal token {long[:24]!r} in ranks body"
+        mfile = tmp_path / "long.mtr"
+        mfile.write_text(bad)
+        assert main(["enumerate", "--kind", "flats", "-i", str(mfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {exc.value}\n"
         cert = K.write_certificate(K.membership(VAMOS, 4).certificate)
         for bad in (cert.replace("X1 0,1\n", f"X{long} 0,1\n"),
                     cert.replace("X1 0,1\n", f"X1 0,{long}\n")):
             with pytest.raises(K.FormatError, match="^bad (set index|element list) '"):
                 K.parse_certificate(bad, VAMOS)
+
+    def test_empty_circuit_in_file_exits_2(self, tmp_path, capsys):
+        mfile = tmp_path / "empty.mtr"
+        mfile.write_text("matroid v1\nelements 2\nrank 0\ncircuits\n-\n")
+        assert main(["enumerate", "--kind", "flats", "-i", str(mfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: empty set listed as a circuit\n"
 
     def test_signed_rank_line_reads_as_the_ranks_body_does(self):
         # an ASCII sign is accepted, as in the ranks body, where '+2' is a token
