@@ -149,6 +149,16 @@ def elements_of(mask: int) -> list[int]:
     return out
 
 
+def closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """cl X for every int64 mask X, read off the rank table (m + 1 reads per mask)."""
+    rank = table[masks]
+    out = masks.copy()
+    for e in range(table.size.bit_length() - 1):
+        bit = np.int64(1 << e)
+        out[table[masks | bit] == rank] |= bit
+    return out
+
+
 @dataclass(frozen=True)
 class SetClass:
     """Classification flags of one subset, all derived from rank lookups."""
@@ -246,14 +256,7 @@ class Matroid:
 
     def closure(self, x: int) -> int:
         """X together with every e outside X that keeps the rank unchanged."""
-        x = self.check_mask(x)
-        rx = self.table[x]
-        out = x
-        for e in range(self.m):
-            b = 1 << e
-            if not x & b and self.table[x | b] == rx:
-                out |= b
-        return out
+        return int(closures(self.table, np.array([self.check_mask(x)]))[0])
 
     def classify(self, x: int) -> SetClass:
         x = self.check_mask(x)

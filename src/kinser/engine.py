@@ -118,9 +118,10 @@ X4..X_{n-1} completes (X1, X2, X3, Xn) to a violator exactly when
 A path may stay put at cost 0, so dist_{k+1} <= dist_k; once
 dist_{k+1} = dist_k, every later product repeats it, and that happens
 within F - 1 hops, since a least path can drop any cycle.  So each n costs
-at most F - 1 min-plus products per X2.  The lex-first violator is then
-rebuilt slot by slot: the least scanned X1 with a completion, the least X2 for
-it, the least X3 with some Xn passing the test, and for i = 4..n the least
+at most F - 1 min-plus products per X2; I(X3;Xn|X1) is read off one F x F
+table per X1, built once.  The lex-first violator is then rebuilt slot by
+slot: the least scanned X1 with a completion, the least X2 for it, the
+least X3 with some Xn passing the test, and for i = 4..n the least
 Xi with cost so far + L[X_{i-1}][Xi] + dist_{n-i}(Xi, Xn) below the
 budget I(X2;X3) - I(X1;X2) - I(X3;Xn|X1) for some Xn (dist_0 is 0 at
 Xn = Xi and infinite elsewhere).  Each test says exactly whether a
@@ -149,7 +150,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Matroid, MatroidError, SizeCapError, content_fingerprint
+from .core import Matroid, MatroidError, SizeCapError, closures, content_fingerprint
 
 ALL_SUBSETS_LIMIT = 8       # all-subsets search space allowed only up to this m
 # n=4 scans whose summed row weights, F(F+1)/2 |P| tuples, reach this
@@ -447,16 +448,6 @@ def _space_masks(M: Matroid, cfg: SearchConfig) -> np.ndarray:
     raise MatroidError(f"unknown search space {cfg.space!r}")
 
 
-def _closures(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """cl X for every mask X, read off the rank table (m + 1 reads per mask)."""
-    rank = table[masks]
-    out = masks.copy()
-    for e in range(table.size.bit_length() - 1):
-        bit = np.int64(1 << e)
-        out[table[masks | bit] == rank] |= bit
-    return out
-
-
 def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
                    ) -> tuple[tuple[np.ndarray, ...], int]:
     """The rank tables both scans read, and the rank reads they took.
@@ -476,7 +467,7 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     U_of in blocks of SCAN_BLOCK pairs: no F x F mask array is formed.  The
     distinct unions X3 u X4 and their distinct closures are marked in a
     table over all 2^m subsets and labelled in mask order through a second
-    such table, with no sort; ``_closures`` runs on the distinct unions.
+    such table, with no sort; ``closures`` runs on the distinct unions.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
@@ -485,7 +476,7 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     step = max(1, SCAN_BLOCK // F)
     queries = F + F * F
     if pruning:
-        cl = _closures(table, masks)
+        cl = closures(table, masks)
         queries += (m + 1) * F + F * F
     PR = np.empty((F, F), dtype=np.int8)
     cols = np.arange(F, dtype=np.int32)
@@ -514,7 +505,7 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     # label[x] = index in U of cl(x) for each distinct union x
     label = np.empty(1 << m, dtype=np.int64)
     distinct = np.flatnonzero(seen)
-    closed = _closures(table, distinct)
+    closed = closures(table, distinct)
     seen[distinct] = False
     seen[closed] = True
     U = np.flatnonzero(seen)
@@ -700,13 +691,18 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
 
     ``tables`` is ``_search_tables(table, masks, False)[0]``: the pair
     ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
-    the triple ranks come.  Per X2,
-    only the rows X3 with I(X2;X3) above the least I(X1;X2) of the X1 rows
-    still to test get distances D = dist_{n-3}(X3, .); each X1 row is then
-    tested on the entries (X3, Xn) where W = I(X2;X3) - D exceeds that
-    least I(X1;X2), as W - I(X3;Xn|X1) > I(X1;X2).  After a hit only the
-    rows before it are tested.  Ranks are at most 24, so every int8 sum
-    below stays within [-48, 48].
+    come the triple ranks and C1[k][a][b] = I(Xa;Xb|X1) for X1 = x1s[k].
+    Per X2, only the rows X3 with I(X2;X3) above the least I(X1;X2) of the
+    X1 rows still to test get distances D = dist_{n-3}(X3, .).  With
+    W = I(X2;X3) - D, row k passes if some entry of W - C1[k] exceeds
+    I(X1;X2), tested in row blocks of at most SCAN_BLOCK entries; as
+    C1 >= 0, an X2 with no W above that least I(X1;X2) is skipped.  After
+    a hit only the rows before it are tested; the rebuild reads C1[k].
+    Ranks are at most 24, so every int8 sum below stays within [-48, 48].
+
+    C1 takes len(x1s) F^2 bytes: Z6 3.5 MB, Z7 42 MB, and 144 MB for
+    Kin(5)^-, the largest input whose n = 5 search ends in minutes.  It is
+    not split over X1 rows: each part would recompute every X2's distances.
 
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
@@ -714,15 +710,17 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
     PR, _, _, c34, RU, U_of = tables
     F = len(PR)
     I, UF, r = c34.reshape(F, F), U_of.reshape(F, F), PR.diagonal()
-    PX, RX, I1 = PR[x1s], np.ascontiguousarray(RU[:, x1s].T), I[x1s]
+    I1 = I[x1s]
+    # C1[k][a][b] = r(X1 u Xa) + r(X1 u Xb) - r(X1 u Xa u Xb) - r(X1)
+    C1 = np.empty((len(x1s), F, F), dtype=np.int8)
+    for k, x in enumerate(x1s):
+        c = RU[:, x].take(UF, out=C1[k], mode="clip")
+        np.subtract(PR[x, :, None], c, out=c)
+        c += PR[x] - r[x]
 
     def steps(j: int) -> np.ndarray:
         """L[a][c] = I(X2;Xa|Xc) for X2 = Xj."""
         return PR[j] + PR - r - RU[:, j][UF]
-
-    def cond(k, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """I(Xa;Xb|X1) for the X1 rows x1s[k] and the entries (a, b)."""
-        return PX[k][:, a] + PX[k][:, b] - RX[k][:, UF[a, b]] - r[x1s[k]][:, None]
 
     best = None                    # (position in x1s, X2)
     for j in range(F):
@@ -732,14 +730,12 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
         floor = I1[:cand, j].min()
         a = (I[j] > floor).nonzero()[0]
         W = I[j, a][:, None] - _distances(steps(j), a, n - 3)[-1]
-        ai, b = (W > floor).nonzero()
-        if len(ai) == 0:
+        if not (W > floor).any():
             continue
-        w, a = W[ai, b], a[ai]
-        block = max(1, SCAN_BLOCK // len(w))
+        block = max(1, SCAN_BLOCK // W.size)
         for k0 in range(0, cand, block):
             k = slice(k0, min(k0 + block, cand))
-            hit = ((w - cond(k, a, b)).max(axis=1) > I1[k, j]).nonzero()[0]
+            hit = ((W - C1[k, a]).max(axis=(1, 2)) > I1[k, j]).nonzero()[0]
             if len(hit):
                 best = (k0 + int(hit[0]), j)
                 break
@@ -751,8 +747,7 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
     k, i2 = best
     L = steps(i2)
     hops = _distances(L, slice(None), n - 3)
-    a, b = np.indices((F, F)).reshape(2, -1)
-    budget = (I[i2][:, None] - I1[k, i2] - cond([k], a, b).reshape(F, F)).astype(np.int64)
+    budget = (I[i2][:, None] - I1[k, i2] - C1[k]).astype(np.int64)
     i3 = int((hops[-1] < budget).any(axis=1).argmax())
     budget = budget[i3]
     # G[h][c] = least dist_h(Xc, Xn) - budget(Xn) over Xn, dist_0 = 0 at Xn = Xc only

@@ -55,6 +55,11 @@ class TestClosure:
                 if M.rank(x) == M.rank_total:
                     assert M.closure(x) == M.full_mask
 
+    def test_matches_definition_on_every_mask(self, fano, vamos, u24, dowling_z2):
+        for M in (fano, vamos, u24, dowling_z2):
+            assert [M.closure(x) for x in range(1 << M.m)] == [
+                definition_closure(M, x) for x in range(1 << M.m)]
+
     def test_rank_preserved_and_idempotent(self, fano, u24, z4):
         for M in (fano, u24, z4):
             for x in range(1 << M.m):

@@ -91,7 +91,7 @@ class TestEvaluate:
             K.Family(3, (0, 0, 0))
 
 
-class TestReduceFamily:
+class TestClosureKeepsTermRanks:
     """Replacing each set by its closure, as the search over flats does,
     changes no term rank."""
 
@@ -171,15 +171,18 @@ def search_masks(M, space):
     return list(range(1 << M.m))
 
 
-def brute_force_lex_first(M, n, masks):
+def brute_force_lex_first(M, n, masks, rows=None):
     """Reference search: full lexicographic scan by the displayed formula,
-    each prefix X1..X_{n-1} against every mask in the last slot at once."""
+    each prefix X1..X_{n-1} against every mask in the last slot at once,
+    with X1 over the indices ``rows`` (default all)."""
     last = np.array(masks, dtype=np.int64)
+    F = len(masks)
 
     def r(x):
         return M.table[x].astype(np.int64)
 
-    for prefix in itertools.product(range(len(masks)), repeat=n - 1):
+    rows = range(F) if rows is None else rows
+    for prefix in itertools.product(rows, *[range(F)] * (n - 2)):
         lhs, rhs = kinser_sides(r, [masks[j] for j in prefix] + [last])
         bad = np.flatnonzero(lhs > rhs)
         if bad.size:
@@ -583,6 +586,8 @@ class TestPruningGate:
 OVER_LIMIT_CASES = [(name, M, pruning) for name, M in GATE_CASES
                     for pruning in (True, False)
                     if pruning or name != "F7+F7-"]
+N5_OVER_LIMIT_CASES = [(name, M, pruning, n) for n in (5, 6) for name, M in N5_GATE_CASES
+                       for pruning in (True, False)]
 
 
 class TestOverLimitPath:
@@ -607,14 +612,15 @@ class TestOverLimitPath:
         monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
         assert K.membership(M, 4) == in_memory
 
-    @pytest.mark.parametrize("pruning", [True, False], ids=["on", "off"])
-    @pytest.mark.parametrize("M", [M for _, M in N5_GATE_CASES],
-                             ids=[name for name, _ in N5_GATE_CASES])
-    def test_n5_matches_in_memory(self, M, pruning, monkeypatch):
+    # n = 6 adds X1 tests over entries of W with two-hop distances
+    @pytest.mark.parametrize("M,pruning,n", [(M, p, n) for _, M, p, n in N5_OVER_LIMIT_CASES],
+                             ids=[f"{name}-{'on' if p else 'off'}" + ("" if n == 5 else f"-n{n}")
+                                  for name, _, p, n in N5_OVER_LIMIT_CASES])
+    def test_n5_matches_in_memory(self, M, pruning, n, monkeypatch):
         cfg = K.SearchConfig(symmetry_pruning=pruning)
-        in_memory = K.membership(M, 5, cfg)
+        in_memory = K.membership(M, n, cfg)
         monkeypatch.setattr(engine, "SCAN_BLOCK", 1)
-        assert K.membership(M, 5, cfg) == in_memory
+        assert K.membership(M, n, cfg) == in_memory
 
 
 def test_z6_in_class_without_a_stored_gp(z6):
@@ -629,6 +635,25 @@ def test_z6_in_class_without_a_stored_gp(z6):
     assert verdict.in_class
     assert (verdict.space_size, verdict.pairs) == (562, 51_266)
     assert peak < verdict.space_size * verdict.pairs / 4
+
+
+def test_chain_chunk_holds_one_table_per_x1_row():
+    # Z5's flats at n = 5: F = 173 and 9 orbit-least X1 rows.  Beyond the
+    # search tables the chunk holds one F x F int8 table per X1 row, a few
+    # F x F temporaries per X2 and blocks of at most SCAN_BLOCK entries
+    M = K.binary_spike(5)
+    masks = np.array(M.enumerate("flats"), dtype=np.int64)
+    tables = _search_tables(M.table, masks, False)[0]
+    rows = _orbit_least(len(masks), [pi for _, pi in _automorphisms(M.table, masks)[0]])
+    tracemalloc.start()
+    try:
+        hit = _search_chain_chunk(tables, 5, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    F = len(masks)
+    assert (F, len(rows), hit) == (173, 9, None)
+    assert peak <= len(rows) * F * F + 8 * F * F + 4 * engine.SCAN_BLOCK
 
 
 def test_search_tables_hold_no_f_by_f_int64_array():
@@ -702,16 +727,17 @@ def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     # n-violator too: the family with its last set repeated; 36-56% of the
     # drawn lists hold one (6-14% without ``violators``, 300-draw counts)
     M, masks = data.draw(mask_lists(size, violators=True))
-    tup, _ = brute_force_lex_first(M, n, masks)
-    arr = np.array(masks, dtype=np.int64)
-    F = len(arr)
-    tables = _search_tables(M.table, arr, False)[0]
-    got = _search_chain_chunk(tables, n, np.arange(F))
+    F = len(masks)
+    # an ascending, possibly non-contiguous set of X1 rows, as orbits give
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, F - 1), min_size=1))))
+    tup, _ = brute_force_lex_first(M, n, masks, rows)
+    tables = _search_tables(M.table, np.array(masks, dtype=np.int64), False)[0]
+    got = _search_chain_chunk(tables, n, rows)
     assert got == tup
-    tuples = _tuples_examined(tables, _x2_rows(F, False), np.arange(F), got)
-    # (X1, X2, X3, Xn) quadruples up to and including the hit
+    tuples = _tuples_examined(tables, _x2_rows(F, False), rows, got)
+    # (X1, X2, X3, Xn) quadruples over the scanned rows, up to and including the hit
     i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
-    assert tuples == i1 * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
+    assert tuples == int((rows < i1).sum()) * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
 
 
 @st.composite
