@@ -190,8 +190,8 @@ def transversal(system: SetSystem, label: str | None = None) -> Matroid:
 # -- Kinser matroids -----------------------------------------------------------
 
 
-def _kinser_parts(r: int) -> tuple[int, dict[str, int]]:
-    """Ground size and layout V1..Vr (V2 = {e,f}), laid out in that order."""
+def _kinser_parts(r: int) -> dict[str, int]:
+    """Layout V1..Vr (V2 = {e,f}) of the r^2-3r+4 elements, in that order."""
     sizes = [r - 2, 2] + [r - 2] * (r - 2)
     layout: dict[str, int] = {}
     off = 0
@@ -200,7 +200,7 @@ def _kinser_parts(r: int) -> tuple[int, dict[str, int]]:
         off += size
     layout["e"] = 1 << (r - 2)
     layout["f"] = 1 << (r - 1)
-    return off, layout
+    return layout
 
 
 def kinser_base(r: int) -> Matroid:
@@ -212,9 +212,10 @@ def kinser_base(r: int) -> Matroid:
     """
     if r < 4:
         raise MatroidError(f"kinser construction needs r >= 4, got {r}")
-    m, layout = _kinser_parts(r)
+    m = r * r - 3 * r + 4
     if m > MAX_GROUND:
         raise SizeCapError(f"kinser ground size r^2-3r+4 = {m} exceeds cap {MAX_GROUND}")
+    layout = _kinser_parts(r)
     E = (1 << m) - 1
     W = E & ~layout["V2"]
     fam = [W & ~(layout["V1"] | layout[f"V{r}"]),

@@ -133,7 +133,7 @@ Closure (n = 4 scan):  r(A u B) = r(A u cl B) for any sets, since
 A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
 So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 term
 
-    GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j]
+    GP[p][j] = RU[U_of[p]][j] - PR[i3][j] - PR[i4][j],  P[p] = i3 F + i4,
 
 is read off the pair ranks PR[i][j] = r(Xi u Xj) and one rank row
 RU[u][j] = r(U_u u Xj) per distinct closure, without touching the 2^m
@@ -214,7 +214,11 @@ class BadFamilyCertificate:
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
     symmetry_pruning: bool = True   # automorphisms; at n=4 also slot symmetry, common information
-    parallel_width: int = 1         # worker processes, at most os.cpu_count()
+    # worker processes, at most os.cpu_count().  At n >= 5 each recomputes
+    # every X2's distances, so width > 1 adds CPU time and no speed: Z6 at
+    # n = 5 took 19.6-20.0 s at width 1, 20.4-21.4 s wall and 37 s CPU at
+    # width 2 (2-core x86 host)
+    parallel_width: int = 1
 
 
 @dataclass(frozen=True)
@@ -452,9 +456,9 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
                    ) -> tuple[tuple[np.ndarray, ...], int]:
     """The rank tables both scans read, and the rank reads they took.
 
-    Returns (PR, P3, P4, C34, RU, U_of): the pair ranks PR[i][j] = r(Xi u Xj),
-    the lex-ordered (X3, X4) pair list P as index arrays (every pair, or
-    with pruning only the non-modular pairs with i3 <= i4),
+    Returns (PR, P, C34, RU, U_of): the pair ranks PR[i][j] = r(Xi u Xj),
+    the lex-ordered (X3, X4) pair list P as flat indices i3 F + i4 (every
+    pair, or with pruning only the non-modular pairs with i3 <= i4),
     C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair, and the
     closure rows that give the triple ranks (module docstring, "Closure"):
     with U the distinct closures cl(X3 u X4) of the pairs, U_of[p] is the
@@ -462,12 +466,12 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     need not be closed under closure.  The n = 4 scan computes the GP rows
     it needs from RU and PR (``_n4_gp``); no GP array is kept.
 
-    PR, C34 and P are built in blocks of rows of at most SCAN_BLOCK
-    entries (row-major, so P stays in lex order), RU in blocks of rows and
-    U_of in blocks of SCAN_BLOCK pairs: no F x F mask array is formed.  The
-    distinct unions X3 u X4 and their distinct closures are marked in a
-    table over all 2^m subsets and labelled in mask order through a second
-    such table, with no sort; ``closures`` runs on the distinct unions.
+    PR, C34, P and the unions X3 u X4 are built in blocks of rows of at
+    most SCAN_BLOCK entries (row-major, so P stays in lex order), RU in
+    blocks of rows.  The distinct unions and their distinct closures are
+    marked in a table over all 2^m subsets and labelled in mask order
+    through a second such table, with no sort; ``closures`` runs on the
+    distinct unions, and U_of is the blocks of unions overwritten by labels.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
@@ -481,7 +485,7 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     PR = np.empty((F, F), dtype=np.int8)
     cols = np.arange(F, dtype=np.int32)
     seen = np.zeros(1 << m, dtype=bool)
-    kept, c34 = [], []
+    kept, c34, unions = [], [], []
     for i0 in range(0, F, step):
         i = slice(i0, i0 + step)
         u = masks[i, None] | masks
@@ -494,13 +498,9 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
             kept.append(p + i0 * F)
             c, u = c.ravel()[p], u.ravel()[p]
         c34.append(c.ravel())
+        unions.append(u.ravel())
         seen[u] = True
-    if pruning:
-        P4 = np.concatenate(kept)           # i3 F + i4, then i4
-        P3 = P4 // F
-        P4 -= P3 * F
-    else:
-        P3, P4 = np.repeat(np.arange(F), F), np.tile(np.arange(F), F)
+    P = np.concatenate(kept) if pruning else np.arange(F * F)
     c34 = np.concatenate(c34)
     # label[x] = index in U of cl(x) for each distinct union x
     label = np.empty(1 << m, dtype=np.int64)
@@ -515,18 +515,16 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     for k in range(0, len(U), step):
         rank8.take(U[k:k + step, None] | masks, out=RU[k:k + step], mode="clip")
     queries += (m + 1) * len(distinct) + len(U) * F
-    U_of = np.empty(len(P3), dtype=np.int64)
-    for k in range(0, len(P3), SCAN_BLOCK):
-        q = slice(k, k + SCAN_BLOCK)
-        label.take(masks[P3[q]] | masks[P4[q]], out=U_of[q], mode="clip")
-    return (PR, P3, P4, c34, RU, U_of), queries
+    for u in unions:
+        label.take(u, out=u, mode="clip")
+    return (PR, P, c34, RU, np.concatenate(unions)), queries
 
 
 def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
-    """GP[p][j] = RU[U_of[p]][j] - PR[P3[p]][j] - PR[P4[p]][j] for the pairs p
-    with U_of[p], P3[p], P4[p] = ``u``, ``p3``, ``p4``, over the columns j
-    that ``ru`` and ``pr`` hold of RU and PR (module docstring, "Closure")."""
+    """GP[p][j] = RU[U_of[p]][j] - PR[i3][j] - PR[i4][j] for the pairs
+    P[p] = i3 F + i4 with U_of[p], i3, i4 = ``u``, ``p3``, ``p4``, over the
+    columns j that ``ru`` and ``pr`` hold of RU and PR ("Closure")."""
     out = ru.take(u, axis=0, out=out, mode="clip")
     out -= pr.take(p3, axis=0)
     out -= pr.take(p4, axis=0)
@@ -541,9 +539,9 @@ def _n4_d1(tables: tuple[np.ndarray, ...], x1s: np.ndarray) -> np.ndarray:
     one row per X1; only the pairs with d1 > 0 can violate with X1 (module
     docstring, "Live pairs").
     """
-    PR, P3, P4, c34, RU, U_of = tables
+    PR, P, c34, RU, U_of = tables
     d1 = _n4_gp(np.ascontiguousarray(RU[:, x1s]), np.ascontiguousarray(PR[:, x1s]),
-                U_of, P3, P4)
+                U_of, *np.divmod(P, len(PR)))
     d1 += c34[:, None]
     d1 += PR[x1s, x1s]
     return np.ascontiguousarray(d1.T)
@@ -605,9 +603,9 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
     """
-    PR, P3, P4, c34, RU, U_of = tables
+    PR, P, c34, RU, U_of = tables
     F = len(PR)
-    width = len(P3)
+    width = len(P)
     if width == 0:
         return None
 
@@ -621,7 +619,7 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
         ``rows`` with d1 rows ``d`` and thresholds ``floor``, scanned
         together over the union of their live pairs and every X2 column."""
         live = (d > 0).any(axis=0).nonzero()[0]
-        u, p3, p4 = U_of[live], P3[live], P4[live]
+        u, (p3, p4) = U_of[live], np.divmod(P[live], F)
         step = max(1, SCAN_BLOCK // (len(rows) * F))
         top = np.full((len(rows), F), -128, dtype=np.int8)
         for q in range(0, len(live), step):
@@ -661,7 +659,7 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
             found = scan(x1[g], d1[g], floor[g])
             if found is not None:
                 r, c, j = found
-                return int(x1[g[r]]), c, int(P3[j]), int(P4[j])
+                return int(x1[g[r]]), c, *divmod(int(P[j]), F)
     return None
 
 
@@ -701,13 +699,13 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
     Ranks are at most 24, so every int8 sum below stays within [-48, 48].
 
     C1 takes len(x1s) F^2 bytes: Z6 3.5 MB, Z7 42 MB, and 144 MB for
-    Kin(5)^-, the largest input whose n = 5 search ends in minutes.  It is
-    not split over X1 rows: each part would recompute every X2's distances.
+    Kin(5)^-, the largest input whose n = 5 search ends in minutes.  Split
+    over X1 rows (width > 1), each part recomputes every X2's distances.
 
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
     """
-    PR, _, _, c34, RU, U_of = tables
+    PR, _, c34, RU, U_of = tables
     F = len(PR)
     I, UF, r = c34.reshape(F, F), U_of.reshape(F, F), PR.diagonal()
     I1 = I[x1s]
@@ -771,14 +769,13 @@ def _tuples_examined(tables: tuple[np.ndarray, ...], x2: np.ndarray, rows: np.nd
     """``Verdict.tuples_examined`` of a scan of the X1 ``rows`` that found
     ``hit`` (None in class), ``x2`` from ``_x2_rows``, in Python ints.  P is
     lex-sorted, so the hit's pair is found by binary search."""
-    P3, P4 = tables[1:3]
+    P = tables[1]
     if hit is None:
-        return int(x2[rows].sum()) * len(P3)
+        return int(x2[rows].sum()) * len(P)
     i1, i2, i3, *_, i_last = hit
     # the rows below i1, then X2 from s(i1) = F - x2[i1] up to i2
     before = int(x2[rows[:np.searchsorted(rows, i1)]].sum()) + i2 - len(x2) + int(x2[i1])
-    lo, hi = np.searchsorted(P3, [i3, i3 + 1])
-    return before * len(P3) + int(lo + np.searchsorted(P4[lo:hi], i_last)) + 1
+    return before * len(P) + int(np.searchsorted(P, i3 * len(x2) + i_last)) + 1
 
 
 def _balanced_chunks(rows: np.ndarray, weights: np.ndarray, width: int) -> list[np.ndarray]:

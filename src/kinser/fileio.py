@@ -362,15 +362,13 @@ def parse_matroid(text: str) -> Matroid:
             raise FormatError("matrix rows must have one entry per element")
         flat = tuple(v % p for row in entries for v in row)
         M = from_matrix(MatrixGFp(p, len(entries), m, flat), label=label)
-        if layout:
-            M = Matroid(m, M.table, label=label, layout=layout, validate=False)
     elif section == "transversal":
         fam = tuple(parse_elements(ln) for ln in rows)
         M = transversal(SetSystem(m, fam), label=label)
-        if layout:
-            M = Matroid(m, M.table, label=label, layout=layout, validate=False)
     else:
         raise FormatError(f"unknown body section {section!r}")
+    if layout and M.layout is None:
+        M = Matroid(m, M.table, label=label, layout=layout, validate=False)
 
     if M.rank_total != declared_rank:
         raise FormatError(f"declared rank {declared_rank} but body gives {M.rank_total}")

@@ -2,6 +2,7 @@
 independent oracles (matchings grown member by member, GF(p) elimination, bias rank)."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -203,6 +204,20 @@ class TestKinserFamily:
             with pytest.raises(K.MatroidError) as exc:
                 K.kinser_relaxed(r, also)
         assert str(exc.value) == f"also_relax must be in [3, {r}], got {also}"
+
+    @pytest.mark.parametrize("build", [K.kinser, lambda r: K.kinser_relaxed(r, 3)],
+                             ids=["kinser", "kinser_relaxed"])
+    def test_oversized_rank_refused_before_building(self, build):
+        # r = 1000 gives r^2 - 3r + 4 = 997,004 elements; no part mask is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(K.SizeCapError) as exc:
+                build(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "kinser ground size r^2-3r+4 = 997004 exceeds cap 24"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("r", [4, 5])
     def test_relaxed_structure_facts(self, r, vamos, kin5_relaxed):

@@ -16,9 +16,9 @@ from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, 
                            _orbit_least, _search_chain_chunk, _search_n4_chunk,
                            _search_tables, _tuples_examined, _x2_rows)
 
-from oracles import (brute_force_automorphisms, conditional_information, ingleton_sides,
-                     ingleton_value, kinser_sides, kinser_value, literal_search_tables,
-                     orbit_minima, permuted_mask)
+from oracles import (brute_force_automorphisms, conditional_information, definition_closure,
+                     definition_flats, ingleton_sides, ingleton_value, kinser_sides,
+                     kinser_value, literal_search_tables, orbit_minima, permuted_mask)
 
 
 def n4_chunk(table, masks, pruning, rows=None):
@@ -673,6 +673,19 @@ def test_search_tables_hold_no_f_by_f_int64_array():
     assert peak - sum(t.nbytes for t in tables) < F * F * 8
 
 
+def test_unpruned_search_tables_store_each_pair_once():
+    # With pruning off (the n >= 5 tables) every one of Z7's F^2 = 3.2M
+    # pairs is listed.  The pair list holds one flat index i3 F + i4 per
+    # pair and U_of one closure label; no other returned array is F^2 int64
+    M = K.binary_spike(7)
+    masks = np.array(M.enumerate("flats"), dtype=np.int64)
+    tables = _search_tables(M.table, masks, False)[0]
+    F = len(masks)
+    wide = [t for t in tables if t.size == F * F and t.itemsize == 8]
+    assert F == 1795 and len(wide) <= 2
+    assert np.array_equal(tables[1], np.arange(F * F))
+
+
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a
 # relaxed Z4 (m = 8) join the small linear matroids, each with the family
 # the paper proves violating, so that some lists hold a violator.
@@ -773,16 +786,16 @@ def assert_search_tables_literal(M, masks, pruning, block):
                   "mid-list": (F // 2 + 2) * F - 1}[block]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SCAN_BLOCK", scan_block)
-        (PR, P3, P4, c34, RU, U_of), _ = _search_tables(
+        (PR, P, c34, RU, U_of), _ = _search_tables(
             M.table, np.array(masks, dtype=np.int64), pruning)
     PR_lit, pairs, c34_lit, triples, closure_of = literal_search_tables(M, masks, pruning)
     assert PR.tolist() == PR_lit
-    assert list(zip(P3.tolist(), P4.tolist())) == pairs
+    assert [divmod(p, F) for p in P.tolist()] == pairs
     assert c34.tolist() == c34_lit
     assert U_of.tolist() == closure_of and len(RU) == len(set(closure_of))
     assert RU[U_of].reshape(len(pairs), F).tolist() == triples
-    assert [a.dtype for a in (PR, P3, P4, c34, RU, U_of)] == [np.int8, np.intp, np.intp,
-                                                                np.int8, np.int8, np.intp]
+    assert [a.dtype for a in (PR, P, c34, RU, U_of)] == [np.int8, np.intp, np.int8,
+                                                           np.int8, np.intp]
 
 
 BLOCKS = ["default", "one", "mid-list"]
@@ -832,6 +845,72 @@ class TestCommonInformationLemma:
         assert violators > 0
         # the rule needs the right pair: (X1, X2) is modular on some violators
         assert modular_12 > 0
+
+
+def _chain_lemma_cases():
+    """(M, seed): Vamos and a relaxed Z4 with the n = 4 family the paper
+    proves violating, and three random GF(2) matroids with no seed."""
+    vamos = K.kinser_relaxed(4)
+    z4 = K.binary_spike(4)
+    relaxed = K.relax(z4, z4.parts("a1", "a2", "b3", "b4"))
+    spike = tuple(z4.parts(*legs) for legs in (("a1", "a2"), ("b3", "b4"), ("b1", "b2"),
+                                                ("a3", "a4")))
+    rng = np.random.default_rng(5)
+    return ([(vamos, tuple(vamos.part(f"V{i}") for i in range(1, 5))), (relaxed, spike)]
+            + [(random_linear_matroid(rng), None) for _ in range(3)])
+
+
+CHAIN_LEMMA_CASES = _chain_lemma_cases()
+
+
+class TestChainCommonInformationLemma:
+    """If (cl X2, cl X3) is a modular pair, no X1, X4, ..., Xn make inequality
+    n fail: Z = cl X2 n cl X3 has r(Z) = I(X2;X3), and the chain form gives
+    margin_n <= 0.  Checked by the literal inequality from ``tests/oracles.py``
+    on random families, with closures and flats by definition."""
+
+    DRAWS = 4000
+
+    def test_seed_pair_is_not_modular(self, vamos):
+        # the canonical Vamos family extended to n = 5 violates, so its
+        # (X2, X3) = (V2, V3) cannot be a modular pair
+        sets = tuple(vamos.part(f"V{i}") for i in (1, 2, 3, 4, 4))
+        lhs, rhs = kinser_sides(vamos.rank, sets)
+        assert lhs > rhs
+        a, b = (definition_closure(vamos, x) for x in sets[1:3])
+        assert vamos.rank(a) + vamos.rank(b) > vamos.rank(a | b) + vamos.rank(a & b)
+
+    @pytest.mark.parametrize("case", range(5),
+                             ids=["Vamos", "Z4-relaxed", "GF2-a", "GF2-b", "GF2-c"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_modular_x2_x3_never_violates(self, case, n):
+        M, seed = CHAIN_LEMMA_CASES[case]
+        rng = np.random.default_rng(100 * case + n)
+        cl = np.array([definition_closure(M, x) for x in range(1 << M.m)], dtype=np.int64)
+        flats = np.array(definition_flats(M), dtype=np.int64)
+
+        def r(x):
+            return M.table[x].astype(np.int64)
+
+        def slot(i):
+            # each slot is a random flat, a random subset or, half the time
+            # when there is a seed, the seed's set (its last set from X4 on)
+            x = np.where(rng.integers(2, size=self.DRAWS) == 0,
+                         flats[rng.integers(len(flats), size=self.DRAWS)],
+                         rng.integers(1 << M.m, size=self.DRAWS))
+            if seed is None:
+                return x
+            return np.where(rng.integers(2, size=self.DRAWS) == 0, seed[min(i, 4) - 1], x)
+
+        sets = [slot(i) for i in range(1, n + 1)]
+        lhs, rhs = kinser_sides(r, sets)
+        a, b = cl[sets[1]], cl[sets[2]]
+        modular = r(a) + r(b) == r(a | b) + r(a & b)
+        assert modular.sum() > self.DRAWS // 4
+        assert not (lhs > rhs)[modular].any()
+        if seed is not None:
+            # the draws reach violators, all with a non-modular (X2, X3)
+            assert (lhs > rhs).any()
 
 
 # Families on F7^- (in class), Vamos and a relaxed Z4 (both out of class),
@@ -922,7 +1001,8 @@ class TestLivePairs:
         tables = _search_tables(vamos.table, masks, True)[0]
         d1 = _n4_d1(tables, np.arange(len(masks)))
         r = self.table_rank(vamos)
-        x1, x3, x4 = masks[:, None], masks[tables[1]][None], masks[tables[2]][None]
+        i3, i4 = np.divmod(tables[1], len(masks))
+        x1, x3, x4 = masks[:, None], masks[i3][None], masks[i4][None]
         expected = conditional_information(r, x3, x4) - conditional_information(r, x3, x4, x1)
         assert np.array_equal(d1, expected)
         assert 0 < (d1 > 0).sum() < d1.size
@@ -957,7 +1037,7 @@ class TestLivePairs:
         rows = np.array([0, i1])
         d1 = _n4_d1(tables, rows)
         assert not (d1[0] > 0).any()
-        P = list(zip(tables[1].tolist(), tables[2].tolist()))
+        P = [divmod(p, F) for p in tables[1].tolist()]
         assert d1[1][P.index((i3, i4))] == 1
         got = _search_n4_chunk(tables, rows, pruning)
         assert got == tup

@@ -458,6 +458,11 @@ class TestCli:
         assert time.perf_counter() - t0 < 1.0
         assert "group order" in capsys.readouterr().err
 
+    def test_oversized_kinser_rank_refused(self, capsys):
+        assert main(["build", "kinser", "--r", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds cap 24" in captured.err
+
     @pytest.mark.parametrize("group", ["z", "z 3", "z+3", "z1_0", "z\u0663"])
     def test_dowling_group_must_be_z_and_ascii_digits(self, group, capsys):
         assert main(["build", "dowling", "--group", group, "--n", "2"]) == 2

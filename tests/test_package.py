@@ -53,9 +53,11 @@ def test_import_builds_no_arrays():
 
 
 def test_cli_import_starts_no_process_pool_machinery():
-    # the worker pool is imported only when a search runs at width > 1
+    # the worker pool is imported only when a search runs at width > 1;
+    # networkx and sympy are not dependencies, so importing the package
+    # must not load them even where they are installed
     code = ("import sys, kinser.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('concurrent', 'multiprocessing', 'networkx', 'sympy')))\n")
     assert fresh_output(code) == "[]\n"
 
