@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate inequality n for a family")
     e.add_argument("-n", type=integer, required=True)
     e.add_argument("--family", required=True,
-                   help="semicolon-separated sets, e.g. '0,1;2,3;@V3;-'")
+                   help="semicolon-separated sets, e.g. '0,1;2,3;@V3;-'; a value "
+                        "that starts with '-' needs the '=' form, --family=-;1;2;3")
     e.add_argument("-i", "--input", required=True)
     e.set_defaults(func=_eval)
 
@@ -201,9 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "common-information rules")
     c.add_argument("--parallel", type=integer, default=1,
                    help="worker processes, at most the CPU count; the verdict "
-                        "and every counter are the same at any width. At n>=5 "
-                        "each worker recomputes every X2's distances, so a "
-                        "width above 1 adds CPU time without cutting wall time")
+                        "and every counter are the same at any width")
     c.add_argument("-o", "--output", default=None, help="certificate file")
     c.set_defaults(func=_check)
 

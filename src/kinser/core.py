@@ -28,6 +28,7 @@ planes, and no row after it is packed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -59,17 +60,11 @@ class SizeCapError(MatroidError):
     """Request exceeds the size cap of an exhaustive operation."""
 
 
-_POPCOUNT_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def popcount_array(m: int) -> np.ndarray:
     """|X| for every mask X on m elements, as uint8 (cached per m)."""
-    pc = _POPCOUNT_CACHE.get(m)
-    if pc is None:
-        idx = np.arange(1 << m, dtype=np.uint32)
-        pc = np.bitwise_count(idx).astype(np.uint8)
-        pc.flags.writeable = False
-        _POPCOUNT_CACHE[m] = pc
+    pc = np.bitwise_count(np.arange(1 << m, dtype=np.uint32)).astype(np.uint8)
+    pc.flags.writeable = False  # shared by every caller
     return pc
 
 

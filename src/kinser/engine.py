@@ -214,10 +214,9 @@ class BadFamilyCertificate:
 class SearchConfig:
     space: str = "flats"            # "flats" | "all_subsets"
     symmetry_pruning: bool = True   # automorphisms; at n=4 also slot symmetry, common information
-    # worker processes, at most os.cpu_count().  At n >= 5 each recomputes
-    # every X2's distances, so width > 1 adds CPU time and no speed: Z6 at
-    # n = 5 took 19.6-20.0 s at width 1, 20.4-21.4 s wall and 37 s CPU at
-    # width 2 (2-core x86 host)
+    # worker processes, at most os.cpu_count(): X1 rows at n = 4, X2
+    # columns at n >= 5, dealt round-robin.  Each n >= 5 worker holds all of
+    # C1, len(x1s) F^2 bytes (144 MB on Kin(5)^-)
     parallel_width: int = 1
 
 
@@ -295,19 +294,29 @@ def extend_family(fam: Family) -> Family:
     return Family(fam.n + 1, fam.sets + (fam.sets[-1],))
 
 
+def _last_index(M: Matroid, prefix: str) -> int:
+    """The largest decimal i with a layout part named prefix + i."""
+    tails = [name[len(prefix):] for name in M.layout if name.startswith(prefix)]
+    found = [int(t) for t in tails if t.isascii() and t.isdigit()]
+    if not found:
+        raise MatroidError(f"{M.label or 'matroid'} has no layout parts "
+                           f"{prefix}1, {prefix}2, ...; its parts are {sorted(M.layout)}")
+    return max(found)
+
+
 def canonical_family(M: Matroid, kind: str, transversal_mask: int | None = None) -> Family:
     """The paper families: the part tuple (V_1..V_r) of a Kinser matroid, or
     the four-part partition attached to a spike circuit-hyperplane Z."""
     if M.layout is None:
         raise MatroidError(f"{M.label or 'matroid'} carries no layout")
     if kind == "kinser":
-        r = max(int(name[1:]) for name in M.layout if name.startswith("V"))
+        r = _last_index(M, "V")
         return Family(r, tuple(M.part(f"V{i}") for i in range(1, r + 1)))
     if kind == "spike":
         if transversal_mask is None:
             raise MatroidError("spike family needs the transversal mask Z")
         Z = M.check_mask(transversal_mask)
-        legs = max(int(name[1:]) for name in M.layout if name.startswith("a"))
+        legs = _last_index(M, "a")
         A, B = M.part("A"), M.part("B")
         x1, x2 = Z & A, Z & B
         if x1 == 0 or x2 == 0:
@@ -682,10 +691,11 @@ def _distances(L: np.ndarray, rows, hops: int) -> list[np.ndarray]:
     return out
 
 
-def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
-                        ) -> tuple[int, ...] | None:
-    """Scan inequality n >= 5 over the X1 rows ``x1s`` (ascending) by its
-    chain form (module docstring, "Chain form"), lex order, first hit wins.
+def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray,
+                        x2s: np.ndarray | None = None) -> tuple[int, ...] | None:
+    """Scan inequality n >= 5 over the X1 rows ``x1s`` and the X2 columns
+    ``x2s`` (both ascending; default every column) by its chain form
+    (module docstring, "Chain form"), lex order, first hit wins.
 
     ``tables`` is ``_search_tables(table, masks, False)[0]``: the pair
     ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
@@ -699,8 +709,7 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
     Ranks are at most 24, so every int8 sum below stays within [-48, 48].
 
     C1 takes len(x1s) F^2 bytes: Z6 3.5 MB, Z7 42 MB, and 144 MB for
-    Kin(5)^-, the largest input whose n = 5 search ends in minutes.  Split
-    over X1 rows (width > 1), each part recomputes every X2's distances.
+    Kin(5)^-, the largest input whose n = 5 search ends in minutes.
 
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
@@ -721,7 +730,7 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
         return PR[j] + PR - r - RU[:, j][UF]
 
     best = None                    # (position in x1s, X2)
-    for j in range(F):
+    for j in range(F) if x2s is None else map(int, x2s):
         cand = len(x1s) if best is None else best[0]
         if cand == 0:
             break
@@ -760,7 +769,7 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray
 
 def _x2_rows(F: int, symmetric: bool) -> np.ndarray:
     """F - s(i1) for each X1 row i1 < F: the row weight over |P| (``Verdict``).
-    The tuple count, the chunk cuts and the ORBIT_SCAN_MIN test all read it."""
+    The tuple count and the ORBIT_SCAN_MIN test read it."""
     return F - np.arange(F) if symmetric else np.full(F, F)
 
 
@@ -778,22 +787,14 @@ def _tuples_examined(tables: tuple[np.ndarray, ...], x2: np.ndarray, rows: np.nd
     return before * len(P) + int(np.searchsorted(P, i3 * len(x2) + i_last)) + 1
 
 
-def _balanced_chunks(rows: np.ndarray, weights: np.ndarray, width: int) -> list[np.ndarray]:
-    """Split the ascending X1 ``rows`` into at most ``width`` contiguous runs
-    of about equal summed ``weights`` (one per row): cuts go where the
-    cumulative weight crosses each multiple of total / width."""
-    before = np.concatenate(([0], np.cumsum(weights)))
-    cuts = np.searchsorted(before, before[-1] * np.arange(1, width) / width)
-    bounds = [0, *(int(c) for c in cuts), len(rows)]
-    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
 def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     """Decide membership in Kinser class n over the configured space; a
     certificate holds the lex-least violator, with pruning on or off."""
     cfg = cfg or SearchConfig()
     if n < 4:
         raise MatroidError(f"inequality index must be >= 4, got {n}")
+    if not isinstance(cfg.parallel_width, int) or cfg.parallel_width < 1:
+        raise MatroidError(f"parallel width must be an int >= 1, got {cfg.parallel_width!r}")
     masks = _space_masks(M, cfg)
     F = len(masks)
     pruning = cfg.symmetry_pruning
@@ -804,18 +805,20 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
         gens, reads = _automorphisms(M.table, masks)
         rows = _orbit_least(F, [pi for _, pi in gens])
         queries += reads
-    width = max(1, min(cfg.parallel_width, os.cpu_count() or 1))
-    chunks = [rows] if F < 2 * width else _balanced_chunks(rows, x2[rows], width)
-    kernel = (partial(_search_n4_chunk, tables, pruning=pruning) if n == 4
-              else partial(_search_chain_chunk, tables, n))
-    if len(chunks) == 1:
-        hits = [kernel(chunks[0])]
+    # X1 rows at n = 4, X2 columns at n >= 5, dealt out round-robin; each
+    # chunk returns its own lex-least hit, so the least of those is the lex-first
+    if n == 4:
+        split, kernel = rows, partial(_search_n4_chunk, tables, pruning=pruning)
+    else:
+        split, kernel = np.arange(F), partial(_search_chain_chunk, tables, n, rows)
+    width = min(cfg.parallel_width, os.cpu_count() or 1, len(split))
+    if width == 1:
+        hits = [kernel(split)]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=width) as pool:
-            hits = list(pool.map(kernel, chunks))
-    # chunks run in i1 order, so the first hit is the lex-first violator
-    best = next((hit for hit in hits if hit is not None), None)
+            hits = list(pool.map(kernel, [split[i::width] for i in range(width)]))
+    best = min((hit for hit in hits if hit is not None), default=None)
     tuples = _tuples_examined(tables, x2, rows, best)
     stats = {"space_size": F, "pairs": len(tables[1]) if n == 4 else None, "x1_rows": len(rows)}
     if best is None:

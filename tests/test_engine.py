@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine
-from kinser.engine import (_automorphisms, _balanced_chunks, _mask_permutation, _n4_d1,
-                           _orbit_least, _search_chain_chunk, _search_n4_chunk,
-                           _search_tables, _tuples_examined, _x2_rows)
+from kinser.engine import (_automorphisms, _mask_permutation, _n4_d1, _orbit_least,
+                           _search_chain_chunk, _search_n4_chunk, _search_tables,
+                           _tuples_examined, _x2_rows)
 
 from oracles import (brute_force_automorphisms, conditional_information, definition_closure,
                      definition_flats, ingleton_sides, ingleton_value, kinser_sides,
@@ -164,6 +164,15 @@ class TestCanonicalFamilies:
         with pytest.raises(K.MatroidError):
             K.canonical_family(u24, "kinser")
 
+    @pytest.mark.parametrize("kind,args,missing", [("kinser", (), "V1"),
+                                                   ("spike", (0b11,), "a1")])
+    def test_layout_without_the_family_parts_refused(self, u24, kind, args, missing):
+        # "Vx" is no V part and there is no "a" leg: int("x") and max() of
+        # nothing would raise bare ValueErrors
+        M = K.Matroid(4, u24.table, layout={"Vx": 1, "A": 2})
+        with pytest.raises(K.MatroidError, match=f"no layout parts {missing}, "):
+            K.canonical_family(M, kind, *args)
+
 
 def search_masks(M, space):
     if space == "flats":
@@ -205,6 +214,11 @@ class TestSearch:
         c = K.membership(vamos, 4, K.SearchConfig(symmetry_pruning=False)).certificate
         d = K.membership(vamos, 4, K.SearchConfig(parallel_width=2)).certificate
         assert a == b == c == d
+
+    @pytest.mark.parametrize("width", [0, -1, 2.0, "2", None])
+    def test_parallel_width_must_be_a_positive_int(self, width, vamos):
+        with pytest.raises(K.MatroidError, match="parallel width must be an int >= 1"):
+            K.membership(vamos, 4, K.SearchConfig(parallel_width=width))
 
     @pytest.mark.parametrize("width", [2, 64])
     def test_parallel_width_capped_by_cpu_count(self, width, vamos, monkeypatch):
@@ -309,28 +323,6 @@ class TestSearch:
             assert off.rank_queries == 16 + 256 + 8 * 86 + 16 * 16
             n5 = K.membership(fano, 5, K.SearchConfig(parallel_width=width))
             assert n5.rank_queries == 16 + 256 + 8 * 86 + 16 * 16 + 16
-
-    def test_parallel_chunks_balanced_by_tuples(self, fano_sum):
-        # with pruning i2 >= i1, so equal i1 ranges would give the first of
-        # two chunks three quarters of the F7 (+) F7^- scan
-        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
-        F = len(masks)
-        chunks = _balanced_chunks(np.arange(F), _x2_rows(F, True), 2)
-        assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), np.arange(F))
-        tuples = [n4_chunk(fano_sum.table, masks, True, rows)[1] for rows in chunks]
-        assert max(tuples) < 0.51 * sum(tuples)
-
-    def test_parallel_chunks_balanced_over_orbit_rows(self, fano_sum):
-        # the orbit-least rows of F7 (+) F7^- bunch at low i1, so cuts that
-        # weigh every row would hand the first of two chunks 77% of the scan
-        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
-        F = len(masks)
-        rows = _orbit_least(F, [pi for _, pi in _automorphisms(fano_sum.table, masks)[0]])
-        chunks = _balanced_chunks(rows, _x2_rows(F, True)[rows], 2)
-        assert len(chunks) == 2 and np.array_equal(np.concatenate(chunks), rows)
-        tuples = [n4_chunk(fano_sum.table, masks, True, x1s)[1] for x1s in chunks]
-        assert sum(tuples) == n4_chunk(fano_sum.table, masks, True, rows)[1]
-        assert max(tuples) < 0.55 * sum(tuples)
 
     def test_orbit_rows_at_n5(self, fano):
         # F7 has 16 flats in 4 orbits: 4 X1 rows of 16^3 (X2, X3, X5) each
@@ -623,6 +615,97 @@ class TestOverLimitPath:
         assert K.membership(M, n, cfg) == in_memory
 
 
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Four CPUs and, for ProcessPoolExecutor, a pool that runs every chunk
+    in this process; the list it returns gets (kernel, chunks) per map."""
+    calls = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, kernel, chunks):
+            chunks = list(chunks)
+            assert len(chunks) <= self.max_workers
+            calls.append((kernel, chunks))
+            return map(kernel, chunks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return calls
+
+
+class TestWorkSplit:
+    """``membership`` deals the kernel's outer index out round-robin: X1
+    rows at n = 4, X2 columns at n >= 5."""
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["all-rows", "orbit-rows"])
+    def test_n4_chunks_interleave_x1_rows(self, fano_sum, pool_calls, monkeypatch, orbits):
+        # with pruning X2 starts at i1, so the row weights fall with i1 and
+        # the orbit-least rows bunch at low i1; equal i1 ranges would hand
+        # the first of two chunks three quarters of the scan
+        masks = np.array(fano_sum.enumerate("flats"), dtype=np.int64)
+        F = len(masks)
+        rows = np.arange(F)
+        if orbits:
+            rows = _orbit_least(F, [pi for _, pi in _automorphisms(fano_sum.table, masks)[0]])
+        monkeypatch.setattr(engine, "ORBIT_SCAN_MIN", 0 if orbits else 1 << 62)
+        verdict = K.membership(fano_sum, 4, K.SearchConfig(parallel_width=2))
+        [(kernel, chunks)] = pool_calls
+        assert kernel.func is _search_n4_chunk
+        assert [c.tolist() for c in chunks] == [rows[0::2].tolist(), rows[1::2].tolist()]
+        tuples = [n4_chunk(fano_sum.table, masks, True, x1s)[1] for x1s in chunks]
+        assert verdict.in_class and sum(tuples) == verdict.tuples_examined
+        assert max(tuples) < (0.55 if orbits else 0.51) * sum(tuples)
+        assert verdict == K.membership(fano_sum, 4) and len(pool_calls) == 1
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("pruning", [True, False])
+    @pytest.mark.parametrize("maker", [lambda: K.kinser_relaxed(4), lambda: K.fano_pair()[1]],
+                             ids=["Vamos", "F7-"])
+    def test_chain_chunks_deal_x2_columns(self, maker, pruning, n, pool_calls):
+        M = maker()
+        masks = np.array(M.enumerate("flats"), dtype=np.int64)
+        F = len(masks)
+        rows = np.arange(F)
+        if pruning:
+            rows = _orbit_least(F, [pi for _, pi in _automorphisms(M.table, masks)[0]])
+        for width in (2, 3):
+            cfg = K.SearchConfig(symmetry_pruning=pruning, parallel_width=width)
+            verdict = K.membership(M, n, cfg)
+            kernel, chunks = pool_calls[-1]
+            # every chunk scans every X1 row, over its own X2 columns
+            assert kernel.func is _search_chain_chunk
+            assert kernel.args[1] == n and kernel.args[2].tolist() == rows.tolist()
+            assert [c.tolist() for c in chunks] == [list(range(i, F, width))
+                                                    for i in range(width)]
+            assert verdict == K.membership(M, n, K.SearchConfig(symmetry_pruning=pruning))
+        assert len(pool_calls) == 2
+
+
+# every verdict field at widths 1, 2 and 3 (four CPUs, chunks in process)
+WIDTH_CASES = ([(f"{name}-n4", M, 4, True) for name, M in GATE_CASES]
+               + [(f"{name}-n{n}-{'on' if p else 'off'}", M, n, p) for n in (5, 6)
+                  for name, M in N5_GATE_CASES for p in (True, False)])
+
+
+@pytest.mark.parametrize("M,n,pruning", [c[1:] for c in WIDTH_CASES],
+                         ids=[c[0] for c in WIDTH_CASES])
+def test_verdict_equal_at_every_width(M, n, pruning, pool_calls):
+    verdicts = [K.membership(M, n, K.SearchConfig(symmetry_pruning=pruning,
+                                                  parallel_width=width))
+                for width in (1, 2, 3)]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert [len(chunks) for _, chunks in pool_calls] == [2, 3]
+
+
 def test_z6_in_class_without_a_stored_gp(z6):
     # Z6 is binary, so it satisfies every Kinser inequality; the scan holds
     # the GP rows of one run of live pairs at a time, never F x |P| entries
@@ -747,10 +830,28 @@ def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     tables = _search_tables(M.table, np.array(masks, dtype=np.int64), False)[0]
     got = _search_chain_chunk(tables, n, rows)
     assert got == tup
+    # X2 columns dealt out round-robin: the least of the chunks' hits
+    width = data.draw(st.integers(2, 3))
+    hits = [_search_chain_chunk(tables, n, rows, np.arange(i, F, width)) for i in range(width)]
+    assert min((hit for hit in hits if hit is not None), default=None) == tup
     tuples = _tuples_examined(tables, _x2_rows(F, False), rows, got)
     # (X1, X2, X3, Xn) quadruples over the scanned rows, up to and including the hit
     i1, i2, i3, i_n = (F, 0, 0, -1) if tup is None else (*tup[:3], tup[-1])
     assert tuples == int((rows < i1).sum()) * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_chain_chunk_rebuild_on_settled_distances(data):
+    # over at most 4 masks the distances settle within 3 hops, fewer than
+    # the n - 4 = 4 hops left after X4 at n = 8, so every slot of the
+    # rebuild reads the settled distances G[len(hops)]
+    M, family = data.draw(st.sampled_from([c for c in MASK_LIST_MATROIDS if c[1]]))
+    masks = data.draw(st.permutations(family))
+    tup, _ = brute_force_lex_first(M, 8, masks)
+    assert tup is not None  # the family with its last set repeated violates
+    tables = _search_tables(M.table, np.array(masks, dtype=np.int64), False)[0]
+    assert _search_chain_chunk(tables, 8, np.arange(len(masks))) == tup
 
 
 @st.composite

@@ -373,6 +373,17 @@ class TestCli:
         assert "lhs 16" in out and "rhs 15" in out and "satisfied false" in out
         assert sum(1 for ln in out.splitlines() if ln.startswith("term ")) == 10
 
+    def test_eval_family_starting_with_dash_needs_equals(self, tmp_path, capsys):
+        # argparse reads a separate '-;...' value as an option
+        mfile = tmp_path / "v.mtr"
+        main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
+        capsys.readouterr()
+        assert main(["eval", "-n", "4", "-i", str(mfile), "--family", "-;@V2;@V3;@V4"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["eval", "-n", "4", "-i", str(mfile), "--family=-;@V2;@V3;@V4"]) == 0
+        out = capsys.readouterr().out
+        assert "satisfied true" in out and "term lhs pair X1+X2 rank=2 set=2,3" in out
+
     def test_transform_pipeline(self, tmp_path):
         a = tmp_path / "kin4.mtr"
         b = tmp_path / "vamos.mtr"
@@ -546,19 +557,23 @@ class TestCli:
         assert f"rank value {value} outside [0, 4]" in capsys.readouterr().err
 
     def test_byte_determinism_including_parallel(self, tmp_path, capsys):
+        # the n = 4 chunks are X1 rows, the n >= 5 chunks X2 columns
         mfile = tmp_path / "v.mtr"
         main(["build", "kinser-relaxed", "--r", "4", "-o", str(mfile)])
         capsys.readouterr()
-        outs, certs = [], []
-        for args in (["check", "-n", "4", "-i", str(mfile)],
-                     ["check", "-n", "4", "-i", str(mfile)],
-                     ["check", "-n", "4", "-i", str(mfile), "--parallel", "2"]):
-            cfile = tmp_path / f"c{len(outs)}.cert"
-            main(args + ["-o", str(cfile)])
-            outs.append(capsys.readouterr().out)
-            certs.append(cfile.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
-        assert certs[0] == certs[1] == certs[2]
+        for n in ("4", "5", "1000"):
+            outs, certs = [], []
+            for args in (["check", "-n", n, "-i", str(mfile)],
+                         ["check", "-n", n, "-i", str(mfile)],
+                         ["check", "-n", n, "-i", str(mfile), "--parallel", "2"]):
+                cfile = tmp_path / f"n{n}-c{len(outs)}.cert"
+                assert main(args + ["-o", str(cfile)]) == 1
+                outs.append(capsys.readouterr().out)
+                certs.append(cfile.read_bytes())
+            assert outs[0] == outs[1] == outs[2]
+            assert certs[0] == certs[1] == certs[2]
+            cert = K.parse_certificate(certs[0].decode(), VAMOS)
+            assert cert.family.n == int(n) and cert.lhs > cert.rhs
 
     def test_check_all_subsets_space(self, tmp_path):
         mfile = tmp_path / "u.mtr"
