@@ -5,6 +5,11 @@ input or usage.  Every subcommand that reads a matroid file validates it
 on load (the exhaustive rank-axiom check), so a file that is not a
 matroid exits 2.  All stdout output is deterministic for fixed inputs and
 flags; progress and statistics go to stderr.
+
+Each ``main`` call builds its parser afresh from the ``COMMANDS`` table,
+with only the invoked subcommand's subparser: a census runs many small
+``kinser check`` processes, and the other four subparsers would add about
+1 ms to each (``build_parser``).
 """
 
 from __future__ import annotations
@@ -153,69 +158,90 @@ def integer(text: str) -> int:
     return parse_int(text, "integer")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, add_argument specs as (flags, options)), in the
+# order ``kinser -h`` lists them
+COMMANDS = {
+    "build": ("construct a catalog matroid", _build, [
+        (("name",), dict(choices=BUILDERS)),
+        (("--k",), dict(type=integer, default=0, help="uniform rank")),
+        (("--m",), dict(type=integer, default=1, help="uniform ground size")),
+        (("--r",), dict(type=integer, default=4, help="kinser/spike rank")),
+        (("--also-relax",), dict(type=integer, default=None,
+                                 help="second relaxed part index for kinser-relaxed")),
+        (("--group",), dict(default="z2", help="zN: the cyclic group of order N")),
+        (("--n",), dict(type=integer, default=3, help="dowling vertex count")),
+        (("-o", "--output"), dict(default=None)),
+    ]),
+    "transform": ("apply a matroid operation", _transform, [
+        (("op",), dict(choices=("dual", "delete", "contract", "minor", "relax",
+                                "tighten", "truncate", "direct-sum"))),
+        (("-i", "--input"), dict(required=True)),
+        (("-o", "--output"), dict(default=None)),
+        (("--element",), dict(type=integer, default=0)),
+        (("--set",), dict(default="-", help="subset: elements or @Part+Part")),
+        (("--delete",), dict(default="-", help="minor deletion set")),
+        (("--contract",), dict(default="-", help="minor contraction set")),
+        (("--with",), dict(dest="second", default=None, help="second operand file")),
+    ]),
+    "eval": ("evaluate inequality n for a family", _eval, [
+        (("-n",), dict(type=integer, required=True)),
+        (("--family",), dict(required=True,
+                             help="semicolon-separated sets, e.g. '0,1;2,3;@V3;-'; a "
+                                  "value that starts with '-' needs the '=' form, "
+                                  "--family=-;1;2;3")),
+        (("-i", "--input"), dict(required=True)),
+    ]),
+    "check": ("decide Kinser class membership", _check, [
+        (("-n",), dict(type=integer, required=True)),
+        (("-i", "--input"), dict(required=True)),
+        (("--dual",), dict(action="store_true", help="check the dual matroid")),
+        (("--space",), dict(choices=("flats", "all"), default="flats")),
+        (("--no-prune",), dict(action="store_true",
+                               help="scan every X1 row: disable the automorphism-orbit "
+                                    "rule on X1 and, at n=4, the slot-symmetry and "
+                                    "common-information rules")),
+        (("--parallel",), dict(type=integer, default=1,
+                               help="worker processes, at most the CPU count; the "
+                                    "verdict and every counter are the same at any "
+                                    "width")),
+        (("-o", "--output"), dict(default=None, help="certificate file")),
+    ]),
+    "enumerate": ("list flats, circuits, bases, ...", _enumerate, [
+        (("--kind",), dict(choices=ENUM_KINDS, required=True)),
+        (("-i", "--input"), dict(required=True)),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only ``command``'s.
+
+    argparse spends 0.1-0.3 ms on each subparser, most of it checking each
+    option's help format: the full parser takes 0.7-1.5 ms to build and one
+    with a single subparser 0.2-0.5 ms, on a 2-core x86 host.  ``main``
+    therefore builds only the subparser it will run.
+    The usage line names all five subcommands either way, so every usage
+    error reads the same; ``-h``, no subcommand and an unknown one get the
+    full parser, whose help and "invalid choice" error list them all.
+    """
     ap = argparse.ArgumentParser(prog="kinser",
                                  description="Exact matroid computations and "
                                              "Kinser inequality checking")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="construct a catalog matroid")
-    b.add_argument("name", choices=BUILDERS)
-    b.add_argument("--k", type=integer, default=0, help="uniform rank")
-    b.add_argument("--m", type=integer, default=1, help="uniform ground size")
-    b.add_argument("--r", type=integer, default=4, help="kinser/spike rank")
-    b.add_argument("--also-relax", type=integer, default=None,
-                   help="second relaxed part index for kinser-relaxed")
-    b.add_argument("--group", default="z2", help="zN: the cyclic group of order N")
-    b.add_argument("--n", type=integer, default=3, help="dowling vertex count")
-    b.add_argument("-o", "--output", default=None)
-    b.set_defaults(func=_build)
-
-    t = sub.add_parser("transform", help="apply a matroid operation")
-    t.add_argument("op", choices=("dual", "delete", "contract", "minor", "relax",
-                                  "tighten", "truncate", "direct-sum"))
-    t.add_argument("-i", "--input", required=True)
-    t.add_argument("-o", "--output", default=None)
-    t.add_argument("--element", type=integer, default=0)
-    t.add_argument("--set", default="-", help="subset: elements or @Part+Part")
-    t.add_argument("--delete", default="-", help="minor deletion set")
-    t.add_argument("--contract", default="-", help="minor contraction set")
-    t.add_argument("--with", dest="second", default=None, help="second operand file")
-    t.set_defaults(func=_transform)
-
-    e = sub.add_parser("eval", help="evaluate inequality n for a family")
-    e.add_argument("-n", type=integer, required=True)
-    e.add_argument("--family", required=True,
-                   help="semicolon-separated sets, e.g. '0,1;2,3;@V3;-'; a value "
-                        "that starts with '-' needs the '=' form, --family=-;1;2;3")
-    e.add_argument("-i", "--input", required=True)
-    e.set_defaults(func=_eval)
-
-    c = sub.add_parser("check", help="decide Kinser class membership")
-    c.add_argument("-n", type=integer, required=True)
-    c.add_argument("-i", "--input", required=True)
-    c.add_argument("--dual", action="store_true", help="check the dual matroid")
-    c.add_argument("--space", choices=("flats", "all"), default="flats")
-    c.add_argument("--no-prune", action="store_true",
-                   help="scan every X1 row: disable the automorphism-orbit rule "
-                        "on X1 and, at n=4, the slot-symmetry and "
-                        "common-information rules")
-    c.add_argument("--parallel", type=integer, default=1,
-                   help="worker processes, at most the CPU count; the verdict "
-                        "and every counter are the same at any width")
-    c.add_argument("-o", "--output", default=None, help="certificate file")
-    c.set_defaults(func=_check)
-
-    en = sub.add_parser("enumerate", help="list flats, circuits, bases, ...")
-    en.add_argument("--kind", choices=ENUM_KINDS, required=True)
-    en.add_argument("-i", "--input", required=True)
-    en.set_defaults(func=_enumerate)
-
+    # with one subparser the default metavar would list only its name
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_, func, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

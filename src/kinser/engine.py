@@ -226,7 +226,8 @@ class Verdict:
 
     ``tuples_examined`` counts (X1, X2, X3, X_last) candidates in lex order,
     at any width.  P is the (X3, X_last) pair list: at n = 4 with pruning
-    the non-modular pairs with i3 <= i4, else all F^2 pairs.  X2 starts at
+    the non-modular pairs with i3 <= i4, else all F^2 pairs; at n >= 5
+    |P| = F^2 and P is not stored.  X2 starts at
     s(i1) = i1 under the n = 4 slot symmetry, else at 0, so a scanned X1
     row i1 weighs (F - s(i1)) |P|.  In class the count is the summed weight
     of the scanned rows; for a violator (i1, i2, i3, ..., i_last) it is the
@@ -461,8 +462,8 @@ def _space_masks(M: Matroid, cfg: SearchConfig) -> np.ndarray:
     raise MatroidError(f"unknown search space {cfg.space!r}")
 
 
-def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
-                   ) -> tuple[tuple[np.ndarray, ...], int]:
+def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool,
+                   pair_list: bool = True) -> tuple[tuple[np.ndarray, ...], int]:
     """The rank tables both scans read, and the rank reads they took.
 
     Returns (PR, P, C34, RU, U_of): the pair ranks PR[i][j] = r(Xi u Xj),
@@ -473,7 +474,9 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
     with U the distinct closures cl(X3 u X4) of the pairs, U_of[p] is the
     index in U of pair p's closure and RU[u][j] = r(U_u u Xj).  ``masks``
     need not be closed under closure.  The n = 4 scan computes the GP rows
-    it needs from RU and PR (``_n4_gp``); no GP array is kept.
+    it needs from RU and PR (``_n4_gp``); no GP array is kept.  Without
+    pruning P is np.arange(F * F), 8 F^2 bytes, which only the n = 4 scan
+    reads: with ``pair_list`` false it is None.
 
     PR, C34, P and the unions X3 u X4 are built in blocks of rows of at
     most SCAN_BLOCK entries (row-major, so P stays in lex order), RU in
@@ -509,7 +512,7 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool
         c34.append(c.ravel())
         unions.append(u.ravel())
         seen[u] = True
-    P = np.concatenate(kept) if pruning else np.arange(F * F)
+    P = np.concatenate(kept) if pruning else np.arange(F * F) if pair_list else None
     c34 = np.concatenate(c34)
     # label[x] = index in U of cl(x) for each distinct union x
     label = np.empty(1 << m, dtype=np.int64)
@@ -697,8 +700,8 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray,
     ``x2s`` (both ascending; default every column) by its chain form
     (module docstring, "Chain form"), lex order, first hit wins.
 
-    ``tables`` is ``_search_tables(table, masks, False)[0]``: the pair
-    ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
+    ``tables`` is ``_search_tables(table, masks, False, False)[0]``: the
+    pair ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
     come the triple ranks and C1[k][a][b] = I(Xa;Xb|X1) for X1 = x1s[k].
     Per X2, only the rows X3 with I(X2;X3) above the least I(X1;X2) of the
     X1 rows still to test get distances D = dist_{n-3}(X3, .).  With
@@ -777,14 +780,17 @@ def _tuples_examined(tables: tuple[np.ndarray, ...], x2: np.ndarray, rows: np.nd
                      hit: tuple[int, ...] | None) -> int:
     """``Verdict.tuples_examined`` of a scan of the X1 ``rows`` that found
     ``hit`` (None in class), ``x2`` from ``_x2_rows``, in Python ints.  P is
-    lex-sorted, so the hit's pair is found by binary search."""
-    P = tables[1]
+    lex-sorted, so the hit's pair is found by binary search; a P of None
+    lists all F^2 pairs, and the pair (i3, i_last) is at i3 F + i_last."""
+    P, F = tables[1], len(x2)
+    pairs = F * F if P is None else len(P)
     if hit is None:
-        return int(x2[rows].sum()) * len(P)
+        return int(x2[rows].sum()) * pairs
     i1, i2, i3, *_, i_last = hit
+    at = i3 * F + i_last
     # the rows below i1, then X2 from s(i1) = F - x2[i1] up to i2
-    before = int(x2[rows[:np.searchsorted(rows, i1)]].sum()) + i2 - len(x2) + int(x2[i1])
-    return before * len(P) + int(np.searchsorted(P, i3 * len(x2) + i_last)) + 1
+    before = int(x2[rows[:np.searchsorted(rows, i1)]].sum()) + i2 - F + int(x2[i1])
+    return before * pairs + (at if P is None else int(np.searchsorted(P, at))) + 1
 
 
 def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
@@ -798,7 +804,7 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     masks = _space_masks(M, cfg)
     F = len(masks)
     pruning = cfg.symmetry_pruning
-    tables, queries = _search_tables(M.table, masks, n == 4 and pruning)
+    tables, queries = _search_tables(M.table, masks, n == 4 and pruning, n == 4)
     x2 = _x2_rows(F, n == 4 and pruning)
     rows = np.arange(F)
     if pruning and (n > 4 or _tuples_examined(tables, x2, rows, None) >= ORBIT_SCAN_MIN):

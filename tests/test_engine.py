@@ -757,16 +757,21 @@ def test_search_tables_hold_no_f_by_f_int64_array():
 
 
 def test_unpruned_search_tables_store_each_pair_once():
-    # With pruning off (the n >= 5 tables) every one of Z7's F^2 = 3.2M
-    # pairs is listed.  The pair list holds one flat index i3 F + i4 per
-    # pair and U_of one closure label; no other returned array is F^2 int64
+    # With pruning off every one of Z7's F^2 = 3.2M pairs is listed.  The
+    # pair list holds one flat index i3 F + i4 per pair and U_of one closure
+    # label; no other returned array is F^2 int64.  The n >= 5 tables leave
+    # the pair list out and are otherwise the same
     M = K.binary_spike(7)
     masks = np.array(M.enumerate("flats"), dtype=np.int64)
-    tables = _search_tables(M.table, masks, False)[0]
+    tables, queries = _search_tables(M.table, masks, False)
     F = len(masks)
     wide = [t for t in tables if t.size == F * F and t.itemsize == 8]
     assert F == 1795 and len(wide) <= 2
     assert np.array_equal(tables[1], np.arange(F * F))
+    chain, chain_queries = _search_tables(M.table, masks, False, False)
+    assert chain[1] is None and chain_queries == queries
+    assert all(np.array_equal(a, b) for a, b in zip(chain, tables) if a is not None)
+    assert [i for i, t in enumerate(chain) if t is not None and t.itemsize == 8] == [4]
 
 
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a

@@ -1,5 +1,6 @@
 """Text formats (round trips, self-verifying certificates) and the CLI."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser import engine, fileio
-from kinser.cli import main
+from kinser.cli import COMMANDS, build_parser, main
 from kinser.engine import BadFamilyCertificate
 
 from oracles import literal_rank_tokens
@@ -682,6 +683,77 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: bad element list {token.strip()!r}\n"
+
+
+
+def run_captured(parse, argv):
+    """Exit code, stdout and stderr of ``parse(argv)``; a SystemExit gives
+    the code ``main`` maps it to."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+# per subcommand: a required argument missing, an invalid choice (an
+# invalid integer for eval, which has no choices), and an extra argument
+# after a complete command line, which the top-level parser refuses
+USAGE_ERRORS = {
+    "build": [["build"], ["build", "bogus"], ["build", "fano", "extra"]],
+    "transform": [["transform", "dual"], ["transform", "bogus", "-i", "x"],
+                  ["transform", "dual", "-i", "x", "extra"]],
+    "eval": [["eval", "-n", "4", "-i", "x"], ["eval", "-n", "four", "-i", "x", "--family", "0"],
+             ["eval", "-n", "4", "-i", "x", "--family", "0", "extra"]],
+    "check": [["check", "-i", "x"], ["check", "-n", "4", "-i", "x", "--space", "bogus"],
+              ["check", "-n", "4", "-i", "x", "extra"]],
+    "enumerate": [["enumerate", "-i", "x"], ["enumerate", "--kind", "bogus", "-i", "x"],
+                  ["enumerate", "--kind", "flats", "-i", "x", "extra"]],
+}
+
+
+class TestParserEquivalence:
+    """``main`` builds only the invoked subcommand's parser; its help and
+    usage errors are byte-equal to those of the parser with all five."""
+
+    def test_every_subcommand_covered(self):
+        assert list(USAGE_ERRORS) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_and_usage_errors_match_full_parser(self, command):
+        full = build_parser().parse_args
+        for argv in [[command, "-h"], *USAGE_ERRORS[command]]:
+            got = run_captured(main, argv)
+            assert got == run_captured(full, argv), argv
+            assert got[0] == (0 if argv[-1] == "-h" else 2), argv
+        assert run_captured(main, [command, "-h"])[1].startswith(f"usage: kinser {command} ")
+
+    def test_top_level_help_lists_every_subcommand(self):
+        code, out, err = run_captured(main, ["-h"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: kinser [-h] {build,transform,eval,check,enumerate} ...\n")
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert f"    {name}" in out and help_text in out
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["-x"]])
+    def test_unknown_or_missing_subcommand(self, argv):
+        code, out, err = run_captured(main, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: kinser [-h] {build,transform,eval,check,enumerate} ...\n")
+        if argv == ["bogus"]:
+            assert "argument command: invalid choice: 'bogus'" in err
+
+    def test_main_builds_one_subparser(self, tmp_path, capsys):
+        # the top-level parser and the check subparser, not all five
+        mfile = tmp_path / "fano.mtr"
+        mfile.write_text(K.write_matroid(K.fano_pair()[0]))
+        with mock.patch("argparse.ArgumentParser.__init__", autospec=True,
+                        side_effect=argparse.ArgumentParser.__init__) as init:
+            assert main(["check", "-n", "4", "-i", str(mfile)]) == 0
+        assert init.call_count == 2
+        assert "in-class n=4" in capsys.readouterr().out
 
 
 # -- property and fuzz tests of the parsers --------------------------------------

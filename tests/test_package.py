@@ -61,3 +61,38 @@ def test_cli_import_starts_no_process_pool_machinery():
             "             ('concurrent', 'multiprocessing', 'networkx', 'sympy')))\n")
     assert fresh_output(code) == "[]\n"
 
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built inside ``main``, so importing the CLI (and so
+    # every interpreter's start-up) pays for no argparse set-up
+    code = ("import argparse\n"
+            "made = []\n"
+            "class Counted(argparse.ArgumentParser):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        made.append(self)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "argparse.ArgumentParser = Counted\n"
+            "import kinser.cli\n"
+            "print(len(made))\n")
+    assert fresh_output(code) == "0\n"
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    # ``python -m kinser.cli`` and the ``kinser`` console script call
+    # ``main()`` with no arguments, so it reads sys.argv
+    src = str(Path(K.__file__).resolve().parents[1])
+    fano = tmp_path / "fano.mtr"
+    fano.write_text(K.write_matroid(K.fano_pair()[0]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kinser.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+
+    helped = run("check", "-h")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: kinser check ")
+    checked = run("check", "-n", "4", "-i", str(fano))
+    assert checked.returncode == 0 and checked.stdout == "in-class n=4 matroid=F7\n"
+    missing = run("check", "-i", str(fano))
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert "the following arguments are required: -n" in missing.stderr
