@@ -126,20 +126,21 @@ Xi with cost so far + L[X_{i-1}][Xi] + dist_{n-i}(Xi, Xn) below the
 budget I(X2;X3) - I(X1;X2) - I(X3;Xn|X1) for some Xn (dist_0 is 0 at
 Xn = Xi and infinite elsewhere).  Each test says exactly whether a
 completion exists, so no rule on reversing (X3, ..., Xn) is needed.  Every
-triple rank r(Xx u Xa u Xb) is r(Xx u cl(Xa u Xb)) (see "Closure"), read
-off one closure row per distinct cl(Xa u Xb).
+triple rank r(Xx u Xa u Xb) is the pair rank of Xx and cl(Xa u Xb) (see
+"Closure").
 
-Closure (n = 4 scan):  r(A u B) = r(A u cl B) for any sets, since
+Closure (every n):  r(A u B) = r(A u cl B) for any sets, since
 A u B <= A u cl B <= cl(A u B) and rank is monotone with r(cl S) = r(S).
-So r(Xj u X3 u X4) = r(Xj u U) with U = cl(X3 u X4), and the n = 4 term
+Both search spaces hold cl(X u Y) for each pair of their members (the
+flats every closure, all subsets every set), so r(Xj u X3 u X4) is the
+pair rank of Xj and the member X_J[p] = cl(X3 u X4), and the n = 4 term
 
-    GP[p][j] = RU[U_of[p]][j] - PR[i3][j] - PR[i4][j],  P[p] = i3 F + i4,
+    GP[p][j] = PR[J[p]][j] - PR[i3][j] - PR[i4][j],  P[p] = i3 F + i4,
 
-is read off the pair ranks PR[i][j] = r(Xi u Xj) and one rank row
-RU[u][j] = r(U_u u Xj) per distinct closure, without touching the 2^m
-table per entry.  GP is never stored: the scan computes the rows of one
-run of live pairs (X3, X4) at a time, one column per X2, by contiguous
-row gathers, and reduces over those pairs for each X2 column.
+is read off the pair ranks PR[i][j] = r(Xi u Xj) alone.  GP is never
+stored: the scan computes the rows of one run of live pairs (X3, X4) at a
+time, one column per X2, by contiguous row gathers, and reduces over
+those pairs for each X2 column.
 """
 
 from __future__ import annotations
@@ -163,6 +164,16 @@ ORBIT_SCAN_MIN = 1 << 24
 SCAN_BLOCK = 1 << 18        # entries per block (search tables, n=4 scan, n>=5 min-plus and X1 tests)
 
 
+def _inequality_index(n) -> int:
+    """n as a Python int by its ``__index__``, as operator.index takes it
+    (numpy ints pass, floats and strings do not), refused below 4."""
+    if not hasattr(n, "__index__"):
+        raise MatroidError(f"inequality index must be an int, got {n!r}")
+    if (n := n.__index__()) < 4:
+        raise MatroidError(f"inequality index must be >= 4, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Family:
     """Ordered tuple X_1..X_n of subset masks; repeats and empties allowed."""
@@ -171,8 +182,7 @@ class Family:
     sets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 4:
-            raise MatroidError(f"inequality index must be >= 4, got {self.n}")
+        object.__setattr__(self, "n", _inequality_index(self.n))
         if len(self.sets) != self.n:
             raise MatroidError(f"family needs {self.n} sets, got {len(self.sets)}")
 
@@ -235,9 +245,9 @@ class Verdict:
     index of (i3, i_last) in P, plus 1.
     ``rank_queries`` is the number of rank-table reads made by
     ``membership``, the same at any width: the search tables (the pair
-    ranks PR, the pair list and the closure rows RU, ``_search_tables``)
-    and the ranks the automorphism search reads.  The scan chunks read
-    only those tables.
+    ranks PR, the pair list and the closures of the distinct unions
+    X3 u X4, ``_search_tables``) and the ranks the automorphism search
+    reads.  The scan chunks read only those tables.
     ``space_size`` is F, the number of sets in the search space,
     ``pairs`` |P| at n = 4 (None for n >= 5) and ``x1_rows`` the number of
     X1 rows scanned: the orbit-least rows when automorphisms were searched,
@@ -466,24 +476,22 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool,
                    pair_list: bool = True) -> tuple[tuple[np.ndarray, ...], int]:
     """The rank tables both scans read, and the rank reads they took.
 
-    Returns (PR, P, C34, RU, U_of): the pair ranks PR[i][j] = r(Xi u Xj),
-    the lex-ordered (X3, X4) pair list P as flat indices i3 F + i4 (every
+    Returns (PR, P, C34, J): the pair ranks PR[i][j] = r(Xi u Xj), the
+    lex-ordered (X3, X4) pair list P as flat indices i3 F + i4 (every
     pair, or with pruning only the non-modular pairs with i3 <= i4),
-    C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair, and the
-    closure rows that give the triple ranks (module docstring, "Closure"):
-    with U the distinct closures cl(X3 u X4) of the pairs, U_of[p] is the
-    index in U of pair p's closure and RU[u][j] = r(U_u u Xj).  ``masks``
-    need not be closed under closure.  The n = 4 scan computes the GP rows
-    it needs from RU and PR (``_n4_gp``); no GP array is kept.  Without
-    pruning P is np.arange(F * F), 8 F^2 bytes, which only the n = 4 scan
-    reads: with ``pair_list`` false it is None.
+    C34[p] = r(X3) + r(X4) - r(X3 u X4) = I(X3; X4) per pair, and J[p],
+    the index in ``masks`` of cl(X3 u X4), so r(Xj u X3 u X4) = PR[J[p]][j]
+    (module docstring, "Closure").  ``masks`` must hold cl(X u Y) for each
+    pair X, Y of its members, as the flats and all 2^m subsets do.  The
+    n = 4 scan computes the GP rows it needs from PR (``_n4_gp``); no GP
+    array is kept.  Without pruning P is np.arange(F * F), 8 F^2 bytes,
+    which only the n = 4 scan reads: with ``pair_list`` false it is None.
 
     PR, C34, P and the unions X3 u X4 are built in blocks of rows of at
-    most SCAN_BLOCK entries (row-major, so P stays in lex order), RU in
-    blocks of rows.  The distinct unions and their distinct closures are
-    marked in a table over all 2^m subsets and labelled in mask order
-    through a second such table, with no sort; ``closures`` runs on the
-    distinct unions, and U_of is the blocks of unions overwritten by labels.
+    most SCAN_BLOCK entries (row-major, so P stays in lex order).  The
+    distinct unions are marked in a table over all 2^m subsets, with no
+    sort; a second such table, seeded with each member's index, gives the
+    index of their closures, and J is the blocks of unions overwritten by it.
     """
     F = len(masks)
     m = table.size.bit_length() - 1
@@ -514,30 +522,23 @@ def _search_tables(table: np.ndarray, masks: np.ndarray, pruning: bool,
         seen[u] = True
     P = np.concatenate(kept) if pruning else np.arange(F * F) if pair_list else None
     c34 = np.concatenate(c34)
-    # label[x] = index in U of cl(x) for each distinct union x
+    # label[x] = index in masks of cl(x) for each distinct union x
     label = np.empty(1 << m, dtype=np.int64)
+    label[masks] = np.arange(F)
     distinct = np.flatnonzero(seen)
-    closed = closures(table, distinct)
-    seen[distinct] = False
-    seen[closed] = True
-    U = np.flatnonzero(seen)
-    label[U] = np.arange(len(U))
-    label[distinct] = label[closed]
-    RU = np.empty((len(U), F), dtype=np.int8)
-    for k in range(0, len(U), step):
-        rank8.take(U[k:k + step, None] | masks, out=RU[k:k + step], mode="clip")
-    queries += (m + 1) * len(distinct) + len(U) * F
+    label[distinct] = label[closures(table, distinct)]
+    queries += (m + 1) * len(distinct)
     for u in unions:
         label.take(u, out=u, mode="clip")
-    return (PR, P, c34, RU, np.concatenate(unions)), queries
+    return (PR, P, c34, np.concatenate(unions)), queries
 
 
-def _n4_gp(ru: np.ndarray, pr: np.ndarray, u: np.ndarray, p3: np.ndarray, p4: np.ndarray,
+def _n4_gp(pr: np.ndarray, J: np.ndarray, p3: np.ndarray, p4: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
-    """GP[p][j] = RU[U_of[p]][j] - PR[i3][j] - PR[i4][j] for the pairs
-    P[p] = i3 F + i4 with U_of[p], i3, i4 = ``u``, ``p3``, ``p4``, over the
-    columns j that ``ru`` and ``pr`` hold of RU and PR ("Closure")."""
-    out = ru.take(u, axis=0, out=out, mode="clip")
+    """GP[p][j] = PR[J[p]][j] - PR[i3][j] - PR[i4][j] for the pairs
+    P[p] = i3 F + i4 with J[p], i3, i4 = ``J``, ``p3``, ``p4``, over the
+    columns j that ``pr`` holds of PR ("Closure")."""
+    out = pr.take(J, axis=0, out=out, mode="clip")
     out -= pr.take(p3, axis=0)
     out -= pr.take(p4, axis=0)
     return out
@@ -547,13 +548,12 @@ def _n4_d1(tables: tuple[np.ndarray, ...], x1s: np.ndarray) -> np.ndarray:
     """d1[k][p] = I(X3;X4) - I(X3;X4|X1) for the X1 rows ``x1s``.
 
     ``tables`` is ``_search_tables(...)[0]``.  d1 is C34[p] + GP[p][X1]
-    + r(X1), computed pair-major from the rows of PR and RU, then laid out
+    + r(X1), computed pair-major from the columns x1s of PR, then laid out
     one row per X1; only the pairs with d1 > 0 can violate with X1 (module
     docstring, "Live pairs").
     """
-    PR, P, c34, RU, U_of = tables
-    d1 = _n4_gp(np.ascontiguousarray(RU[:, x1s]), np.ascontiguousarray(PR[:, x1s]),
-                U_of, *np.divmod(P, len(PR)))
+    PR, P, c34, J = tables
+    d1 = _n4_gp(np.ascontiguousarray(PR[:, x1s]), J, *np.divmod(P, len(PR)))
     d1 += c34[:, None]
     d1 += PR[x1s, x1s]
     return np.ascontiguousarray(d1.T)
@@ -608,14 +608,13 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
     its first pair, from the same formula.
 
     GP is never stored: each group computes the rows of its live pairs from
-    the closure rows RU and the pair ranks PR, read in place (module
-    docstring, "Closure"; both are C-contiguous), so working memory is
-    O(SCAN_BLOCK + |U| F + F^2), not F |P|.
+    the pair ranks PR, read in place (module docstring, "Closure"; PR is
+    C-contiguous), so working memory is O(SCAN_BLOCK + F^2), not F |P|.
 
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
     """
-    PR, P, c34, RU, U_of = tables
+    PR, P, c34, J = tables
     F = len(PR)
     width = len(P)
     if width == 0:
@@ -631,12 +630,12 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
         ``rows`` with d1 rows ``d`` and thresholds ``floor``, scanned
         together over the union of their live pairs and every X2 column."""
         live = (d > 0).any(axis=0).nonzero()[0]
-        u, (p3, p4) = U_of[live], np.divmod(P[live], F)
+        js, (p3, p4) = J[live], np.divmod(P[live], F)
         step = max(1, SCAN_BLOCK // (len(rows) * F))
         top = np.full((len(rows), F), -128, dtype=np.int8)
         for q in range(0, len(live), step):
             p = live[q:q + step]
-            t = _n4_gp(RU, PR, u[q:q + step], p3[q:q + step], p4[q:q + step],
+            t = _n4_gp(PR, js[q:q + step], p3[q:q + step], p4[q:q + step],
                        out=bufs[0, :len(p) * F].reshape(len(p), -1))
             sums = np.add(t, d.take(p, axis=1)[:, :, None],
                           out=bufs[1, :len(rows) * len(p) * F].reshape(len(rows), len(p), -1))
@@ -646,7 +645,8 @@ def _search_n4_chunk(tables: tuple[np.ndarray, ...], i1s: np.ndarray, pruning: b
             return None
         r = int(hits.any(axis=1).argmax())
         c = int(hits[r].argmax())
-        col = _n4_gp(RU[:, c], PR[:, c], u, p3, p4) + d[r, live]
+        # PR is symmetric, so its contiguous row c is column c
+        col = _n4_gp(PR[c], js, p3, p4) + d[r, live]
         return r, c, int(live[(col > floor[r, c]).argmax()])
 
     # d1, I(X1;X2) and the thresholds r(X1) - r(X1 u X2) = I(X1;X2) - r(X2)
@@ -701,8 +701,8 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray,
     (module docstring, "Chain form"), lex order, first hit wins.
 
     ``tables`` is ``_search_tables(table, masks, False, False)[0]``: the
-    pair ranks, I(Xa;Xb) and the closure rows RU of all F^2 pairs, from which
-    come the triple ranks and C1[k][a][b] = I(Xa;Xb|X1) for X1 = x1s[k].
+    pair ranks, I(Xa;Xb) and the closure index J of all F^2 pairs, from
+    which come the triple ranks and C1[k][a][b] = I(Xa;Xb|X1) for X1 = x1s[k].
     Per X2, only the rows X3 with I(X2;X3) above the least I(X1;X2) of the
     X1 rows still to test get distances D = dist_{n-3}(X3, .).  With
     W = I(X2;X3) - D, row k passes if some entry of W - C1[k] exceeds
@@ -717,20 +717,20 @@ def _search_chain_chunk(tables: tuple[np.ndarray, ...], n: int, x1s: np.ndarray,
     Returns the lex-first hit as indices into the search space, or None.
     The chunk reads no rank table beyond ``tables``.
     """
-    PR, _, c34, RU, U_of = tables
+    PR, _, c34, J = tables
     F = len(PR)
-    I, UF, r = c34.reshape(F, F), U_of.reshape(F, F), PR.diagonal()
+    I, JF, r = c34.reshape(F, F), J.reshape(F, F), PR.diagonal()
     I1 = I[x1s]
     # C1[k][a][b] = r(X1 u Xa) + r(X1 u Xb) - r(X1 u Xa u Xb) - r(X1)
     C1 = np.empty((len(x1s), F, F), dtype=np.int8)
     for k, x in enumerate(x1s):
-        c = RU[:, x].take(UF, out=C1[k], mode="clip")
+        c = PR[x].take(JF, out=C1[k], mode="clip")
         np.subtract(PR[x, :, None], c, out=c)
         c += PR[x] - r[x]
 
     def steps(j: int) -> np.ndarray:
         """L[a][c] = I(X2;Xa|Xc) for X2 = Xj."""
-        return PR[j] + PR - r - RU[:, j][UF]
+        return PR[j] + PR - r - PR[j][JF]
 
     best = None                    # (position in x1s, X2)
     for j in range(F) if x2s is None else map(int, x2s):
@@ -797,8 +797,7 @@ def membership(M: Matroid, n: int, cfg: SearchConfig | None = None) -> Verdict:
     """Decide membership in Kinser class n over the configured space; a
     certificate holds the lex-least violator, with pruning on or off."""
     cfg = cfg or SearchConfig()
-    if n < 4:
-        raise MatroidError(f"inequality index must be >= 4, got {n}")
+    n = _inequality_index(n)
     if not isinstance(cfg.parallel_width, int) or cfg.parallel_width < 1:
         raise MatroidError(f"parallel width must be an int >= 1, got {cfg.parallel_width!r}")
     masks = _space_masks(M, cfg)

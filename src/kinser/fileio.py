@@ -157,14 +157,6 @@ def _ranks_body(table: np.ndarray) -> str:
     return str(body, "ascii")
 
 
-def _parse_layout_line(line: str) -> tuple[str, int]:
-    body = line[len("layout"):].strip()
-    if "=" not in body:
-        raise FormatError(f"bad layout line {line!r}")
-    name, _, els = body.partition("=")
-    return name.strip(), parse_elements(els)
-
-
 def parse_int(text: str, what: str) -> int:
     """An optional ASCII sign and ASCII digits, as the ranks body reads them."""
     digits = text[1:] if text.startswith(("+", "-")) else text
@@ -316,8 +308,8 @@ def parse_matroid(text: str) -> Matroid:
         raise FormatError(f"missing header {MATROID_HEADER!r}")
     _, line = next(lines, (0, None))
     label = ""
-    if line is not None and line.startswith("label "):
-        label = line[len("label "):].strip()
+    if line is not None and line.partition(" ")[0] == "label":
+        label = line[len("label"):].strip()
         _, line = next(lines, (0, None))
     if line is None or not line.startswith("elements "):
         raise FormatError("missing 'elements <m>' line")
@@ -333,7 +325,14 @@ def parse_matroid(text: str) -> Matroid:
         raise FormatError("missing body section")
     src, start = _newline_text(text, after)
     spans, layout_lines = _cut_lines(src, start)
-    layout = dict(_parse_layout_line(ln) for ln in layout_lines)
+    layout = {}
+    for ln in layout_lines:
+        name, eq, els = ln[len("layout"):].partition("=")
+        if not eq:
+            raise FormatError(f"bad layout line {ln!r}")
+        if (name := name.strip()) in layout:
+            raise FormatError(f"layout names the part {name!r} twice")
+        layout[name] = parse_elements(els)
     rows = [] if section == "ranks" else [
         s for lo, hi in spans for ln in src[lo:hi].splitlines() if (s := ln.strip())]
 

@@ -77,7 +77,7 @@ def kinser_sides(r, sets):
     def u(*idx):
         m = 0
         for i in idx:
-            m |= X[i]
+            m = m | X[i]  # not in place, so that sets of any shapes broadcast
         return m
 
     lhs = sum(r(X[i]) for i in range(3, n + 1)) + r(u(1, 2)) + r(u(1, 3, n))
@@ -90,6 +90,16 @@ def kinser_sides(r, sets):
 def definition_closure(M, x: int) -> int:
     return x | sum(1 << e for e in range(M.m)
                    if not (x >> e) & 1 and M.rank(x | (1 << e)) == M.rank(x))
+
+
+def closure_hull(M, masks) -> list[int]:
+    """The sorted least superset of ``masks`` that holds cl(X u Y) for each
+    pair X, Y of its members (X = Y included), closures by definition."""
+    hull, fresh = set(masks), set(masks)
+    while fresh:
+        fresh = {definition_closure(M, a | b) for a in hull for b in fresh} - hull
+        hull |= fresh
+    return sorted(hull)
 
 
 def literal_minor(M, deletions: int, contractions: int) -> list[int]:
@@ -107,7 +117,7 @@ def literal_search_tables(M, masks, pruning: bool):
     (i, j) or with ``pruning`` those with i <= j and
     r(X3) + r(X4) - r(X3 u X4) > r(cl X3 n cl X4); that difference per
     pair; per pair the row r(X3 u X4 u Xj) over j; and per pair the index
-    of cl(X3 u X4) among the sorted distinct closures of the pairs."""
+    of cl(X3 u X4) in ``masks``, which must hold it."""
     r = M.rank
     PR = [[r(a | b) for b in masks] for a in masks]
     pairs = []
@@ -119,8 +129,7 @@ def literal_search_tables(M, masks, pruning: bool):
     c34 = [r(masks[i]) + r(masks[j]) - r(masks[i] | masks[j]) for i, j in pairs]
     triples = [[r(masks[i] | masks[j] | x) for x in masks] for i, j in pairs]
     closures = [definition_closure(M, masks[i] | masks[j]) for i, j in pairs]
-    distinct = sorted(set(closures))
-    return PR, pairs, c34, triples, [distinct.index(c) for c in closures]
+    return PR, pairs, c34, triples, [masks.index(c) for c in closures]
 
 
 def definition_flats(M) -> list[int]:

@@ -14,11 +14,12 @@ import kinser as K
 from kinser import engine
 from kinser.engine import (_automorphisms, _mask_permutation, _n4_d1, _orbit_least,
                            _search_chain_chunk, _search_n4_chunk, _search_tables,
-                           _tuples_examined, _x2_rows)
+                           _space_masks, _tuples_examined, _x2_rows)
 
-from oracles import (brute_force_automorphisms, conditional_information, definition_closure,
-                     definition_flats, ingleton_sides, ingleton_value, kinser_sides,
-                     kinser_value, literal_search_tables, orbit_minima, permuted_mask)
+from oracles import (brute_force_automorphisms, closure_hull, conditional_information,
+                     definition_closure, definition_flats, ingleton_sides, ingleton_value,
+                     kinser_sides, kinser_value, literal_search_tables, orbit_minima,
+                     permuted_mask)
 
 
 def n4_chunk(table, masks, pruning, rows=None):
@@ -89,6 +90,21 @@ class TestEvaluate:
     def test_n_below_four_rejected(self):
         with pytest.raises(K.MatroidError):
             K.Family(3, (0, 0, 0))
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4", None])
+    def test_non_integer_index_rejected_before_search(self, n, vamos, monkeypatch):
+        monkeypatch.setattr(engine, "_space_masks", lambda *args: pytest.fail("searched"))
+        with pytest.raises(K.MatroidError, match="inequality index must be an int"):
+            K.Family(n, (0, 0, 0, 0))
+        with pytest.raises(K.MatroidError, match="inequality index must be an int"):
+            K.membership(vamos, n)
+
+    def test_numpy_integer_index_stored_as_int(self, vamos):
+        fam = K.Family(np.int64(4), (0, 0, 0, 0))
+        assert type(fam.n) is int and fam == K.Family(4, (0, 0, 0, 0))
+        verdict = K.membership(vamos, np.int32(4))
+        assert type(verdict.n) is int and verdict == K.membership(vamos, 4)
+        assert type(verdict.certificate.family.n) is int
 
 
 class TestClosureKeepsTermRanks:
@@ -182,21 +198,23 @@ def search_masks(M, space):
 
 def brute_force_lex_first(M, n, masks, rows=None):
     """Reference search: full lexicographic scan by the displayed formula,
-    each prefix X1..X_{n-1} against every mask in the last slot at once,
-    with X1 over the indices ``rows`` (default all)."""
-    last = np.array(masks, dtype=np.int64)
+    each prefix (X1, X2) against every (X3, ..., Xn) at once, one broadcast
+    axis per slot, with X1 over the indices ``rows`` (default all)."""
     F = len(masks)
+    tail = [np.array(masks, dtype=np.int64).reshape((F,) + (1,) * (n - i))
+            for i in range(3, n + 1)]
 
     def r(x):
         return M.table[x].astype(np.int64)
 
     rows = range(F) if rows is None else rows
-    for prefix in itertools.product(rows, *[range(F)] * (n - 2)):
-        lhs, rhs = kinser_sides(r, [masks[j] for j in prefix] + [last])
+    for prefix in itertools.product(rows, range(F)):
+        lhs, rhs = kinser_sides(r, [masks[j] for j in prefix] + tail)
         bad = np.flatnonzero(lhs > rhs)
         if bad.size:
             j = int(bad[0])
-            return prefix + (j,), (int(lhs[j]), int(rhs[j]))
+            rest = np.unravel_index(j, lhs.shape)
+            return prefix + tuple(int(i) for i in rest), (int(lhs.flat[j]), int(rhs.flat[j]))
     return None, None
 
 
@@ -280,9 +298,10 @@ class TestSearch:
         assert on.in_class and off.in_class
 
     def test_generic_path_matches_brute_force(self, kin5_relaxed):
-        # white-box: restrict the space to the part masks so n=5 is tractable
+        # white-box: restrict the space to the part masks and the closures
+        # of their unions (14 masks) so n=5 is tractable
         M = kin5_relaxed
-        masks = sorted([0] + [M.part(f"V{i}") for i in range(1, 6)])
+        masks = closure_hull(M, [0] + [M.part(f"V{i}") for i in range(1, 6)])
         arr = np.array(masks, dtype=np.int64)
         tup, value = brute_force_lex_first(M, 5, masks)
         assert tup is not None
@@ -297,7 +316,8 @@ class TestSearch:
         assert got_orbits == tup
 
     def test_n4_chunk_matches_brute_force(self, vamos):
-        masks = vamos.enumerate("flats")[:25]
+        # the first 25 flats and the closures of their unions: 37 flats
+        masks = closure_hull(vamos, vamos.enumerate("flats")[:25])
         arr = np.array(masks, dtype=np.int64)
         tup, _ = brute_force_lex_first(vamos, 4, masks)
         got = n4_chunk(vamos.table, arr, False)[0]
@@ -312,17 +332,18 @@ class TestSearch:
         assert K.membership(fano, 4).rank_queries == 16 + 256 + 128 + 256
         # Without pruning the 256 pairs have 86 distinct unions: empty, 7
         # points, 7 lines, E, 21 point pairs, 28 line + off-line point and
-        # 21 unions of two lines; their closures (8 reads each) are the 16
-        # flats, and each gets one rank row over the 16 flats.  At n = 5
-        # the chain form reads the same tables, and the automorphism search
-        # reads r(X) for each flat (16).  Only membership reads the table,
-        # so the counts hold at any width.
+        # 21 unions of two lines; their closures take 8 reads each.  Those
+        # closures are flats, whose ranks against every flat are already in
+        # the pair ranks, so no other row is read.  At n = 5 the chain form
+        # reads the same tables, and the automorphism search reads r(X) for
+        # each flat (16).  Only membership reads the table, so the counts
+        # hold at any width.
         for width in (1, 2):
             off = K.membership(fano, 4, K.SearchConfig(symmetry_pruning=False,
                                                        parallel_width=width))
-            assert off.rank_queries == 16 + 256 + 8 * 86 + 16 * 16
+            assert off.rank_queries == 16 + 256 + 8 * 86
             n5 = K.membership(fano, 5, K.SearchConfig(parallel_width=width))
-            assert n5.rank_queries == 16 + 256 + 8 * 86 + 16 * 16 + 16
+            assert n5.rank_queries == 16 + 256 + 8 * 86 + 16
 
     def test_orbit_rows_at_n5(self, fano):
         # F7 has 16 flats in 4 orbits: 4 X1 rows of 16^3 (X2, X3, X5) each
@@ -756,11 +777,25 @@ def test_search_tables_hold_no_f_by_f_int64_array():
     assert peak - sum(t.nbytes for t in tables) < F * F * 8
 
 
+@pytest.mark.parametrize("name,space", [
+    ("fano", "flats"), ("vamos", "flats"), ("z4", "flats"), ("dowling_z3", "flats"),
+    ("fano_sum", "flats"), ("fano", "all_subsets"), ("vamos", "all_subsets"),
+    ("z4", "all_subsets")])
+def test_search_space_holds_closure_of_each_union(name, space, request):
+    # the search tables read r(Xj u X3 u X4) as the pair rank of Xj and
+    # cl(X3 u X4), so that closure must be a member of the space
+    M = request.getfixturevalue(name)
+    masks = _space_masks(M, K.SearchConfig(space=space))
+    members = set(masks.tolist())
+    unions = np.unique(masks[:, None] | masks).tolist()
+    assert all(definition_closure(M, u) in members for u in unions)
+
+
 def test_unpruned_search_tables_store_each_pair_once():
     # With pruning off every one of Z7's F^2 = 3.2M pairs is listed.  The
-    # pair list holds one flat index i3 F + i4 per pair and U_of one closure
-    # label; no other returned array is F^2 int64.  The n >= 5 tables leave
-    # the pair list out and are otherwise the same
+    # pair list holds one flat index i3 F + i4 per pair and J the index of
+    # each pair's closure; no other returned array is F^2 int64.  The n >= 5
+    # tables leave the pair list out and are otherwise the same
     M = K.binary_spike(7)
     masks = np.array(M.enumerate("flats"), dtype=np.int64)
     tables, queries = _search_tables(M.table, masks, False)
@@ -771,7 +806,7 @@ def test_unpruned_search_tables_store_each_pair_once():
     chain, chain_queries = _search_tables(M.table, masks, False, False)
     assert chain[1] is None and chain_queries == queries
     assert all(np.array_equal(a, b) for a, b in zip(chain, tables) if a is not None)
-    assert [i for i, t in enumerate(chain) if t is not None and t.itemsize == 8] == [4]
+    assert [i for i, t in enumerate(chain) if t is not None and t.itemsize == 8] == [3]
 
 
 # No matroid on at most 7 elements violates inequality 4, so Vamos and a
@@ -792,23 +827,40 @@ def _mask_list_matroids():
 MASK_LIST_MATROIDS = _mask_list_matroids()
 
 
+def mask_members(M):
+    """Flats, two-element sets and arbitrary subsets of M's ground set."""
+    pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
+    return st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
+                     st.integers(0, (1 << M.m) - 1))
+
+
+def closed_list(M, masks, members, max_size):
+    """``masks`` with each of ``members`` in turn appended while the list,
+    with the members of its hull (``closure_hull``) that it lacks, has at
+    most ``max_size`` masks; then those hull members appended in order.
+    The search tables need the hull: cl(X u Y) for each pair of members."""
+    for x in members:
+        grown = masks + [x]
+        if len(grown) + len(set(closure_hull(M, grown)) - set(grown)) <= max_size:
+            masks = grown
+    return masks + sorted(set(closure_hull(M, masks)) - set(masks))
+
+
 @st.composite
-def mask_lists(draw, max_size=8, violators=False):
+def mask_lists(draw, max_size=12, violators=False):
     """A matroid and a list of at most ``max_size`` masks in any order,
-    repeats allowed: some or all of its violating family, flats,
-    two-element sets and arbitrary subsets, so closures of unions often lie
-    outside the list and many members are not flats.  With ``violators``,
+    repeats allowed, that holds the closure of the union of each pair of
+    its members: some or all of its violating family (whose hull has 10
+    masks on Vamos and on the relaxed Z4), flats, two-element sets and
+    arbitrary subsets, so many members are not flats.  With ``violators``,
     about half the lists are drawn on Vamos or the relaxed Z4 and hold its
     whole family."""
     forced = violators and draw(st.booleans())
     cases = [c for c in MASK_LIST_MATROIDS if c[1]] if forced else MASK_LIST_MATROIDS
     M, family = draw(st.sampled_from(cases))
-    pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
-    member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
-                       st.integers(0, (1 << M.m) - 1))
     masks = list(family) if forced or draw(st.booleans()) else []
-    masks += draw(st.lists(member, min_size=1, max_size=max_size - len(masks)))
-    return M, draw(st.permutations(masks))
+    members = draw(st.lists(mask_members(M), min_size=1, max_size=max_size))
+    return M, draw(st.permutations(closed_list(M, masks, members, max_size)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -822,11 +874,10 @@ def test_n4_chunk_on_arbitrary_mask_lists(case):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("n,size", [(5, 6), (6, 5)])
+@pytest.mark.parametrize("n,size", [(5, 12), (6, 11)])
 def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     # a Vamos or relaxed Z4 list holding its whole n = 4 family holds an
-    # n-violator too: the family with its last set repeated; 36-56% of the
-    # drawn lists hold one (6-14% without ``violators``, 300-draw counts)
+    # n-violator too: the family with its last set repeated
     M, masks = data.draw(mask_lists(size, violators=True))
     F = len(masks)
     # an ascending, possibly non-contiguous set of X1 rows, as orbits give
@@ -845,26 +896,30 @@ def test_chain_chunk_on_arbitrary_mask_lists(n, size, data):
     assert tuples == int((rows < i1).sum()) * F ** 3 + i2 * F ** 2 + i3 * F + i_n + 1
 
 
-@settings(max_examples=12, deadline=None)
-@given(data=st.data())
-def test_chain_chunk_rebuild_on_settled_distances(data):
-    # over at most 4 masks the distances settle within 3 hops, fewer than
-    # the n - 4 = 4 hops left after X4 at n = 8, so every slot of the
-    # rebuild reads the settled distances G[len(hops)]
-    M, family = data.draw(st.sampled_from([c for c in MASK_LIST_MATROIDS if c[1]]))
-    masks = data.draw(st.permutations(family))
-    tup, _ = brute_force_lex_first(M, 8, masks)
-    assert tup is not None  # the family with its last set repeated violates
-    tables = _search_tables(M.table, np.array(masks, dtype=np.int64), False)[0]
-    assert _search_chain_chunk(tables, 8, np.arange(len(masks))) == tup
+def test_chain_chunk_rebuild_on_settled_distances():
+    # on Vamos and the relaxed Z4, over the hull of the family (10 masks),
+    # the distances of the hit's X2 settle within 3 hops, fewer than the
+    # n - 4 = 4 hops left after X4 at n = 8, so every slot of the rebuild
+    # reads the settled distances G[len(hops)]
+    for M, family in [c for c in MASK_LIST_MATROIDS if c[1]]:
+        masks = closure_hull(M, family)
+        tup, _ = brute_force_lex_first(M, 8, masks)
+        assert tup is not None  # the family with its last set repeated violates
+        tables = _search_tables(M.table, np.array(masks, dtype=np.int64), False)[0]
+        assert _search_chain_chunk(tables, 8, np.arange(len(masks))) == tup
+        # the step costs L[a][c] = I(X2; Xa | Xc), written out literally
+        x = np.array(masks, dtype=np.int64)
+        L = conditional_information(lambda y: M.table[y].astype(np.int64),
+                                    x[tup[1]], x[:, None], x[None, :])
+        assert len(engine._distances(L, slice(None), 8 - 3)) < 8 - 4
 
 
 @st.composite
 def sorted_mask_lists(draw):
     """A small matroid (a random binary one, a uniform one or, half the
-    time, one of the mask-list matroids) and a sorted list of distinct
-    masks: flats, two-element sets and arbitrary subsets, so that the
-    closures of unions often lie outside the list."""
+    time, one of the mask-list matroids) and a sorted list of 3 to 12
+    distinct masks that holds the closure of the union of each pair of its
+    members: flats, two-element sets and arbitrary subsets."""
     kind = draw(st.sampled_from(["binary", "uniform", "listed", "listed"]))
     if kind == "binary":
         rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 7))
@@ -876,10 +931,9 @@ def sorted_mask_lists(draw):
         M = K.uniform(draw(st.integers(0, n)), n)
     else:
         M = draw(st.sampled_from([M for M, _ in MASK_LIST_MATROIDS]))
-    pairs = [x for x in range(1 << M.m) if bin(x).count("1") == 2]
-    member = st.one_of(st.sampled_from(M.enumerate("flats")), st.sampled_from(pairs),
-                       st.integers(0, (1 << M.m) - 1))
-    return M, sorted(draw(st.sets(member, min_size=3, max_size=12)))
+    # any 3 masks fit: with their closures and those of their unions, 10
+    members = draw(st.sets(mask_members(M), min_size=3, max_size=12))
+    return M, sorted(closed_list(M, [], members, 12))
 
 
 def assert_search_tables_literal(M, masks, pruning, block):
@@ -892,16 +946,14 @@ def assert_search_tables_literal(M, masks, pruning, block):
                   "mid-list": (F // 2 + 2) * F - 1}[block]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SCAN_BLOCK", scan_block)
-        (PR, P, c34, RU, U_of), _ = _search_tables(
-            M.table, np.array(masks, dtype=np.int64), pruning)
-    PR_lit, pairs, c34_lit, triples, closure_of = literal_search_tables(M, masks, pruning)
+        (PR, P, c34, J), _ = _search_tables(M.table, np.array(masks, dtype=np.int64), pruning)
+    PR_lit, pairs, c34_lit, triples, closure_at = literal_search_tables(M, masks, pruning)
     assert PR.tolist() == PR_lit
     assert [divmod(p, F) for p in P.tolist()] == pairs
     assert c34.tolist() == c34_lit
-    assert U_of.tolist() == closure_of and len(RU) == len(set(closure_of))
-    assert RU[U_of].reshape(len(pairs), F).tolist() == triples
-    assert [a.dtype for a in (PR, P, c34, RU, U_of)] == [np.int8, np.intp, np.int8,
-                                                           np.int8, np.intp]
+    assert J.tolist() == closure_at
+    assert PR[J].tolist() == triples
+    assert [a.dtype for a in (PR, P, c34, J)] == [np.int8, np.intp, np.int8, np.intp]
 
 
 BLOCKS = ["default", "one", "mid-list"]

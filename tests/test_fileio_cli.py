@@ -97,6 +97,28 @@ class TestMatroidFormat:
         captured = capsys.readouterr()
         assert captured.out == "" and "outside ground size 4" in captured.err
 
+    def test_repeated_layout_part_refused(self, tmp_path, capsys):
+        # as a certificate's repeated line is: the last line does not win
+        text = K.write_matroid(K.uniform(2, 4)) + "layout a=0\nlayout b=2\nlayout a=1\n"
+        with pytest.raises(K.FormatError, match="layout names the part 'a' twice"):
+            K.parse_matroid(text)
+        path = tmp_path / "m.mtr"
+        path.write_text(text)
+        assert main(["enumerate", "--kind", "flats", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "layout names the part 'a' twice" in captured.err
+
+    @pytest.mark.parametrize("line", ["label", "label ", "label \t "])
+    def test_label_line_without_text_is_the_empty_label(self, line):
+        # the writer leaves the line out for an empty label
+        unlabelled = K.Matroid(4, K.uniform(2, 4).table)
+        text = K.write_matroid(unlabelled)
+        assert "label" not in text
+        lines = text.splitlines(keepends=True)
+        M = K.parse_matroid("".join(lines[:1] + [line + "\n"] + lines[1:]))
+        assert M.label == "" and M.table_equal(unlabelled)
+        assert K.write_matroid(M) == text
+
     def test_rank_tokens_longer_than_int64_digits(self):
         text = K.write_matroid(K.uniform(2, 4))
         padded = "0" * 21 + "2"
