@@ -24,9 +24,6 @@ from .engine import Family, SearchConfig, evaluate, membership
 from .fileio import (FormatError, format_element_lines, parse_elements, parse_int,
                      parse_matroid, write_certificate, write_matroid)
 
-BUILDERS = ("uniform", "fano", "nonfano", "kinser-base", "kinser",
-            "kinser-relaxed", "spike", "dowling")
-
 
 def _load(path: str) -> Matroid:
     with open(path, "r", encoding="utf-8") as fh:
@@ -50,53 +47,48 @@ def parse_set_spec(M: Matroid, token: str) -> int:
     return parse_elements(token)
 
 
+def _group_order(token: str) -> int:
+    """The order N of a Dowling --group token zN."""
+    order = token[1:]
+    if not (token.startswith("z") and order.isascii() and order.isdigit()):
+        raise MatroidError(f"--group must be z and a decimal order, got {token!r}")
+    return int(order)
+
+
+# The build names and transform ops, each with its call.  Every entry looks
+# its function up on catalog or transforms when it runs, so that a wrapper
+# bound to that module attribute later (a tracer's, say) is the one called.
+BUILDERS = {
+    "uniform": lambda a: catalog.uniform(a.k, a.m),
+    "fano": lambda a: catalog.fano_pair()[0],
+    "nonfano": lambda a: catalog.fano_pair()[1],
+    "kinser-base": lambda a: catalog.kinser_base(a.r),
+    "kinser": lambda a: catalog.kinser(a.r),
+    "kinser-relaxed": lambda a: catalog.kinser_relaxed(a.r, a.also_relax),
+    "spike": lambda a: catalog.binary_spike(a.r),
+    "dowling": lambda a: catalog.dowling(_group_order(a.group), a.n),
+}
+TRANSFORMS = {
+    "dual": lambda M, a: transforms.dual(M),
+    "delete": lambda M, a: transforms.delete(M, a.element)[0],
+    "contract": lambda M, a: transforms.contract(M, a.element)[0],
+    "minor": lambda M, a: transforms.minor(M, parse_set_spec(M, a.delete),
+                                           parse_set_spec(M, a.contract))[0],
+    "relax": lambda M, a: transforms.relax(M, parse_set_spec(M, a.set)),
+    "tighten": lambda M, a: transforms.tighten(M, parse_set_spec(M, a.set)),
+    "truncate": lambda M, a: transforms.truncate(M),
+    "direct-sum": lambda M, a: transforms.direct_sum(M, _load(a.second))[0],
+}
+
+
 def _build(args) -> int:
-    name = args.name
-    if name == "uniform":
-        M = catalog.uniform(args.k, args.m)
-    elif name == "fano":
-        M = catalog.fano_pair()[0]
-    elif name == "nonfano":
-        M = catalog.fano_pair()[1]
-    elif name == "kinser-base":
-        M = catalog.kinser_base(args.r)
-    elif name == "kinser":
-        M = catalog.kinser(args.r)
-    elif name == "kinser-relaxed":
-        M = catalog.kinser_relaxed(args.r, args.also_relax)
-    elif name == "spike":
-        M = catalog.binary_spike(args.r)
-    else:
-        order = args.group[1:]
-        if not (args.group.startswith("z") and order.isascii() and order.isdigit()):
-            raise MatroidError(f"--group must be z and a decimal order, got {args.group!r}")
-        M = catalog.dowling(int(order), args.n)
-    _save(args.output, write_matroid(M))
+    _save(args.output, write_matroid(BUILDERS[args.name](args)))
     return 0
 
 
 def _transform(args) -> int:
     M = _load(args.input)
-    op = args.op
-    if op == "dual":
-        out = transforms.dual(M)
-    elif op == "delete":
-        out, _ = transforms.delete(M, args.element)
-    elif op == "contract":
-        out, _ = transforms.contract(M, args.element)
-    elif op == "minor":
-        out, _ = transforms.minor(M, parse_set_spec(M, args.delete),
-                                  parse_set_spec(M, args.contract))
-    elif op == "relax":
-        out = transforms.relax(M, parse_set_spec(M, args.set))
-    elif op == "tighten":
-        out = transforms.tighten(M, parse_set_spec(M, args.set))
-    elif op == "truncate":
-        out = transforms.truncate(M)
-    else:  # direct-sum
-        other = _load(args.second)
-        out, _, _ = transforms.direct_sum(M, other)
-    _save(args.output, write_matroid(out))
+    _save(args.output, write_matroid(TRANSFORMS[args.op](M, args)))
     return 0
 
 
@@ -173,8 +165,7 @@ COMMANDS = {
         (("-o", "--output"), dict(default=None)),
     ]),
     "transform": ("apply a matroid operation", _transform, [
-        (("op",), dict(choices=("dual", "delete", "contract", "minor", "relax",
-                                "tighten", "truncate", "direct-sum"))),
+        (("op",), dict(choices=TRANSFORMS)),
         (("-i", "--input"), dict(required=True)),
         (("-o", "--output"), dict(default=None)),
         (("--element",), dict(type=integer, default=0)),

@@ -22,8 +22,9 @@ one bit plane, into row e of a single stacked uint64 array of m 2^(m-4)
 bytes.  The second, per element f, checks R3 at every pair e < f with
 one array operation over the rows e < f (cut into cache-sized blocks
 above m = 18).  A double increment at e forces an R3 failure at a pair
-no later than e's, so only the first element with one needs its further
-planes, and no row after it is packed.
+no later than e's, so only the rows before the first element with one
+are packed, and there every increment is 0 or 1 and the plane exact.
+An invalid table's witness is read off the table itself.
 """
 
 from __future__ import annotations
@@ -393,6 +394,23 @@ def _increases(planes: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
     return flat.reshape(n, -1)
 
 
+def _r3_witness(table: np.ndarray, e: int) -> tuple[int, int]:
+    """The first R3 witness (X + e, X + f) with smaller element e: the least
+    f > e, then the least X, with inc_e(X + f) > inc_e(X), where inc_e(X) =
+    r(X + e) - r(X).  The caller knows that some f fails."""
+    inc = np.empty(table.size // 2, dtype=np.uint8)
+    lo, hi = halves(table, e)
+    np.subtract(hi, lo, out=halves(inc, e, parts=1)[0], order="C")
+    rises = np.empty(inc.size // 2, dtype=bool)
+    for f in range(e + 1, table.size.bit_length() - 1):
+        lo, hi = halves(inc, f - 1)  # f is bit f - 1 of the masks without e
+        np.greater(hi, lo, out=halves(rises, f - 1, parts=1)[0], order="C")
+        if rises.any():
+            x = _insert_zero_bit(_insert_zero_bit(int(rises.argmax()), f - 1), e)
+            return x | 1 << e, x | 1 << f
+    raise AssertionError(f"no R3 failure at element {e}")
+
+
 def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     """Check R1-R3 (plus r(empty)=0) on a rank table, exhaustively.
 
@@ -412,26 +430,26 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
        word, into row e of one (m, max(1, 2^(m-7))) uint64 array.
     2. Per bit position k = 0..m-2 of those masks, that is per element
        f = k + 1: R3 at (e, f) says inc_e(X + f) <= inc_e(X) for every X
-       without f, and it fails exactly where some plane [inc_e >= t] is
-       set at X + f and clear at X.  One array operation compares the
-       rows e <= k (a shift within a word for k < 6, word halves for
-       k >= 6), in blocks of PLANE_BLOCK_WORDS words (a single block up
-       to m = 18); the least failing e over all k is kept, and the
-       witness is the first failing mask of that (e, f).
+       without f.  Where every inc_e is 0 or 1 it fails exactly where the
+       plane of e is set at X + f and clear at X.  One array operation
+       compares the rows e <= k (a shift within a word for k < 6, word
+       halves for k >= 6), in blocks of PLANE_BLOCK_WORDS words (a single
+       block up to m = 18), and only the least failing e is kept.
 
-    Only the first element e0 with some inc_e0(X) >= 2 needs more planes.
-    By R1, inc_e0(empty) = r({e0}) <= 1, so inc_e0 rises somewhere on a
-    chain of single-element steps from the empty set to X: inc_e0(Y + f)
-    > inc_e0(Y) for some Y and f.  That is an R3 failure at {e0, f}, and
-    the local form is symmetric in its two elements, so the first R3
-    failure has its smaller element at most e0.  The rows before e0 hold
-    their only plane; e0 also gets its planes t = 2..top, in a small array
-    of their own; and no row after e0 is packed or read, though those
-    elements are still checked for R2.
+    Let e0 be the first element with some inc_e0(X) >= 2.  By R1,
+    inc_e0(empty) = r({e0}) <= 1, so inc_e0 rises somewhere on a chain of
+    single-element steps from the empty set to X: inc_e0(Y + f) >
+    inc_e0(Y) for some Y and f.  That is an R3 failure at {e0, f}, and the
+    local form is symmetric in its two elements, so the first R3 failure
+    has its smaller element at most e0.  Below e0 every increment is 0 or
+    1 and the planes are exact, so only the rows before e0 are packed and
+    compared (every element is still checked for R2); the failing element
+    is the least failing row, or e0 if none fails.  The witness at that
+    element is then read off the table, one f at a time (_r3_witness).
 
     Memory: the plane array takes m 2^(m-4) bytes, the pass 2 buffer (one
-    block of rows) at most as much, and inc 2^(m-1) bytes; a table with a
-    double increment adds the planes of e0 and their buffer.
+    block of rows) at most as much, and inc 2^(m-1) bytes; reading a
+    witness adds 3 2^(m-2) bytes.
     """
     pc = popcount_array(m)
     if table[0] != 0:
@@ -443,7 +461,7 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     inc = np.empty(table.size // 2, dtype=np.uint8)
     words = max(1, inc.size >> 6)
     planes = np.zeros((m, words), dtype="<u8")
-    rows, extra = m, None  # rows that can hold the first R3 failure; planes 2.. of e0
+    first = m  # the least element known to fail R3: e0, then any failing row below
     for e in range(m):
         lo, hi = halves(table, e)
         np.subtract(hi, lo, out=halves(inc, e, parts=1)[0], order="C")
@@ -452,43 +470,23 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
             x = _insert_zero_bit(int((inc > m).argmax()), e)
             return AxiomResult(False, "R2", (x, x | (1 << e)),
                                f"r decreases from X={x:#x} to X+{{{e}}}")
-        if e >= rows or not top:
-            continue
-        _pack_plane(inc, planes[e])
         if top > 1:
-            rows, extra = e + 1, np.zeros((top - 1, words), dtype="<u8")
-            for t in range(2, top + 1):
-                _pack_plane(inc >= t, extra[t - 2])
+            first = min(first, e)
+        if e < first and top:
+            _pack_plane(inc, planes[e])
     block = max(1, PLANE_BLOCK_WORDS // words)
-    buf = np.empty(min(block, rows) * words, dtype="<u8")
-    first = None  # (e, k) of the first failing pair found so far
+    buf = np.empty(min(block, first) * words, dtype="<u8")
     for k in range(m - 1):
-        n = min(k + 1, rows if first is None else first[0])
-        if not n:
-            break
+        n = min(k + 1, first)
         for a in range(0, n, block):
             viol = _increases(planes[a:min(n, a + block)], k, buf)
             if viol.any():
-                first = (a + int(viol.any(axis=1).argmax()), k)
+                first = a + int(viol.any(axis=1).argmax())
                 break
-        else:
-            if n == rows and extra is not None and _increases(
-                    extra, k, np.empty(extra.size, dtype="<u8")).any():
-                first = (rows - 1, k)
-    if first is None:
+    if first == m:
         return AxiomResult(True)
-    e, k = first
-    stack = planes[e:e + 1]
-    if e == rows - 1 and extra is not None:
-        stack = np.concatenate([stack, extra])
-    viol = np.bitwise_or.reduce(_increases(stack, k, np.empty_like(stack).reshape(-1)), axis=0)
-    i = int((viol != 0).argmax())
-    word = int(viol[i])
-    w = i if k < 6 else _insert_zero_bit(i, k - 6)
-    x = _insert_zero_bit(64 * w + (word & -word).bit_length() - 1, e)
-    be, bf = 1 << e, 1 << (k + 1)
-    return AxiomResult(False, "R3", (x | be, x | bf),
-                       f"submodularity fails at X={(x | be):#x}, Y={(x | bf):#x}")
+    x, y = _r3_witness(table, first)
+    return AxiomResult(False, "R3", (x, y), f"submodularity fails at X={x:#x}, Y={y:#x}")
 
 
 def _nested_pair(circuits: np.ndarray) -> tuple[int, int] | None:

@@ -164,25 +164,34 @@ ORBIT_SCAN_MIN = 1 << 24
 SCAN_BLOCK = 1 << 18        # entries per block (search tables, n=4 scan, n>=5 min-plus and X1 tests)
 
 
+def _as_int(value, what: str) -> int:
+    """value as a Python int by its ``__index__``, as operator.index takes it
+    (numpy ints pass, floats and strings do not)."""
+    if not hasattr(value, "__index__"):
+        raise MatroidError(f"{what} must be an int, got {value!r}")
+    return value.__index__()
+
+
 def _inequality_index(n) -> int:
-    """n as a Python int by its ``__index__``, as operator.index takes it
-    (numpy ints pass, floats and strings do not), refused below 4."""
-    if not hasattr(n, "__index__"):
-        raise MatroidError(f"inequality index must be an int, got {n!r}")
-    if (n := n.__index__()) < 4:
+    """n as a Python int (_as_int), refused below 4."""
+    if (n := _as_int(n, "inequality index")) < 4:
         raise MatroidError(f"inequality index must be >= 4, got {n}")
     return n
 
 
 @dataclass(frozen=True)
 class Family:
-    """Ordered tuple X_1..X_n of subset masks; repeats and empties allowed."""
+    """Ordered tuple X_1..X_n of subset masks, stored as Python ints;
+    repeats and empties allowed."""
 
     n: int
     sets: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "n", _inequality_index(self.n))
+        if not hasattr(self.sets, "__iter__"):
+            raise MatroidError(f"family sets must be a sequence, got {self.sets!r}")
+        object.__setattr__(self, "sets", tuple(_as_int(x, "family set") for x in self.sets))
         if len(self.sets) != self.n:
             raise MatroidError(f"family needs {self.n} sets, got {len(self.sets)}")
 

@@ -313,13 +313,13 @@ def parse_matroid(text: str) -> Matroid:
         _, line = next(lines, (0, None))
     if line is None or not line.startswith("elements "):
         raise FormatError("missing 'elements <m>' line")
-    m = parse_int(line.split()[1], "ground size")
+    m = parse_int(line.partition(" ")[2].strip(), "ground size")
     if not 1 <= m <= MAX_GROUND:
         raise FormatError(f"ground size {m} outside [1, {MAX_GROUND}]")
     _, line = next(lines, (0, None))
     if line is None or not line.startswith("rank "):
         raise FormatError("missing 'rank <r>' line")
-    declared_rank = parse_int(line.split()[1], "rank")
+    declared_rank = parse_int(line.partition(" ")[2].strip(), "rank")
     after, section = next(lines, (0, None))
     if section is None:
         raise FormatError("missing body section")

@@ -480,6 +480,24 @@ def test_r3_first_found_on_the_lower_plane_between_words():
     assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
 
 
+@pytest.mark.parametrize("m", [3, 4, 8, 10])
+def test_r3_below_a_double_increment_at_the_last_element(m):
+    # U(m-1, m-1) (+) a coloop with r(E - {m-1}) lowered by one: R1 and R2
+    # hold, inc_{m-1}(E - {m-1}) = 2 is the only double increment, and R3
+    # first fails at (e, f) = (0, m - 1), on the bit plane of element 0
+    M, _, _ = K.direct_sum(K.uniform(m - 1, m - 1), K.uniform(1, 1))
+    top = M.full_mask
+    table = M.table.copy()
+    table[top ^ 1 << (m - 1)] -= 1
+    rises = [int(np.diff(table.astype(np.int16).reshape(-1, 2, 1 << e), axis=1).max())
+             for e in range(m)]
+    assert rises == [1] * (m - 1) + [2]
+    witness = (top ^ 1 << (m - 1), top ^ 1)
+    assert literal_rank_violation(m, table) == ("R3", witness)
+    res = validate_rank_table(m, table)
+    assert (res.ok, res.axiom, res.witness) == (False, "R3", witness)
+
+
 def test_jumps_of_five_match_literal_loops():
     # r = 0 below size 5 and r = |X| from size 5 up: R1 and R2 hold, and
     # inc_0 reaches 5, so element 0 carries five bit planes

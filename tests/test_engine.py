@@ -106,6 +106,23 @@ class TestEvaluate:
         assert type(verdict.n) is int and verdict == K.membership(vamos, 4)
         assert type(verdict.certificate.family.n) is int
 
+    @pytest.mark.parametrize("bad", [1.5, "3", None])
+    def test_non_integer_set_rejected(self, bad, vamos):
+        with pytest.raises(K.MatroidError, match=f"family set must be an int, got {bad!r}"):
+            K.evaluate(vamos, K.Family(4, (0, 1, 2, bad)))
+
+    @pytest.mark.parametrize("sets", [15, None])
+    def test_non_sequence_sets_rejected(self, sets):
+        with pytest.raises(K.MatroidError, match=f"family sets must be a sequence, got {sets!r}"):
+            K.Family(4, sets)
+
+    def test_sets_stored_as_a_tuple_of_ints(self, vamos):
+        fam = K.Family(4, [np.int64(0), 1, np.uint8(2), 3])
+        assert fam.sets == (0, 1, 2, 3) and all(type(x) is int for x in fam.sets)
+        assert fam == K.Family(4, (0, 1, 2, 3)) and hash(fam) == hash(K.Family(4, (0, 1, 2, 3)))
+        assert K.extend_family(fam) == K.Family(5, (0, 1, 2, 3, 3))
+        assert K.evaluate(vamos, fam) == K.evaluate(vamos, K.Family(4, (0, 1, 2, 3)))
+
 
 class TestClosureKeepsTermRanks:
     """Replacing each set by its closure, as the search over flats does,

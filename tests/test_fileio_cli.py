@@ -146,6 +146,34 @@ class TestMatroidFormat:
             assert error in capsys.readouterr().err
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_modulus_below_two_is_not_prime(self, p, tmp_path, capsys):
+        text = f"matroid v1\nelements 3\nrank 2\nmatrix p={p}\n1 0 1\n0 1 1\n"
+        with pytest.raises(K.FormatError, match=f"^modulus {p} is not prime$"):
+            K.parse_matroid(text)
+        path = tmp_path / "m.mtr"
+        path.write_text(text)
+        assert main(["enumerate", "--kind", "flats", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: modulus {p} is not prime\n"
+
+    @pytest.mark.parametrize("line, bad, message", [
+        ("elements 4", "elements 4 9", "bad ground size '4 9'"),
+        ("rank 2", "rank 2 junk", "bad rank '2 junk'"),
+    ])
+    def test_trailing_token_on_elements_or_rank_line_refused(self, line, bad, message,
+                                                             tmp_path, capsys):
+        text = K.write_matroid(K.uniform(2, 4))
+        assert f"\n{line}\n" in text
+        text = text.replace(f"\n{line}\n", f"\n{bad}\n")
+        with pytest.raises(K.FormatError, match=f"^{message}$"):
+            K.parse_matroid(text)
+        path = tmp_path / "m.mtr"
+        path.write_text(text)
+        assert main(["enumerate", "--kind", "flats", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_declared_rank_mismatch(self):
         text = "matroid v1\nelements 2\nrank 1\nranks\n0 1 1 2\n"
         with pytest.raises(K.FormatError):
