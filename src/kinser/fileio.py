@@ -12,11 +12,15 @@ against the supplied matroid and refuses on any mismatch of fingerprint,
 lhs or rhs.
 
 Large tables and long mask lists are written and read in whole-array
-byte passes.  ``_ranks_body`` writes (digit, separator) cells when every
-rank is below 10, and otherwise three-byte cells with the zero tens
-digits cut out.  ``_decimal_values`` reads a chunk whose tokens are all
-one or two ASCII digits, as in every written table, in byte passes, and
-reads any other chunk, malformed ones included, token by token with
+passes, a block of RANKS_CHUNK ranks or characters at a time.
+``_ranks_body`` writes one little-endian word cell per rank: uint16
+(digit, separator) when every rank is below 10, and otherwise uint32
+(tens digit or 0, units digit, separator, 0) with the zero bytes cut out
+by ``bytes.translate``.  ``_decimal_values`` reads a chunk where digits
+and single separators alternate, as the writer emits for ranks below 10,
+through a strided ``<u2`` view; any other chunk whose tokens are all one
+or two ASCII digits, as in every written table, in byte passes; and any
+other chunk, malformed ones included, token by token with
 ``parse_int``.  That is the one integer grammar of both formats: an
 optional ASCII sign, then ASCII digits; elements take no sign.  Every
 element list written is a line of one ``format_element_lines`` call over
@@ -27,6 +31,7 @@ use, not at import.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
@@ -129,32 +134,47 @@ def write_matroid(M: Matroid) -> str:
     return "".join(("\n".join(lines), "\n", _ranks_body(M.table), tail))
 
 
-def _ranks_body(table: np.ndarray) -> str:
-    """The table as decimal text, RANKS_PER_LINE values a line, in one array pass.
+@functools.cache
+def _two_digit_cells() -> np.ndarray:
+    """Entry v < 256 is the little-endian uint32 cell (tens digit, or 0 below
+    10; units digit; space; 0) of the rank v (built on first use)."""
+    v = np.arange(256, dtype="<u4")
+    cells = np.where(v >= 10, ord("0") + v // 10, 0) | (ord("0") + v % 10) << 8 | ord(" ") << 16
+    cells = cells.astype("<u4")
+    cells.flags.writeable = False  # shared by every caller
+    return cells
 
-    Each value gets a cell of its digits and a separator; the separator is a
-    newline at the end of a line and after the last value, a space elsewhere.
+
+def _ranks_body(table: np.ndarray) -> str:
+    """The table as decimal text, RANKS_PER_LINE values a line, in blocks of
+    RANKS_CHUNK values.
+
+    Each value gets one little-endian word cell of its digits and a
+    separator; the separator is a space, turned into a newline by one
+    strided subtraction at the end of each line (counted by the global
+    value index, so blocks may cut lines anywhere) and after the last value.
     When every value is below 10 (found by one ``max`` pass, since a table
     built with ``validate=False`` need not be monotone, so r(E) does not
-    bound it) the cells are (digit, separator) and decode as they stand.
-    Otherwise they are (tens, units, separator) and the tens digit is
-    dropped below 10 (ranks are at most 24).  Both give the bytes of
+    bound it) the cells are uint16 (digit, separator), made by one add, and
+    decode as they stand.  Otherwise they are uint32 (tens or 0, units,
+    separator, 0) read off ``_two_digit_cells``, and ``bytes.translate``
+    drops their zero bytes (ranks are at most 24).  Both give the bytes of
     ``" ".join(str(v) ...)`` over each line of RANKS_PER_LINE values.
     """
     wide = int(table.max()) >= 10
-    cells = np.empty((table.size, 2 + wide), dtype=np.uint8)
-    cells[:, -2] = ord("0") + (table % 10 if wide else table)
-    cells[:, -1] = ord(" ")
-    cells[RANKS_PER_LINE - 1::RANKS_PER_LINE, -1] = ord("\n")
-    cells[-1, -1] = ord("\n")
-    if not wide:
-        return str(cells.reshape(-1), "ascii")
-    cells[:, 0] = ord("0") + table // 10
-    keep = np.ones(cells.shape, dtype=bool)
-    keep[:, 0] = table >= 10
-    body = cells[keep]
-    del cells, keep  # the largest temporaries of a write: free them before decoding
-    return str(body, "ascii")
+    newline = (ord(" ") - ord("\n")) << (16 if wide else 8)
+    blocks = []
+    for lo in range(0, table.size, RANKS_CHUNK):
+        part = table[lo:lo + RANKS_CHUNK]
+        if wide:
+            cells = _two_digit_cells().take(part)
+        else:
+            cells = np.add(part, np.uint16(ord("0") | ord(" ") << 8)).astype("<u2", copy=False)
+        cells[(RANKS_PER_LINE - 1 - lo) % RANKS_PER_LINE::RANKS_PER_LINE] -= newline
+        if lo + part.size == table.size and table.size % RANKS_PER_LINE:
+            cells[-1] -= newline
+        blocks.append(str(cells.tobytes().translate(None, b"\0") if wide else cells, "ascii"))
+    return "".join(blocks)
 
 
 def parse_int(text: str, what: str) -> int:
@@ -199,15 +219,20 @@ def _cut_lines(src: str, start: int) -> tuple[list[tuple[int, int]], list[str]]:
     cut only after newlines, and the stripped layout lines in order.  Only
     the lines holding a '#' or 'layout' are looked at, and no text is copied.
     """
+    def find(needle: str, at: int) -> int:
+        # a one-character find is an order of magnitude faster than a word's
+        i = src.find(needle[0], at)
+        return i if i < 0 or src.startswith(needle, i) else src.find(needle, i)
+
     cuts: dict[int, int] = {}
     for needle in ("#", "layout"):
-        i = src.find(needle, start)
+        i = find(needle, start)
         while i >= 0:
             lo = max(start, src.rfind("\n", start, i) + 1)
             end = src.find("\n", i) + 1 or len(src)
             if not src[lo:i].strip():
                 cuts[lo] = end
-            i = src.find(needle, end)
+            i = find(needle, end)
     spans, layout, at = [], [], start
     for lo in sorted(cuts):
         spans.append((at, lo))
@@ -219,7 +244,7 @@ def _cut_lines(src: str, start: int) -> tuple[list[tuple[int, int]], list[str]]:
     return [(lo, hi) for lo, hi in spans if hi > lo], layout
 
 
-RANKS_CHUNK = 1 << 18  # characters of a ranks body converted per array pass
+RANKS_CHUNK = 1 << 18  # characters read, or values written, per array pass of a ranks body
 ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
@@ -227,16 +252,15 @@ def _rank_values(src: str, spans: list[tuple[int, int]], m: int) -> np.ndarray:
     """The 2^m whitespace-separated decimal ranks in the spans of src, as uint8.
 
     Each span is converted in chunks of about RANKS_CHUNK characters, cut
-    at whitespace, so the temporaries stay small and the text is never
-    copied whole.  Raises FormatError for a non-decimal token, a wrong
-    count or a value outside [0, m].
+    at the next whitespace (found by one regex search), so the temporaries
+    stay small and the text is never copied whole.  Raises FormatError for
+    a non-decimal token, a wrong count or a value outside [0, m].
     """
     parts = []
     for at, hi in spans:
         while at < hi:
-            end = min(hi, at + RANKS_CHUNK)
-            while end < hi and src[end] not in ASCII_SPACE:
-                end += 1
+            cut = re.compile(f"[{ASCII_SPACE}]").search(src, min(hi, at + RANKS_CHUNK), hi)
+            end = cut.start() if cut else hi
             parts.append(_decimal_values(src[at:end], m))
             at = end
     count = sum(p.size for p in parts)
@@ -248,17 +272,21 @@ def _rank_values(src: str, spans: list[tuple[int, int]], m: int) -> np.ndarray:
 def _decimal_values(text: str, m: int) -> np.ndarray:
     """Whitespace-separated decimal tokens with values in [0, m], as uint8.
 
-    A chunk whose tokens are all one or two ASCII digits, as every written
-    table is (ranks are at most 24), is read in array passes: the last
-    byte of each token minus '0' is its units digit, and the first byte of
-    each two-byte token adds ten times its digit into the units digit after
-    it.  A chunk of one-byte tokens takes the single ``compress`` of its
-    non-space bytes.  Any other chunk is split at the same six ASCII space
-    bytes by ``bytes.split`` and read token by token with ``parse_int``; a
-    token it refuses, one too long for int() included, is reported as a
-    non-decimal token quoted to 24 characters.  A chunk with a value
-    outside [0, m] reports its least value if that is negative, else its
-    largest.
+    A chunk of one-byte tokens with one separator between each two, as
+    the writer emits when every rank is below 10, alternates token and
+    separator bytes, so its tokens are the low bytes of a little-endian
+    ``<u2`` view of the chunk from its first token on, taken by one
+    ``astype``.  Any other chunk whose tokens are all one or two ASCII
+    digits, as every written table is (ranks are at most 24), is read in
+    array passes: the last byte of each token minus '0' is its units
+    digit, and the first byte of each two-byte token adds ten times its
+    digit into the units digit after it; when every token is one byte
+    this is a single ``compress`` of the non-space bytes.  Any other
+    chunk is split at the same six ASCII space bytes by ``bytes.split``
+    and read token by token with ``parse_int``; a token it refuses, one
+    too long for int() included, is reported as a non-decimal token quoted
+    to 24 characters.  A chunk with a value outside [0, m] reports its
+    least value if that is negative, else its largest.
     """
     try:
         raw = text.encode("ascii")
@@ -267,6 +295,18 @@ def _decimal_values(text: str, m: int) -> np.ndarray:
                           "in ranks body") from None
     data = np.frombuffer(raw, dtype=np.uint8)
     filled = (data != ord(" ")) & (data - 9 >= 5)      # not space, \t \n \v \f \r
+    lead = int(data.size > 0 and not filled[0])        # the chunk starts at a separator
+    cells, odd = divmod(data.size - lead, 2)           # odd: a last token with no separator
+    if (filled[lead:lead + 2 * cells].view("<u2") == 1).all() and (not odd or filled[-1]):
+        vals = np.frombuffer(raw, "<u2", cells, lead).astype(np.uint8)  # the token bytes
+        if odd:
+            vals = np.append(vals, data[-1])
+        vals -= ord("0")                               # a non-digit wraps to >= 10
+        hi = int(vals.max(initial=0))
+        if hi < 10:
+            if hi > m:
+                raise FormatError(f"rank value {hi} outside [0, {m}]")
+            return vals
     pair = filled[1:] & filled[:-1]                    # bytes i and i + 1 in one token
     two = pair.any()
     if not (two and (pair[1:] & pair[:-1]).any()):     # no token of three bytes

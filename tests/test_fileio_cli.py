@@ -6,6 +6,7 @@ import io
 import os
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import kinser as K
 from kinser import engine, fileio
 from kinser.cli import COMMANDS, build_parser, main
+from kinser.core import validate_rank_table
 from kinser.engine import BadFamilyCertificate
 
 from oracles import literal_rank_tokens
@@ -207,6 +209,69 @@ class TestRanksText:
         M = maker()
         assert (int(M.table.max()) >= 10) == two_digit
         assert fileio._ranks_body(M.table) == literal_ranks_body(M.table.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 24), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([*range(1, 10), 17]))
+    def test_writer_matches_literal_writer_at_every_block_size(self, m, top, seed, block):
+        # random tables are not monotone; blocks of 1..9 and 17 values cut
+        # the lines of 16 values everywhere
+        table = np.random.default_rng(seed).integers(0, top, 1 << m, np.uint8, endpoint=True)
+        body = literal_ranks_body(table.tolist())
+        with mock.patch.object(fileio, "RANKS_CHUNK", block):
+            assert fileio._ranks_body(table) == body
+            if top <= m:
+                M = K.Matroid(m, table, validate=False)
+                assert K.write_matroid(M).partition("\nranks\n")[2] == body
+
+    def test_write_and_parse_memory_is_per_block(self):
+        # the writer holds its block cells and the finished text: the body
+        # string and the file text joined from it, two copies of the output;
+        # the reader adds to validation only the table and its block chunks
+        M = K.dual(K.uniform(2, 16))
+        assert int(M.table.max()) >= 10
+        block = 1 << 12
+        with mock.patch.object(fileio, "RANKS_CHUNK", block):
+            tracemalloc.start()
+            try:
+                text = K.write_matroid(M)
+                write_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                validate_rank_table(M.m, M.table)
+                validate_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                again = K.parse_matroid(text)
+                parse_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert again.table_equal(M)
+        assert write_peak < 2 * len(text) + 16 * block
+        assert parse_peak < validate_peak + M.table.nbytes + 16 * block
+
+    def test_body_without_whitespace_is_cut_without_reading_characters(self):
+        # a chunk end is found by one search, not character by character
+        reads = []
+
+        class Text(str):
+            def __getitem__(self, key):
+                if isinstance(key, int):
+                    reads.append(key)
+                return super().__getitem__(key)
+
+        body = Text("1" * (4 << 20) + "\n")
+        with pytest.raises(K.FormatError, match="non-decimal token '1{24}'"):
+            fileio._rank_values(body, [(0, len(body))], 22)
+        assert reads == []
+
+    @pytest.mark.parametrize("comment", ["# l", "# all lines", "#layout A=1", "# lay"])
+    def test_comment_holding_an_l_before_the_layout_lines(self, comment):
+        # the layout lines are found by a search for 'l' that a comment may
+        # stop at first
+        M = K.Matroid(4, K.uniform(2, 4).table, label="U", layout={"A": 0b11, "B": 0b100})
+        text = K.write_matroid(M).replace(" 2\n", f" 2\n{comment}\n", 1)
+        assert text.count(comment) == 1
+        again = K.parse_matroid(text)
+        assert again.table_equal(M) and again.layout == M.layout
 
     @pytest.mark.parametrize("bad, message", [
         ("x", "non-decimal token 'x' in ranks body"),
