@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_GROUND, InvalidSubsetError, Matroid, MatroidError,
-                   NotAMatroidError, SizeCapError, halves, matroid_from_circuits,
-                   popcount_array, subset_reduce,
+                   NotAMatroidError, SizeCapError, count_reduce, halves,
+                   matroid_from_circuits, popcount_array, subset_reduce,
                    validate_circuit_axioms)
 from .transforms import relax, truncate
 
@@ -159,32 +159,84 @@ class SetSystem:
                 raise InvalidSubsetError(f"family member {a:#x} outside ground size {self.m}")
 
 
+def _spread(vec: np.ndarray, sizes: list[int], index) -> np.ndarray:
+    """Widen the axes of a mixed-radix vector, place value 1 first: the
+    axis of the run of s elements becomes vec taken along it at index(s),
+    whose last entry is the axis's last digit.  Runs of one element keep
+    their axis (index(1) is [0, 1]); the others take one copy each, low
+    runs first, so the last and largest takes copy contiguous blocks."""
+    stride = 1
+    for s in sizes:
+        idx = index(s)
+        if s > 1:
+            vec = np.take(vec.reshape(-1, int(idx[-1]) + 1, stride), idx, axis=1).reshape(-1)
+        stride *= idx.size
+    return vec
+
+
+def _support_digits(s: int) -> np.ndarray:
+    """Whether a run of s elements is met, by each count 0..s taken from it: 0, 1, ..., 1."""
+    return np.minimum(np.arange(s + 1), 1)
+
+
 def transversal(system: SetSystem, label: str | None = None) -> Matroid:
     """Transversal matroid M[A]: independent sets are partial transversals.
 
     By the deficiency form of Hall's theorem the largest partial
     transversal within X has size r(X) = |X| + min over T within X of
     (|N(T)| - |T|), where N(T) = {j : A_j meets T}; T = empty gives 0.
-    The members that miss T are those within E - T, so |N(T)| = k -
-    inside[E - T], where inside[Y] = #{j : A_j within Y} is a histogram
-    of the members summed over subsets, read at E - T through
-    inside[::-1].  One subset minimum then gives every r(X).  The vectors
-    use the narrowest signed dtype that holds both -m and k + m, so a
-    family of any size works.
+
+    The ground set splits into maximal runs of consecutive elements that
+    lie in the same members, q runs of s_1, ..., s_q elements.  N(T)
+    depends only on which runs T meets and |T| only on how many elements
+    T takes from each, so r(X) depends only on the counts c of X: r(c) =
+    |c| + min over t <= c of (|N(t)| - |t|).  So the work is done on a
+    count tensor with one axis of s_i + 1 digits per run (9,375 entries
+    for Kin(6), against 2^22 masks), held as a flat mixed-radix vector
+    with the first run at place value 1:
+
+    - member counts go over the 2^q run supports: the members that miss
+      the runs S are those within the others, so |N(S)| = k - inside[~S],
+      where inside[Y] = #{j : A_j within the runs Y} is a histogram of the
+      members' supports summed over subsets, read through inside[::-1];
+    - |N(S)| is spread to the counts by the support of each digit, and
+      Hall's slack |N(t)| - |t| is minimised over sub-counts, digit by
+      digit along each axis (core.count_reduce); adding |c| gives r(c);
+    - one take per run, at the popcounts of its 2^s_i masks, expands the
+      counts to the 2^m table (_spread).
+
+    A run of one element has the axis 0, 1 of its mask bit, so when no
+    two elements share a run the tensor is the 2^m table itself, nothing
+    is taken, |c| is the cached popcount vector, and every pass is a
+    subset_reduce pass over halves.  The vectors use the narrowest signed
+    dtype that holds both -m and k + m, so a family of any size works;
+    the ranks are made uint8 before the expansion.
     """
     m, fam = system.m, system.family
     if m > MAX_GROUND:
         raise SizeCapError(f"ground size {m} exceeds cap {MAX_GROUND}")
     k = len(fam)
-    pc = popcount_array(m)
-    inside = np.zeros(1 << m, dtype=np.min_scalar_type(-1 - k - m))
-    np.add.at(inside, np.array(fam, dtype=np.int64), 1)
+    members = np.array(fam, dtype=np.int64)
+    # bit e of a ^ (a >> 1) is set where a takes e and not e + 1, or e + 1 and not e
+    cuts = np.bitwise_or.reduce(members ^ (members >> 1))
+    starts = [0] + [e + 1 for e in range(m - 1) if cuts >> e & 1]
+    sizes = np.diff(starts + [m]).tolist()
+    supports = sum((members >> start & 1) << i for i, start in enumerate(starts))
+    inside = np.zeros(1 << len(starts), dtype=np.min_scalar_type(-1 - k - m))
+    np.add.at(inside, supports, 1)
     subset_reduce(inside, np.add)
-    slack = k - inside[::-1]  # |N(T)|
-    slack -= pc               # Hall's slack |N(T)| - |T|
-    table = subset_reduce(slack, np.minimum)
-    table += pc
-    return Matroid(m, table.astype(np.uint8), label=label or f"M[A], k={k}", validate=False)
+    slack = _spread(k - inside[::-1], sizes, _support_digits)  # |N(t)|
+    if len(sizes) == m:
+        count = popcount_array(m)
+    else:
+        count = np.zeros(1, dtype=np.uint8)
+        for s in sizes:
+            count = np.add.outer(np.arange(s + 1, dtype=np.uint8), count).reshape(-1)
+    slack -= count  # Hall's slack |N(t)| - |t|
+    table = count_reduce(slack, [s + 1 for s in sizes], np.minimum)
+    table += count
+    table = _spread(table.astype(np.uint8), sizes, popcount_array)
+    return Matroid(m, table, label=label or f"M[A], k={k}", validate=False)
 
 
 # -- Kinser matroids -----------------------------------------------------------
@@ -209,6 +261,13 @@ def kinser_base(r: int) -> Matroid:
     Parts V1..Vr with |V2| = 2 and all others of size r-2; the presented
     family is (A_1, A_3, ..., A_r, A, A') where A_i omits the cyclically
     consecutive pair of parts, A is the whole ground set and A' = V2.
+
+    Every member is a union of parts, so the elements of one part lie in
+    the same members, and the parts are laid out as consecutive elements;
+    neighbouring parts differ (A' holds V2 alone, and A_i holds V_(i+1)
+    but not V_i), so the parts are exactly the runs that ``transversal``
+    folds over: its count tensor has (r-1)^(r-1) 3 entries, 9,375 for
+    Kin(6), against 2^(r^2-3r+4) masks.
     """
     if r < 4:
         raise MatroidError(f"kinser construction needs r >= 4, got {r}")

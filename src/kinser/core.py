@@ -11,10 +11,18 @@ vector, the masks without and with e, and ``halves`` alone decides where
 those lie and how a pass loops over them; folds over subsets
 (``subset_reduce``), the flat and circuit vectors, rank validation, the
 Dowling table and deletion and contraction all take their halves from
-it.  Rank tables are validated exhaustively (R1-R3) at every ground
-size.  The closure and independence axioms are equivalent to them, so
-no table is scanned for those; ``validate_circuit_axioms`` checks a
-circuit list as given, before any table is built from it.
+it.  The same passes fold a mixed-radix vector, whose axes may be longer
+than 2: ``digits`` gives the views of one axis at each of its digits
+(``halves`` is its radix-2 case), and ``count_reduce`` folds digit d - 1
+into digit d along each axis in turn, a radix-2 axis by exactly the
+``subset_reduce`` pass.  A transversal table is so folded over the
+counts X takes from each run of elements that lie in the same members,
+then expanded to the 2^m masks.
+
+Rank tables are validated exhaustively (R1-R3) at every ground size.
+The closure and independence axioms are equivalent to them, so no table
+is scanned for those; ``validate_circuit_axioms`` checks a circuit list
+as given, before any table is built from it.
 
 Validation makes two passes.  The first, per element e, checks the
 increments r(X + e) - r(X) for R2 and packs where they are positive, as
@@ -84,8 +92,16 @@ def halves(vec: np.ndarray, e: int, parts: int = 2) -> tuple[np.ndarray, ...]:
     out= array of a pass whose result is read flat, in mask order (argmax,
     packing, a table).  The views always write through to vec.
     """
-    runs = vec.reshape(-1, parts, 1 << e)
-    return tuple(runs.transpose(1, 2, 0) if e < 4 else runs.transpose(1, 0, 2))
+    return digits(vec, 1 << e, parts)
+
+
+def digits(vec: np.ndarray, stride: int, radix: int) -> tuple[np.ndarray, ...]:
+    """Views of a mixed-radix vector at each digit 0..radix-1 of the axis
+    whose place value is stride: [:, d] of vec.reshape(-1, radix, stride),
+    transposed when stride < 16 as in halves, which is stride 2^e, radix 2.
+    """
+    runs = vec.reshape(-1, radix, stride)
+    return tuple(runs.transpose(1, 2, 0) if stride < 16 else runs.transpose(1, 0, 2))
 
 
 def _insert_zero_bit(i: int, p: int) -> int:
@@ -105,9 +121,23 @@ def subset_reduce(vec: np.ndarray, op: np.ufunc) -> np.ndarray:
     flagged mask, and with np.maximum it is a running subset maximum.
     Returns vec.
     """
-    for e in range(vec.size.bit_length() - 1):
-        lo, hi = halves(vec, e)
-        op(hi, lo, out=hi, order="C")
+    return count_reduce(vec, (2,) * (vec.size.bit_length() - 1), op)
+
+
+def count_reduce(vec: np.ndarray, radices, op: np.ufunc) -> np.ndarray:
+    """In place, over a mixed-radix vector whose axes have the given
+    lengths (place value 1 first), vec[c] becomes op folded over vec[t] for
+    every t <= c digit by digit.
+
+    Per axis, each digit d >= 1 folds in digit d - 1, so a radix-2 axis is
+    exactly one subset_reduce pass.  Returns vec.
+    """
+    stride = 1
+    for radix in radices:
+        views = digits(vec, stride, radix)
+        for lo, hi in zip(views, views[1:]):
+            op(hi, lo, out=hi, order="C")
+        stride *= radix
     return vec
 
 
@@ -448,8 +478,14 @@ def validate_rank_table(m: int, table: np.ndarray) -> AxiomResult:
     element is then read off the table, one f at a time (_r3_witness).
 
     Memory: the plane array takes m 2^(m-4) bytes, the pass 2 buffer (one
-    block of rows) at most as much, and inc 2^(m-1) bytes; reading a
-    witness adds 3 2^(m-2) bytes.
+    block of rows) at most as much, and inc 2^(m-1) bytes.  Where pass 2
+    compares word halves (k >= 6), its 2-D views loop over runs shorter
+    than numpy's buffer size, and a ufunc call may then iterate buffered,
+    with up to three buffers of min(np.getbufsize(), half a block) words:
+    192 KiB at most at the default size.  Up to m = 18 the block holds all
+    m rows and half of it is m 2^(m-8) words; from m = 20 on it holds
+    fewer rows than m, and the buffers fit in what the pass 2 buffer's
+    bound leaves.  Reading a witness adds 3 2^(m-2) bytes.
     """
     pc = popcount_array(m)
     if table[0] != 0:

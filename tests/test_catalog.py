@@ -11,6 +11,7 @@ import pytest
 import kinser as K
 from kinser import catalog
 from kinser.catalog import PRIME_TEST_LIMIT, _is_prime
+from kinser.core import popcount_array
 
 from oracles import bias_rank_oracle, brute_matching_rank, gf_column_rank
 
@@ -144,6 +145,37 @@ class TestTransversal:
                 x |= 1 << int(e)
             assert M.rank(x) == brute_matching_rank(x, fam), hex(x)
 
+    def test_families_of_runs_match_oracle(self):
+        # members are unions of runs of consecutive elements, so elements
+        # share members; k = 0, the empty member, repeats and E all occur
+        rng = np.random.default_rng(27)
+        for trial in range(150):
+            m = int(rng.integers(1, 11))
+            cuts = [e for e in range(1, m) if rng.random() < 0.4]
+            runs = [((1 << b) - 1) ^ ((1 << a) - 1) for a, b in zip([0] + cuts, cuts + [m])]
+            pool = [sum(r for r in runs if rng.random() < 0.5) for _ in range(3)]
+            pool += [0, (1 << m) - 1]
+            k = trial % 7
+            fam = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=k))
+            M = K.transversal(K.SetSystem(m, fam))
+            oracle = [brute_matching_rank(x, fam) for x in range(1 << m)]
+            assert M.table.tolist() == oracle, (m, fam)
+
+    def test_one_signature_in_two_runs(self):
+        # elements 0-1 and 4-5 lie in the same members, 2-3 between them do not
+        fam = (0b110011, 0b110011, 0b001100, 0b111111)
+        M = K.transversal(K.SetSystem(6, fam))
+        assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(64)]
+        assert (M.rank(0b110011), M.rank_total) == (3, 4)
+
+    def test_long_runs_past_int8_match_oracle(self):
+        # k + m = 132 > 127: the signed vectors widen, and runs of 3 and 4
+        # elements lie in 121 and 5 members
+        fam = (0b0000111,) * 120 + (0b1111000,) * 4 + (0b1111111,)
+        M = K.transversal(K.SetSystem(7, fam))
+        assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(128)]
+        assert M.rank_total == 7
+
     def test_full_transversal_gives_full_rank(self):
         fam = (0b0011, 0b0110, 0b1100)
         M = K.transversal(K.SetSystem(4, fam))
@@ -159,7 +191,57 @@ class TestTransversal:
             assert (grown.table >= small.table).all()
 
 
+def kinser_presentation(r: int) -> tuple[int, tuple[int, ...]]:
+    """Ground size and presented family of the Kin(r) base, from the paper:
+    parts V1, V2, ..., Vr of r-2, 2, r-2, ..., r-2 elements in order; one
+    member per part Vi other than V2, all of E - V2 but Vi and the part
+    before it in the cycle V1, V3, ..., Vr; then E and V2."""
+    sizes = [r - 2, 2] + [r - 2] * (r - 2)
+    ends = list(itertools.accumulate(sizes))
+    part = {i + 1: (1 << b) - (1 << (b - n)) for i, (n, b) in enumerate(zip(sizes, ends))}
+    m = ends[-1]
+    E = (1 << m) - 1
+    cycle = [1] + list(range(3, r + 1))
+    fam = [E & ~part[2] & ~part[i] & ~part[cycle[c - 1]] for c, i in enumerate(cycle)]
+    return m, tuple(fam) + (E, part[2])
+
+
 class TestKinserFamily:
+    def test_kin4_base_matches_matching_oracle(self):
+        m, fam = kinser_presentation(4)
+        M = K.kinser_base(4)
+        assert M.table.tolist() == [brute_matching_rank(x, fam) for x in range(1 << m)]
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_base_matches_matching_oracle_on_sampled_masks(self, r):
+        m, fam = kinser_presentation(r)
+        M = K.kinser_base(r)
+        rng = np.random.default_rng(r)
+        # random masks of up to 12 elements, and unions of two parts, where
+        # Hall's condition binds
+        masks = [K.mask_of(rng.choice(m, size=int(rng.integers(0, 13)), replace=False).tolist())
+                 for _ in range(300)]
+        masks += [M.parts(*names) for names in itertools.combinations(M.layout, 2)]
+        for x in masks:
+            assert M.rank(x) == brute_matching_rank(x, fam), hex(x)
+
+    def test_kin6_base_peak_is_the_table_and_the_last_take(self):
+        # The parts of Kin(6) are its runs, so its count tensor has
+        # 5*3*5*5*5*5 entries.  The last take widens the 5 count digits of V6
+        # under all 2^18 masks of V1..V5 (5 2^18 bytes) to the 2^22-byte
+        # table, and both are alive while it runs; every earlier take holds
+        # less, and 64 KiB covers the tensors, the index vectors and the
+        # Python objects.  The popcounts of the 2^22 masks, cached per m,
+        # are built before the trace starts.
+        popcount_array(22)
+        tracemalloc.start()
+        try:
+            K.kinser_base(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22 + 5 * 2 ** 18 + 2 ** 16
+
     def test_base_sizes(self):
         m4 = K.kinser_base(4)
         assert (m4.m, m4.rank_total) == (8, 5)

@@ -1,5 +1,6 @@
 """Core rank-table machinery: queries, derived predicates, axiom scans."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import kinser as K
 from kinser.cli import main
-from kinser.core import halves, popcount_array, validate_circuit_axioms, validate_rank_table
+from kinser.core import (count_reduce, halves, popcount_array, validate_circuit_axioms,
+                         validate_rank_table)
 
 from oracles import (definition_closure, definition_flats, definition_is_circuit,
                      gf2_span_closure, literal_independence_violation,
@@ -171,6 +173,17 @@ class TestHalves:
             np.add(lo, 1000, out=lo, order="C")
             np.negative(hi, out=hi, order="C")
             assert vec.tolist() == [-x if x >> e & 1 else x + 1000 for x in range(1 << m)]
+
+
+    @pytest.mark.parametrize("radices", [(3,), (2, 5), (5, 3, 2), (17, 2), (2,) * 5 + (3,)])
+    def test_count_reduce_is_the_literal_fold_over_sub_counts(self, radices):
+        # place value 1 first; strides 17 and 32 reach the untransposed views
+        rng = np.random.default_rng(len(radices))
+        vec = rng.integers(-50, 50, size=int(np.prod(radices)))
+        counts = [c[::-1] for c in itertools.product(*(range(n) for n in reversed(radices)))]
+        literal = [min(int(vec[i]) for i, t in enumerate(counts)
+                       if all(a <= b for a, b in zip(t, c))) for c in counts]
+        assert count_reduce(vec, radices, np.minimum).tolist() == literal
 
 
 class TestValidateAxioms:
@@ -535,6 +548,22 @@ def test_validation_memory_is_planes_buffer_and_inc():
     finally:
         tracemalloc.stop()
     assert peak < 2 * m * 2 ** (m - 4) + 2 ** (m - 1)
+
+
+@pytest.mark.parametrize("m", [14, 16, 18])
+def test_validation_memory_in_one_block_adds_iterator_buffers(m):
+    # one block holds all m rows, so the plane array and the pass 2 buffer
+    # take m 2^(m-4) bytes each and inc 2^(m-1); the buffered ufunc calls of
+    # pass 2 add up to three buffers of min(bufsize, m 2^(m-8)) 8-byte words
+    M = K.uniform(m // 2, m)
+    tracemalloc.start()
+    try:
+        assert validate_rank_table(m, M.table).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 3 * 8 * min(np.getbufsize(), m * 2 ** (m - 8))
+    assert peak < 2 * m * 2 ** (m - 4) + 2 ** (m - 1) + buffers
 
 
 @st.composite
