@@ -77,6 +77,8 @@ class MatrixGFp:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise MatroidError(f"matrix size {self.rows} x {self.cols} is negative")
         if not _is_prime(self.p):
             raise MatroidError(f"modulus {self.p} is not prime")
         if len(self.entries) != self.rows * self.cols:
@@ -84,50 +86,53 @@ class MatrixGFp:
         if any(not 0 <= v < self.p for v in self.entries):
             raise MatroidError(f"entries must be residues in [0, {self.p})")
 
-    def column(self, j: int) -> list[int]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+
+# a from_matrix pass holds under four times its largest state, 2^(b-1) x rows
+STATE_ENTRIES = 1 << 20
+
+
+def _eliminate(state: np.ndarray, ranks: np.ndarray, count: int, p: int) -> tuple:
+    """count passes of from_matrix from the ranks and state of some masks."""
+    for _ in range(count):
+        head, later = state[:, 0], state[:, 1:]
+        lead = (head != 0).argmax(axis=1)[:, None]
+        scale = np.take_along_axis(head, lead, axis=1)
+        ranks = np.concatenate([ranks, ranks + (scale[:, 0] != 0)])
+        scale[scale == 0] = 1  # a zero head eliminates nothing: later passes through
+        new = later * scale[:, :, None]
+        new -= np.take_along_axis(later, lead[:, :, None], axis=2) * head[:, None]
+        new %= p
+        state = np.concatenate([later, new])
+    return ranks, state
 
 
 def from_matrix(mat: MatrixGFp, label: str | None = None) -> Matroid:
     """Linear matroid of the matrix columns: r(X) = GF(p) rank of X's columns.
 
-    The table is filled by a depth-first walk over the column-inclusion
-    tree, carrying a reduced pivot basis, so each subset costs one column
-    reduction instead of a full elimination.
+    By element passes: the state holds, for each mask X, the later columns
+    under a linear map whose kernel is the span of X.  X + e gains a rank
+    where the head h, column e's image, is nonzero, and maps its later
+    columns on by w -> h_i w - w_i h (kernel: the span of h), i the first
+    nonzero entry of h; scaling by h_i needs no inverse, a zero h scales
+    by 1.  Residues are np.min_scalar_type(-p * p), which holds products:
+    int8 to p = 11, int64 to 2^31 - 1, then Python ints.  Rank does not
+    depend on the order, so the top m - b elements pass first and each
+    high mask fills its 2^b masks from its own row, b the largest with
+    2^(b+1) x rows <= STATE_ENTRIES.  No rows reads as one zero row.
     """
-    m = mat.cols
+    m, p = mat.cols, mat.p
     if m > MAX_GROUND:
         raise SizeCapError(f"column count {m} exceeds cap {MAX_GROUND}")
-    p = mat.p
-    table = np.zeros(1 << m, dtype=np.uint8)
-    basis: list[tuple[int, list[int]]] = []  # (pivot position, normalized vector)
-
-    def reduce(vec: list[int]) -> list[int]:
-        v = list(vec)
-        for piv, bvec in basis:
-            c = v[piv]
-            if c:
-                for i in range(mat.rows):
-                    v[i] = (v[i] - c * bvec[i]) % p
-        return v
-
-    def walk(j: int, mask: int):
-        if j == m:
-            table[mask] = len(basis)
-            return
-        walk(j + 1, mask)
-        v = reduce(mat.column(j))
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            walk(j + 1, mask | (1 << j))
-        else:
-            inv = pow(v[piv], p - 2, p)
-            basis.append((piv, [(c * inv) % p for c in v]))
-            walk(j + 1, mask | (1 << j))
-            basis.pop()
-
-    walk(0, 0)
-    return Matroid(m, table, label=label or f"GF({p})[{mat.rows}x{mat.cols}]", validate=False)
+    rows, dtype = max(mat.rows, 1), np.min_scalar_type(-p * p)
+    cols = np.zeros((m, rows), dtype=dtype)
+    cols[:, :mat.rows] = np.array(mat.entries, dtype=dtype).reshape(mat.rows, m).T
+    low = min(m, max(0, (STATE_ENTRIES // rows).bit_length() - 2))
+    high, state = _eliminate(np.roll(cols, -low, axis=0)[None], np.zeros(1, np.uint8), m - low, p)
+    table = np.empty((len(high), 1 << low), dtype=np.uint8)
+    for h, row in enumerate(state):
+        table[h] = _eliminate(row[None], high[h:h + 1], low, p)[0]
+    return Matroid(m, table.reshape(-1), label=label or f"GF({p})[{mat.rows}x{mat.cols}]",
+                   validate=False)
 
 
 FANO_ROWS = ((1, 0, 0, 1, 1, 0, 1),
@@ -154,6 +159,8 @@ class SetSystem:
     family: tuple[int, ...]
 
     def __post_init__(self):
+        if self.m < 0:
+            raise MatroidError(f"ground size {self.m} is negative")
         for a in self.family:
             if a >> self.m or a < 0:
                 raise InvalidSubsetError(f"family member {a:#x} outside ground size {self.m}")

@@ -17,7 +17,7 @@ than 2: ``digits`` gives the views of one axis at each of its digits
 into digit d along each axis in turn, a radix-2 axis by exactly the
 ``subset_reduce`` pass.  A transversal table is so folded over the
 counts X takes from each run of elements that lie in the same members,
-then expanded to the 2^m masks.
+then expanded to the 2^m masks.  A GF(p) pass appends the masks with e.
 
 Rank tables are validated exhaustively (R1-R3) at every ground size.
 The closure and independence axioms are equivalent to them, so no table
@@ -146,13 +146,6 @@ def _superset_vector(m: int, masks) -> np.ndarray:
     up = np.zeros(1 << m, dtype=bool)
     up[np.asarray(masks, dtype=np.int64)] = True
     return subset_reduce(up, np.logical_or)
-
-
-def rank_from_independent(m: int, indep: np.ndarray) -> np.ndarray:
-    """Rank table from the independence vector: r(X) is the size of the
-    largest independent I within X, as uint8."""
-    sizes = np.where(indep, popcount_array(m), 0).astype(np.uint8, copy=False)
-    return subset_reduce(sizes, np.maximum)
 
 
 def mask_of(elements) -> int:
@@ -602,7 +595,7 @@ def matroid_from_circuits(m: int, r: int, nonspanning_circuits: list[int],
 
     pc = popcount_array(m)
     indep = (pc <= r) & ~_superset_vector(m, circuits)
-    table = rank_from_independent(m, indep)
+    table = subset_reduce(np.where(indep, pc, 0).astype(np.uint8, copy=False), np.maximum)
     if int(table[-1]) != r:
         raise NotAMatroidError(
             f"declared rank {r} but circuits force rank {int(table[-1])}", "R1",

@@ -151,10 +151,11 @@ def definition_is_circuit(M, x: int) -> bool:
 
 
 def gf_column_rank(p: int, columns) -> int:
-    """Rank of integer column vectors mod p by full elimination."""
+    """Rank of integer column vectors mod p by full elimination; residues
+    are int64 below p = 2^31, whose products fit, and Python ints above."""
     if not columns:
         return 0
-    a = np.array(columns, dtype=np.int64).T % p
+    a = np.array(columns, dtype=np.int64 if p < 1 << 31 else object).T % p
     rows, cols = a.shape
     rank = 0
     for c in range(cols):

@@ -2,6 +2,7 @@
 independent oracles (matchings grown member by member, GF(p) elimination, bias rank)."""
 
 import itertools
+import random
 import tracemalloc
 from unittest import mock
 
@@ -62,6 +63,49 @@ class TestFromMatrix:
         with pytest.raises(K.MatroidError, match="too large"):
             _is_prime(PRIME_TEST_LIMIT)
 
+    @pytest.mark.parametrize("rows, cols", [(-1, -1), (-1, 0), (0, -1), (-2, 3)])
+    def test_negative_size_refused(self, rows, cols):
+        # (-1) x (-1) holds one entry by the product alone
+        with pytest.raises(K.MatroidError, match="negative"):
+            K.MatrixGFp(2, rows, cols, (1,) * max(rows * cols, 0))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 31 - 1, 2 ** 61 - 1])
+    def test_random_matrices_match_elimination_oracle(self, p, monkeypatch):
+        # every mask, by the default passes and by blocks of 2^b masks for
+        # small budgets (b = 0 at a budget of 1); some columns are zero and
+        # some are multiples of earlier ones; the i-th matrix has i rows
+        rnd = random.Random(p)
+        for rows, m in enumerate((1, 3, 6, 9, 11, 12) if p < 2 ** 31 else (1, 5, 8, 10)):
+            cols = [[rnd.randrange(p) for _ in range(rows)] for _ in range(m)]
+            for j in range(m):
+                kind = rnd.randrange(4)
+                if kind == 0:
+                    cols[j] = [0] * rows
+                elif kind == 1 and j:
+                    c, k = rnd.randrange(1, p), rnd.randrange(j)
+                    cols[j] = [c * v % p for v in cols[k]]
+            mat = K.MatrixGFp(p, rows, m, tuple(cols[j][i] for i in range(rows) for j in range(m)))
+            expected = [gf_column_rank(p, [cols[j] for j in K.elements_of(x)])
+                        for x in range(1 << m)]
+            for budget in (catalog.STATE_ENTRIES, 64, 1):
+                monkeypatch.setattr(catalog, "STATE_ENTRIES", budget)
+                assert K.from_matrix(mat).table.tolist() == expected, (m, rows, budget)
+
+    def test_memory_is_table_and_state_budget(self):
+        # 8 x 20 over GF(2): int8 residues, so the budget's entries are
+        # bytes; the popcounts cached by the Matroid constructor are built
+        # before the trace starts
+        rnd = random.Random(20)
+        mat = K.MatrixGFp(2, 8, 20, tuple(rnd.randrange(2) for _ in range(160)))
+        popcount_array(20)
+        tracemalloc.start()
+        try:
+            K.from_matrix(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20 + catalog.STATE_ENTRIES + 2 ** 17
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_every_subset_matches_elimination_oracle(self, p, fano, nonfano):
         M = fano if p == 2 else nonfano
@@ -96,6 +140,10 @@ class TestTransversal:
         S = K.SetSystem(3, (0b011, 0b110))
         M = K.transversal(S)
         assert M.rank(0b111) == 2
+
+    def test_negative_ground_size_refused(self):
+        with pytest.raises(K.MatroidError, match="negative"):
+            K.SetSystem(-1, ())
 
     def test_disjoint_singletons(self):
         M = K.transversal(K.SetSystem(2, (0b01, 0b10)))

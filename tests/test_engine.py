@@ -1222,6 +1222,18 @@ class TestLivePairs:
         assert tuples == (F + before) * len(P) + P.index((i3, i4)) + 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 5), st.integers(1, 10), st.data())
+def test_representable_matroids_are_in_class(p, rows, m, data):
+    """Every matroid representable over a finite field satisfies every
+    Kinser inequality, so no GF(2) or GF(3) matroid is a violator."""
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * m, max_size=rows * m))
+    M = K.from_matrix(K.MatrixGFp(p, rows, m, tuple(entries)))
+    for n in (4, 5):
+        for pruning in (True, False):
+            assert K.membership(M, n, K.SearchConfig(symmetry_pruning=pruning)).in_class
+
+
 class TestClassProperties:
     def test_hierarchy_extension_of_found_family(self, vamos):
         cert = K.membership(vamos, 4).certificate
